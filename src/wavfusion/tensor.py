@@ -12,6 +12,9 @@ column broadcasts exist as separately named operations (``add_row``,
 ``sub_col``, ...) so no shape mismatch can slip through silently.
 
 ``backward`` may run once per graph; a fresh forward pass rebuilds the graph.
+Adjoint closures capture input tensors and plain arrays, never their own
+output, so a graph holds no reference cycles: dropping the loss frees the
+whole graph at once, without waiting for the cyclic garbage collector.
 A graph and its tensors belong to one thread during forward/backward;
 independent graphs may run on separate threads.
 """
@@ -162,9 +165,9 @@ class Tensor:
             _check_same(self, other, "div")
             out = _result(self.data / other.data, (self, other))
             if out._parents:
-                def bp(g, a=self, b=other, o=out):
+                def bp(g, a=self, b=other, o=out.data):
                     _accum(a, g / b.data)
-                    _accum(b, -g * o.data / b.data)
+                    _accum(b, -g * o / b.data)
                 out._backprop = bp
             return out
         return self.scale(1.0 / float(other))
@@ -363,9 +366,9 @@ class Tensor:
         _check_col(self, c, "div_col")
         out = _result(self.data / c.data, (self, c))
         if out._parents:
-            def bp(g, a=self, b=c, o=out):
+            def bp(g, a=self, b=c, o=out.data):
                 _accum(a, g / b.data)
-                _accum(b, -(g * o.data / b.data).sum(axis=1, keepdims=True))
+                _accum(b, -(g * o / b.data).sum(axis=1, keepdims=True))
             out._backprop = bp
         return out
 
@@ -435,6 +438,26 @@ class Tensor:
                 z = np.zeros_like(a.data)
                 z[rows, idx] = g[:, 0]
                 _accum(a, z)
+            out._backprop = bp
+        return out
+
+    def gather(self, rows, cols) -> "Tensor":
+        """Gather scattered entries of a matrix: out[t] = self[rows[t], cols[t]]."""
+        if self.data.ndim != 2:
+            raise ShapeError(f"gather needs a rank-2 tensor; got {_shape(self)}")
+        r = np.asarray(rows, dtype=np.intp)
+        c = np.asarray(cols, dtype=np.intp)
+        if r.ndim != 1 or r.shape != c.shape:
+            raise ShapeError(f"gather: row indices {list(r.shape)} and column indices "
+                             f"{list(c.shape)} must be equal-length vectors")
+        m, n = self.data.shape
+        if r.size and (r.min() < 0 or r.max() >= m or c.min() < 0 or c.max() >= n):
+            raise ShapeError(f"gather: index out of range for {_shape(self)}")
+        out = _result(self.data[r, c], (self,))
+        if out._parents:
+            def bp(g, a=self):
+                flat = np.bincount(r * n + c, weights=g, minlength=m * n)
+                _accum(a, flat.reshape(m, n).astype(a.data.dtype))
             out._backprop = bp
         return out
 

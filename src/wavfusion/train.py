@@ -19,7 +19,7 @@ from . import tensor as T
 from .checkpoint import load_model, save_model
 from .config import ExperimentConfig, save_config
 from .data import Dataset, RatioSplit, load_dataset, split
-from .errors import CheckpointError, ConfigError, DataError
+from .errors import ConfigError, DataError
 from .losses import build_triplets, cross_entropy, margin_loss, metrics, total_loss
 from .model import WavFusionModel
 from .optim import Adam
@@ -240,10 +240,7 @@ def evaluate_checkpoint(checkpoint_path, cfg: ExperimentConfig, mask=None,
     if dataset is None:
         dataset = load_dataset(cfg.data_dir, cfg.num_classes or None)
     model = build_model(cfg, dataset)
-    try:
-        load_model(checkpoint_path, model)
-    except CheckpointError:
-        raise
+    load_model(checkpoint_path, model)
     train_set, val_set, test_set = split(
         dataset.samples, RatioSplit(cfg.train_frac, cfg.val_frac, cfg.test_frac, cfg.seed))
     chosen = {"train": train_set, "val": val_set, "test": test_set,

@@ -2,9 +2,11 @@ import logging
 import math
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 from helpers import fd_max_rel_error, rand
+from wavfusion import tensor as T
 from wavfusion.errors import DataError
 from wavfusion.losses import (build_triplets, cross_entropy, margin_loss, metrics,
                               total_loss)
@@ -138,6 +140,110 @@ class TestMarginLoss:
             v = rng.child(2 * i + 1).normal(6)
             expect = float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
             assert abs(cosine_reference(list(u), list(v)) - expect) < 1e-12
+
+
+def _cosine_per_pair(a, b, na, nb):
+    if float(na.data) == 0.0 or float(nb.data) == 0.0:
+        return Tensor(np.zeros((), dtype=a.data.dtype))
+    return (a * b).sum() / (na * nb)
+
+
+def margin_loss_per_pair(embeddings, triplets, alpha):
+    """The margin loss as first written, a few graph nodes per cosine and per
+    triplet: the float64 reference for the vectorized one."""
+    if not triplets:
+        dtype = embeddings[0].data.dtype if embeddings else np.float64
+        return Tensor(np.zeros((), dtype=dtype))
+    norms = {}
+    for idx in {t.anchor for t in triplets} | {t.positive for t in triplets} | {t.negative for t in triplets}:
+        e = embeddings[idx]
+        norms[idx] = (e * e).sum().sqrt()
+    cos_cache = {}
+
+    def cos(i, j):
+        key = (i, j) if i <= j else (j, i)
+        if key not in cos_cache:
+            cos_cache[key] = _cosine_per_pair(embeddings[key[0]], embeddings[key[1]],
+                                              norms[key[0]], norms[key[1]])
+        return cos_cache[key]
+
+    terms = [((cos(t.anchor, t.negative) - cos(t.anchor, t.positive)) + alpha).relu()
+             for t in triplets]
+    return T.add_n(terms).scale(1.0 / len(terms))
+
+
+def trimodal_batch(samples, seed, d=5, dtype=np.float64):
+    """Entries of ``samples`` utterances over three modalities, labels cycling
+    through 4 classes, with seeded random embedding vectors."""
+    rng = Prng(seed)
+    batch = [(m, b % 4) for b in range(samples) for m in ("a", "t", "v")]
+    vectors = [rng.child(i).normal(d).astype(dtype) for i in range(len(batch))]
+    return batch, vectors
+
+
+def loss_and_grads(fn, batch, vectors, alpha=0.5):
+    embeddings = [Tensor(v[None, :].copy(), requires_grad=True) for v in vectors]
+    loss = fn(embeddings, build_triplets(batch), alpha)
+    loss.backward()
+    return loss, [np.zeros_like(e.data) if e.grad is None else e.grad for e in embeddings]
+
+
+def margin_graph_ops(loss, embeddings) -> int:
+    """Graph nodes between the loss and the embedding leaves."""
+    stop = {id(e) for e in embeddings}
+    seen, stack, ops = set(), [loss], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or id(node) in stop:
+            continue
+        seen.add(id(node))
+        ops += bool(node._parents)
+        stack.extend(node._parents)
+    return ops
+
+
+class TestMarginLossParity:
+    """The vectorized loss against the per-pair one, values and gradients."""
+
+    def assert_parity(self, batch, vectors):
+        loss, grads = loss_and_grads(margin_loss, batch, vectors)
+        ref_loss, ref_grads = loss_and_grads(margin_loss_per_pair, batch, vectors)
+        assert abs(float(loss.data) - float(ref_loss.data)) < 1e-12
+        for got, want in zip(grads, ref_grads):
+            npt.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        return grads
+
+    @pytest.mark.parametrize("samples", [2, 8, 16])
+    def test_random_batches(self, samples):
+        batch, vectors = trimodal_batch(samples, seed=30 + samples)
+        assert build_triplets(batch)
+        self.assert_parity(batch, vectors)
+
+    def test_zero_norm_row(self):
+        batch, vectors = trimodal_batch(8, seed=40)
+        vectors[4][:] = 0.0
+        grads = self.assert_parity(batch, vectors)
+        npt.assert_array_equal(grads[4], np.zeros((1, 5)))
+
+    def test_empty_triplet_set(self):
+        batch, vectors = trimodal_batch(1, seed=41)
+        assert build_triplets(batch) == []
+        self.assert_parity(batch, vectors)
+
+    def test_float32_stays_float32(self):
+        batch, vectors = trimodal_batch(4, seed=42, dtype=np.float32)
+        loss, grads = loss_and_grads(margin_loss, batch, vectors)
+        assert loss.data.dtype == np.float32
+        assert all(g.dtype == np.float32 for g in grads)
+
+    def test_node_count_is_independent_of_batch_size(self):
+        counts = []
+        for samples in (4, 16):
+            batch, vectors = trimodal_batch(samples, seed=43)
+            embeddings = [Tensor(v[None, :], requires_grad=True) for v in vectors]
+            counts.append(margin_graph_ops(margin_loss(embeddings, build_triplets(batch), 0.5),
+                                           embeddings))
+        assert counts[0] == counts[1] <= 16
 
 
 class TestCrossEntropy:

@@ -238,6 +238,25 @@ class TestReductionsStructure:
             x.grad = None
             assert fd_max_rel_error(func, [x]) < 1e-6
 
+    def test_gather(self):
+        x = Tensor(rand((3, 4), seed=44), requires_grad=True)
+        rows, cols = [0, 2, 2, 0, 1], [1, 3, 3, 1, 0]  # repeats accumulate in the adjoint
+        npt.assert_array_equal(x.gather(rows, cols).data, x.data[rows, cols])
+        other = ([1, 1, 2, 0, 2], [2, 0, 3, 3, 1])
+        assert fd_max_rel_error(lambda: (x.gather(rows, cols) * x.gather(*other)).sum(), [x]) < 1e-6
+        x32 = Tensor(rand((2, 2), seed=45).astype(np.float32), requires_grad=True)
+        (x32.gather([0, 1], [1, 1]) - x32.gather([1, 0], [0, 1])).sum().backward()
+        assert x32.grad.dtype == np.float32
+        npt.assert_array_equal(x32.grad, [[0.0, 0.0], [-1.0, 1.0]])
+
+    def test_gather_shape_contracts(self):
+        x = Tensor(np.zeros((3, 4)))
+        for rows, cols in (([3], [0]), ([0], [4]), ([-1], [0]), ([0, 1], [0]), ([[0]], [[0]])):
+            with pytest.raises(ShapeError):
+                x.gather(rows, cols)
+        with pytest.raises(ShapeError, match="rank-2"):
+            Tensor(np.zeros(3)).gather([0], [0])
+
     def test_add_n(self):
         ts = [Tensor(rand((2, 2), seed=50 + i), requires_grad=True) for i in range(4)]
         out = T.add_n(ts)

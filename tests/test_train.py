@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 
 import numpy as np
 import numpy.testing as npt
@@ -7,7 +8,7 @@ import pytest
 from wavfusion.ablate import run_suite
 from wavfusion.config import ExperimentConfig, load_config, parse_config_text, save_config
 from wavfusion.data import SynthSpec, generate_synthetic, load_dataset
-from wavfusion.errors import CheckpointError, ConfigError
+from wavfusion.errors import CheckpointError, ConfigError, DataError
 from wavfusion.gradcheck import run_gradcheck, synthetic_batch, tiny_config
 from wavfusion.losses import build_triplets, margin_loss, metrics
 from wavfusion.model import WavFusionModel
@@ -303,12 +304,16 @@ class TestConfig:
         assert str(ExperimentConfig(out_dir="here").resolved_out_dir()) == "here"
 
 
+def tiny_model_and_batch():
+    dims = {"a": 4, "t": 3, "v": 3}
+    model = WavFusionModel(num_classes=2, feature_dims=dims, d=8, heads=2,
+                           n_shallow=1, n_deep=1, lvc_centers=2, seed=1)
+    return model, synthetic_batch(3, dims, 2, 4)
+
+
 class TestBatchObjective:
     def test_margin_skipped_at_zero_balance(self):
-        dims = {"a": 4, "t": 3, "v": 3}
-        model = WavFusionModel(num_classes=2, feature_dims=dims, d=8, heads=2,
-                               n_shallow=1, n_deep=1, lvc_centers=2, seed=1)
-        samples = synthetic_batch(3, dims, 2, 4)
+        model, samples = tiny_model_and_batch()
         total, task, margin, preds = batch_objective(model, samples, ("a", "t", "v"),
                                                      alpha=0.5, balance=0.0)
         assert float(margin.data) == 0.0
@@ -316,12 +321,46 @@ class TestBatchObjective:
         assert len(preds) == 4
 
     def test_margin_contributes_at_positive_balance(self):
-        dims = {"a": 4, "t": 3, "v": 3}
-        model = WavFusionModel(num_classes=2, feature_dims=dims, d=8, heads=2,
-                               n_shallow=1, n_deep=1, lvc_centers=2, seed=1)
-        samples = synthetic_batch(3, dims, 2, 4)
+        model, samples = tiny_model_and_batch()
         total, task, margin, _ = batch_objective(model, samples, ("a", "t", "v"),
                                                  alpha=0.5, balance=2.0)
         npt.assert_allclose(float(total.data),
                             float(task.data) + 2.0 * float(margin.data), atol=1e-12)
         assert float(margin.data) > 0.0
+
+    def test_strict_cosine_rejects_zero_shared_embedding(self, monkeypatch):
+        model, samples = tiny_model_and_batch()
+        encode = model.shared_encode
+        calls = []
+
+        def zero_first_audio(trace):
+            shared = encode(trace)
+            if not calls:
+                shared["a"] = shared["a"].scale(0.0)
+            calls.append(trace)
+            return shared
+
+        monkeypatch.setattr(model, "shared_encode", zero_first_audio)
+        with pytest.raises(DataError, match="index 0"):
+            batch_objective(model, samples, ("a", "t", "v"), alpha=0.5, balance=1.0,
+                            strict_cosine=True)
+        calls.clear()
+        total, _, margin, _ = batch_objective(model, samples, ("a", "t", "v"), alpha=0.5,
+                                              balance=1.0, strict_cosine=False)
+        assert np.isfinite(float(total.data)) and float(margin.data) > 0.0
+
+    def test_training_step_graph_is_freed_without_cyclic_gc(self):
+        model, samples = tiny_model_and_batch()
+        opt = Adam(model.named_parameters(), 1e-3)
+        gc.collect()
+        gc.disable()
+        try:
+            total, task, margin, _ = batch_objective(model, samples, ("a", "t", "v"),
+                                                     alpha=0.5, balance=1.0)
+            total.backward()
+            opt.step()
+            opt.zero_grad()
+            del total, task, margin
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
