@@ -3,7 +3,9 @@
 Layout (all integers little-endian):
 
     magic   4 bytes  b"WVFN"
-    version u32      currently 1
+    version u32      currently 2
+    header  u32 length, then that many bytes of UTF-8 ``key=value`` lines:
+            the architecture the parameters belong to (see ``architecture``)
     records until end of file, each:
         name_len u16, name bytes (utf-8),
         rank     u8,  dims u32 * rank,
@@ -21,17 +23,30 @@ import numpy as np
 from .errors import CheckpointError, FormatError
 
 MAGIC = b"WVFN"
-VERSION = 1
+VERSION = 2
+
+
+def architecture(model) -> dict:
+    """The model settings a checkpoint must match beyond parameter names and
+    shapes (a heads=2 and a heads=4 model have the same parameter shapes)."""
+    dims = ",".join(f"{m}:{w}" for m, w in sorted(model.feature_dims.items()))
+    return {"num_classes": str(model.num_classes), "feature_dims": dims, "d": str(model.d),
+            "heads": str(model.heads), "n_shallow": str(model.n_shallow),
+            "n_deep": str(model.n_deep), "lvc_enabled": str(model.lvc_enabled),
+            "fusion_mode": model.fusion_mode}
 
 
 def save_model(path, model) -> None:
-    write_records(path, [(name, p.data) for name, p in model.named_parameters()])
+    write_records(path, [(name, p.data) for name, p in model.named_parameters()],
+                  architecture(model))
 
 
-def write_records(path, records) -> None:
+def write_records(path, records, header: dict | None = None) -> None:
+    text = "".join(f"{key}={value}\n" for key, value in (header or {}).items()).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
+        fh.write(struct.pack("<II", VERSION, len(text)))
+        fh.write(text)
         for name, arr in records:
             raw = name.encode("utf-8")
             arr = np.asarray(arr)
@@ -43,8 +58,9 @@ def write_records(path, records) -> None:
             fh.write(arr.astype("<f4").tobytes())
 
 
-def read_records(path) -> list:
-    """Parse a checkpoint into [(name, float32 array)]; strict about size."""
+def read_records(path) -> tuple[dict, list]:
+    """Parse a checkpoint into (header dict, [(name, float32 array)]);
+    strict about size."""
     with open(path, "rb") as fh:
         blob = fh.read()
 
@@ -60,9 +76,18 @@ def read_records(path) -> list:
     version = struct.unpack_from("<I", blob, 4)[0]
     if version != VERSION:
         raise FormatError(f"unsupported checkpoint version {version} at offset 4")
+    need(8, 4, "header length")
+    header_len = struct.unpack_from("<I", blob, 8)[0]
+    need(12, header_len, "header")
+    header, pos = {}, 12
+    for line in blob[12:12 + header_len].splitlines(keepends=True):
+        key, sep, value = line.decode("utf-8").rstrip("\n").partition("=")
+        if not sep:
+            raise FormatError(f"header line {line!r} at offset {pos} is not key=value")
+        header[key] = value
+        pos += len(line)
 
     records = []
-    pos = 8
     while pos < len(blob):
         need(pos, 2, "record name length")
         name_len = struct.unpack_from("<H", blob, pos)[0]
@@ -83,15 +108,16 @@ def read_records(path) -> list:
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=pos).reshape(dims)
         pos += 4 * count
         records.append((name, arr))
-    return records
+    return header, records
 
 
 def load_model(path, model) -> None:
     """Install checkpoint parameters into ``model`` (cast to its dtype).
 
-    The record set must match the model's parameter names and shapes exactly.
+    The record set must match the model's parameter names and shapes
+    exactly, and the header the model's ``architecture``.
     """
-    records = read_records(path)
+    header, records = read_records(path)
     params = dict(model.named_parameters())
     seen = set()
     for name, arr in records:
@@ -100,11 +126,15 @@ def load_model(path, model) -> None:
         if name in seen:
             raise CheckpointError(f"duplicate checkpoint parameter {name!r}")
         seen.add(name)
-        target = params[name]
-        if arr.shape != target.data.shape:
+        if arr.shape != params[name].data.shape:
             raise CheckpointError(f"parameter {name!r}: checkpoint shape {list(arr.shape)} "
-                                  f"!= model shape {list(target.data.shape)}")
-        target.data = arr.astype(model.dtype)
+                                  f"!= model shape {list(params[name].data.shape)}")
     missing = sorted(set(params) - seen)
     if missing:
         raise CheckpointError(f"checkpoint lacks parameters: {missing[:5]}{'...' if len(missing) > 5 else ''}")
+    for key, value in architecture(model).items():
+        if header.get(key) != value:
+            raise CheckpointError(f"checkpoint {key} = {header.get(key, '(absent)')} "
+                                  f"but the model has {key} = {value}")
+    for name, arr in records:
+        params[name].data = arr.astype(model.dtype)

@@ -129,11 +129,7 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    overrides = {}
-    if args.config:
-        cfg = load_config(args.config, tiny_config())
-    else:
-        cfg = tiny_config(**overrides)
+    cfg = load_config(args.config, tiny_config()) if args.config else tiny_config()
     if args.modalities:
         cfg.modalities = args.modalities
     if args.n_shallow is not None:

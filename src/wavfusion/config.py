@@ -9,12 +9,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .model import FUSION_MODES, GATE_INPUTS, MODALITIES
+from .model import FUSION_MODES, MODALITIES
 
 ENV_OUT_DIR = "WAVFUSION_OUT_DIR"
 
 PRECISIONS = ("float64", "float32")
-OPTIMIZERS = ("adam",)
 
 
 @dataclass
@@ -27,14 +26,12 @@ class ExperimentConfig:
     lvc_centers: int = 8
     conv_kernel: int = 3
     lvc_enabled: bool = True
-    gate_input: str = "f1f2"          # gate input pairing: f1f2 | f1f1
-    fusion_mode: str = "per_layer"    # per_layer | final_layer | concat
+    fusion_mode: str = "per_layer"    # per_layer | concat
     # objective
     alpha: float = 0.5
     balance: float = 1.0              # weight of the margin loss
     strict_cosine: bool = False
-    # optimizer
-    optimizer: str = "adam"
+    # optimizer (Adam)
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -64,8 +61,6 @@ class ExperimentConfig:
             raise ConfigError(f"lvc_centers must be positive; got {self.lvc_centers}")
         if self.conv_kernel < 1 or self.conv_kernel % 2 == 0:
             raise ConfigError(f"conv_kernel must be odd; got {self.conv_kernel}")
-        if self.gate_input not in GATE_INPUTS:
-            raise ConfigError(f"gate_input must be one of {GATE_INPUTS}; got {self.gate_input!r}")
         if self.fusion_mode not in FUSION_MODES:
             raise ConfigError(f"fusion_mode must be one of {FUSION_MODES}; got {self.fusion_mode!r}")
         if self.fusion_mode == "concat" and self.n_deep != 0:
@@ -74,8 +69,6 @@ class ExperimentConfig:
             raise ConfigError(f"alpha must lie in (0, 2]; got {self.alpha}")
         if self.balance < 0.0:
             raise ConfigError(f"balance must be non-negative; got {self.balance}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}; got {self.optimizer!r}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be at least 1; got {self.batch_size}")
         if self.epochs < 1:

@@ -267,36 +267,15 @@ class RatioSplit:
     seed: int = 0
 
 
-@dataclass
-class KFold:
-    k: int
-    fold: int
-    seed: int = 0
-    val_fraction: float = 0.1
-
-
-def split(items: list, policy):
+def split(items: list, policy: RatioSplit):
     """Partition ``items`` into (train, val, test); deterministic under seed."""
     n = len(items)
-    if isinstance(policy, RatioSplit):
-        order = Prng(policy.seed, stream=7).permutation(n)
-        n_val = int(round(policy.val * n))
-        n_test = int(round(policy.test * n))
-        if n_val + n_test >= n:
-            raise ConfigError(f"split fractions leave no training data for {n} samples")
-        test = [items[i] for i in order[:n_test]]
-        val = [items[i] for i in order[n_test:n_test + n_val]]
-        train = [items[i] for i in order[n_test + n_val:]]
-        return train, val, test
-    if isinstance(policy, KFold):
-        if policy.fold >= policy.k or policy.fold < 0:
-            raise ConfigError(f"fold index {policy.fold} outside [0, {policy.k})")
-        if policy.k < 2 or policy.k > n:
-            raise ConfigError(f"cannot make {policy.k} folds from {n} samples")
-        order = Prng(policy.seed, stream=7).permutation(n)
-        folds = [order[i::policy.k] for i in range(policy.k)]
-        test = [items[i] for i in folds[policy.fold]]
-        rest = [items[i] for f in range(policy.k) if f != policy.fold for i in folds[f]]
-        n_val = int(round(policy.val_fraction * len(rest)))
-        return rest[n_val:], rest[:n_val], test
-    raise ConfigError(f"unknown split policy {policy!r}")
+    order = Prng(policy.seed, stream=7).permutation(n)
+    n_val = int(round(policy.val * n))
+    n_test = int(round(policy.test * n))
+    if n_val + n_test >= n:
+        raise ConfigError(f"split fractions leave no training data for {n} samples")
+    test = [items[i] for i in order[:n_test]]
+    val = [items[i] for i in order[n_test:n_test + n_val]]
+    train = [items[i] for i in order[n_test + n_val:]]
+    return train, val, test

@@ -51,8 +51,9 @@ class Linear:
 class Conv1d:
     """Same-length 1-D convolution over time (cross-correlation, zero pad).
 
-    The kernel is held as k tap matrices of shape [d_in x d_out]; tap o acts
-    on input rows shifted by o - (k-1)/2.
+    The kernel is one [(k*d_in) x d_out] matrix: row block o is the tap that
+    acts on input rows shifted by o - (k-1)/2. The forward pass lays the k
+    shifted copies of the input side by side (im2col) and does one matmul.
     """
 
     def __init__(self, d_in: int, d_out: int, k: int, rng: Prng, dtype=np.float64):
@@ -62,8 +63,8 @@ class Conv1d:
         self.d_out = d_out
         self.k = k
         fan_in = k * d_in
-        self.taps = [_param(xavier_uniform(rng.child(o), fan_in, d_out, (d_in, d_out), dtype))
-                     for o in range(k)]
+        self.weight = _param(np.concatenate(
+            [xavier_uniform(rng.child(o), fan_in, d_out, (d_in, d_out), dtype) for o in range(k)]))
         self.bias = _param(np.zeros(d_out, dtype=dtype))
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -72,13 +73,11 @@ class Conv1d:
         t_len = x.shape[0]
         pad = (self.k - 1) // 2
         xp = x.pad_rows(pad, pad)
-        terms = [xp.slice_rows(o, o + t_len) @ tap for o, tap in enumerate(self.taps)]
-        return T.add_n(terms).add_row(self.bias)
+        cols = T.concat([xp.slice_rows(o, o + t_len) for o in range(self.k)], axis=-1)
+        return (cols @ self.weight).add_row(self.bias)
 
     def named_parameters(self, prefix: str):
-        out = [(f"{prefix}.tap{o}", tap) for o, tap in enumerate(self.taps)]
-        out.append((f"{prefix}.bias", self.bias))
-        return out
+        return [(f"{prefix}.weight", self.weight), (f"{prefix}.bias", self.bias)]
 
 
 class Gru:
@@ -88,45 +87,54 @@ class Gru:
     r_t = sigmoid(x_t W_r + h_{t-1} U_r + b_r)
     c_t = tanh(x_t W_h + (r_t * h_{t-1}) U_h + b_h)
     h_t = (1 - z_t) * h_{t-1} + z_t * c_t
+
+    The three input maps are one weight ``w`` = [W_z | W_r | W_h] with bias
+    ``b`` = [b_z | b_r | b_h]; the recurrent ones are ``u_zr`` = [U_z | U_r]
+    and ``u_h``, which stays apart because it multiplies r_t * h_{t-1}.
     """
 
     def __init__(self, d_in: int, d_h: int, rng: Prng, dtype=np.float64):
         self.d_in = d_in
         self.d_h = d_h
         self.dtype = dtype
-        gates = ("z", "r", "h")
-        self.w = {g: _param(xavier_uniform(rng.child(i), d_in, d_h, (d_in, d_h), dtype))
-                  for i, g in enumerate(gates)}
-        self.u = {g: _param(xavier_uniform(rng.child(3 + i), d_h, d_h, (d_h, d_h), dtype))
-                  for i, g in enumerate(gates)}
-        self.b = {g: _param(np.zeros(d_h, dtype=dtype)) for g in gates}
+        self.w = _param(np.concatenate(
+            [xavier_uniform(rng.child(i), d_in, d_h, (d_in, d_h), dtype) for i in range(3)], axis=1))
+        self.u_zr = _param(np.concatenate(
+            [xavier_uniform(rng.child(3 + i), d_h, d_h, (d_h, d_h), dtype) for i in range(2)], axis=1))
+        self.u_h = _param(xavier_uniform(rng.child(5), d_h, d_h, (d_h, d_h), dtype))
+        self.b = _param(np.zeros(3 * d_h, dtype=dtype))
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.d_in:
             raise ShapeError(f"gru: input {list(x.shape)} does not match d_in={self.d_in}")
-        t_len = x.shape[0]
-        pre = {g: (x @ self.w[g]).add_row(self.b[g]) for g in ("z", "r", "h")}
-        h = Tensor(np.zeros((1, self.d_h), dtype=self.dtype))
+        d = self.d_h
+        pre = (x @ self.w).add_row(self.b)
+        pre_zr, pre_h = pre.slice_last(0, 2 * d), pre.slice_last(2 * d, 3 * d)
+        h = Tensor(np.zeros((1, d), dtype=self.dtype))
         steps = []
-        for t in range(t_len):
-            z = (pre["z"].slice_rows(t, t + 1) + h @ self.u["z"]).sigmoid()
-            r = (pre["r"].slice_rows(t, t + 1) + h @ self.u["r"]).sigmoid()
-            cand = (pre["h"].slice_rows(t, t + 1) + (r * h) @ self.u["h"]).tanh()
+        for t in range(x.shape[0]):
+            zr = (pre_zr.slice_rows(t, t + 1) + h @ self.u_zr).sigmoid()
+            z, r = zr.slice_last(0, d), zr.slice_last(d, 2 * d)
+            cand = (pre_h.slice_rows(t, t + 1) + (r * h) @ self.u_h).tanh()
             h = (z.scale(-1.0) + 1.0) * h + z * cand
             steps.append(h)
-        return T.concat_rows(steps)
+        return T.concat(steps, axis=0)
 
     def named_parameters(self, prefix: str):
-        out = []
-        for g in ("z", "r", "h"):
-            out += [(f"{prefix}.w_{g}", self.w[g]), (f"{prefix}.u_{g}", self.u[g]),
-                    (f"{prefix}.b_{g}", self.b[g])]
-        return out
+        return [(f"{prefix}.w", self.w), (f"{prefix}.u_zr", self.u_zr),
+                (f"{prefix}.u_h", self.u_h), (f"{prefix}.b", self.b)]
 
 
 class Attention:
     """Scaled dot-product multi-head attention with separate query and
-    context inputs; self-attention is the ``ctx is x`` case. No mask."""
+    context inputs; self-attention is the ``ctx is x`` case. No mask.
+
+    Each of ``wq``, ``wk``, ``wv`` and ``wo`` is one [d x d] matrix. The
+    columns of the first three are head-major: head i owns columns
+    [i*d_head, (i+1)*d_head). Heads run as the leading axis of rank-3
+    tensors, so one call costs the same number of graph nodes at any head
+    count.
+    """
 
     def __init__(self, d: int, heads: int, rng: Prng, dtype=np.float64):
         if d % heads != 0:
@@ -134,43 +142,40 @@ class Attention:
         self.d = d
         self.heads = heads
         self.d_head = d // heads
-        self.wq = [_param(xavier_uniform(rng.child(3 * i), d, self.d_head, (d, self.d_head), dtype))
-                   for i in range(heads)]
-        self.wk = [_param(xavier_uniform(rng.child(3 * i + 1), d, self.d_head, (d, self.d_head), dtype))
-                   for i in range(heads)]
-        self.wv = [_param(xavier_uniform(rng.child(3 * i + 2), d, self.d_head, (d, self.d_head), dtype))
-                   for i in range(heads)]
+        # head i of role j (q, k, v) is drawn from rng.child(3i + j)
+        self.wq, self.wk, self.wv = (
+            _param(np.concatenate([xavier_uniform(rng.child(3 * i + j), d, self.d_head,
+                                                  (d, self.d_head), dtype)
+                                   for i in range(heads)], axis=1))
+            for j in range(3))
         self.wo = _param(xavier_uniform(rng.child(3 * heads), d, d, (d, d), dtype))
+
+    def _split(self, x: Tensor, w: Tensor) -> Tensor:
+        """x @ w with its head-major columns split off: [heads x d_head x T]."""
+        return (x @ w).transpose().reshape((self.heads, self.d_head, x.shape[0]))
+
+    def _weights(self, x: Tensor, ctx: Tensor) -> Tensor:
+        """Attention weights of every head: [heads x T_x x T_ctx]."""
+        if x.ndim != 2 or x.shape[1] != self.d or ctx.ndim != 2 or ctx.shape[1] != self.d:
+            raise ShapeError(f"attention: inputs {list(x.shape)}, {list(ctx.shape)} need width {self.d}")
+        scores = self._split(x, self.wq).transpose() @ self._split(ctx, self.wk)
+        return scores.scale(1.0 / math.sqrt(self.d_head)).softmax(axis=-1)
 
     def __call__(self, x: Tensor, ctx: Tensor | None = None) -> Tensor:
         ctx = x if ctx is None else ctx
-        if x.ndim != 2 or x.shape[1] != self.d or ctx.ndim != 2 or ctx.shape[1] != self.d:
-            raise ShapeError(f"attention: inputs {list(x.shape)}, {list(ctx.shape)} need width {self.d}")
-        inv = 1.0 / math.sqrt(self.d_head)
-        outs = []
-        for i in range(self.heads):
-            q = x @ self.wq[i]
-            k = ctx @ self.wk[i]
-            v = ctx @ self.wv[i]
-            weights = (q @ k.transpose()).scale(inv).softmax(axis=-1)
-            outs.append(weights @ v)
-        return T.concat(outs, axis=-1) @ self.wo
+        weights = self._weights(x, ctx)
+        # per head, (weights @ v) transposed: [heads x d_head x T_x]
+        out = self._split(ctx, self.wv) @ weights.transpose()
+        return out.reshape((self.d, x.shape[0])).transpose() @ self.wo
 
     def attention_weights(self, x: Tensor, ctx: Tensor | None = None) -> list[np.ndarray]:
         """Per-head weight matrices of a forward pass (values only)."""
-        ctx = x if ctx is None else ctx
-        inv = 1.0 / math.sqrt(self.d_head)
         with T.no_grad():
-            return [((x @ self.wq[i]) @ (ctx @ self.wk[i]).transpose()).scale(inv)
-                    .softmax(axis=-1).data for i in range(self.heads)]
+            return list(self._weights(x, x if ctx is None else ctx).data)
 
     def named_parameters(self, prefix: str):
-        out = []
-        for i in range(self.heads):
-            out += [(f"{prefix}.q{i}", self.wq[i]), (f"{prefix}.k{i}", self.wk[i]),
-                    (f"{prefix}.v{i}", self.wv[i])]
-        out.append((f"{prefix}.out", self.wo))
-        return out
+        return [(f"{prefix}.q", self.wq), (f"{prefix}.k", self.wk), (f"{prefix}.v", self.wv),
+                (f"{prefix}.out", self.wo)]
 
 
 class LayerNorm:

@@ -91,8 +91,9 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     row_max = Tensor(logits.data.max(axis=-1, keepdims=True))
     shifted = logits.sub_col(row_max)
     log_norm = shifted.exp().sum_last_keep().log()          # [N x 1]
-    picked = shifted.take_last([int(x) for x in labels])    # [N x 1]
-    return (log_norm - picked).sum().scale(1.0 / len(labels))
+    n = len(labels)
+    picked = shifted.gather(np.arange(n), [int(x) for x in labels]).reshape((n, 1))
+    return (log_norm - picked).sum().scale(1.0 / n)
 
 
 def total_loss(task: Tensor, margin: Tensor, balance: float) -> Tensor:

@@ -21,23 +21,18 @@ from .tensor import Tensor
 
 MODALITIES = ("a", "t", "v")
 
-GATE_INPUTS = ("f1f2", "f1f1")
-FUSION_MODES = ("per_layer", "final_layer", "concat")
+FUSION_MODES = ("per_layer", "concat")
 
 
-def gated_fuse(first: Tensor, second: Tensor, gate: Linear, gate_input: str = "f1f2"):
+def gated_fuse(first: Tensor, second: Tensor, gate: Linear):
     """Convex per-channel mix of two augmented streams.
 
-    Gate values are sigmoid(gate(first (+) second)) (or first (+) first in the
-    degenerate ``f1f1`` variant), so the result lies elementwise between the
-    two inputs. Returns (fused, gate_values).
+    Gate values are sigmoid(gate(first (+) second)), so the result lies
+    elementwise between the two inputs. Returns (fused, gate_values).
     """
     if first.shape != second.shape:
         raise ShapeError(f"gated_fuse: shapes {list(first.shape)} and {list(second.shape)} differ")
-    if gate_input not in GATE_INPUTS:
-        raise ConfigError(f"unknown gate input variant {gate_input!r}")
-    paired = T.concat_last(first, first if gate_input == "f1f1" else second)
-    gate_vals = gate(paired).sigmoid()
+    gate_vals = gate(T.concat([first, second], axis=-1)).sigmoid()
     fused = gate_vals * first + (gate_vals.scale(-1.0) + 1.0) * second
     return fused, gate_vals
 
@@ -108,16 +103,12 @@ class GatedCrossModalLayer:
     def cross_visual(self, x: Tensor, ctx: Tensor) -> Tensor:
         return self.norm_vis(x + self.attn_vis(x, ctx))
 
-    def _finish(self, fused: Tensor) -> Tensor:
-        return self.norm_ff(fused + self.ff(fused))
-
-    def __call__(self, x: Tensor, aux_text: Tensor | None, aux_vis: Tensor | None,
-                 gate_input: str = "f1f2"):
+    def __call__(self, x: Tensor, aux_text: Tensor | None, aux_vis: Tensor | None):
         text_aug = self.cross_text(x, aux_text) if aux_text is not None else None
         vis_aug = self.cross_visual(x, aux_vis) if aux_vis is not None else None
         gate_vals = None
         if text_aug is not None and vis_aug is not None:
-            fused, gate_vals = gated_fuse(text_aug, vis_aug, self.gate, gate_input)
+            fused, gate_vals = gated_fuse(text_aug, vis_aug, self.gate)
         elif text_aug is not None:
             fused = text_aug
         elif vis_aug is not None:
@@ -125,14 +116,8 @@ class GatedCrossModalLayer:
         else:
             # no auxiliaries: degrade to a plain self-attention layer
             fused = self.cross_text(x, x)
-        out = self._finish(fused)
+        out = self.norm_ff(fused + self.ff(fused))
         return out, DeepLayerTrace(text_aug, vis_aug, gate_vals, fused, out)
-
-    def stream(self, x: Tensor, aux: Tensor, which: str) -> Tensor:
-        """One stream of the late-gating variant: cross-attend and feed-forward
-        without mixing (feed-forward parameters shared between streams)."""
-        h = self.cross_text(x, aux) if which == "t" else self.cross_visual(x, aux)
-        return self._finish(h)
 
     def named_parameters(self, prefix: str):
         return (self.attn_text.named_parameters(f"{prefix}.attn_text")
@@ -196,12 +181,10 @@ class WavFusionModel:
 
     def __init__(self, num_classes: int, feature_dims: dict, d: int = 64, heads: int = 4,
                  n_shallow: int = 9, n_deep: int = 3, lvc_centers: int = 8,
-                 conv_kernel: int = 3, lvc_enabled: bool = True, gate_input: str = "f1f2",
-                 fusion_mode: str = "per_layer", seed: int = 0, dtype=np.float64):
+                 conv_kernel: int = 3, lvc_enabled: bool = True, fusion_mode: str = "per_layer",
+                 seed: int = 0, dtype=np.float64):
         if num_classes < 2:
             raise ConfigError(f"need at least 2 classes; got {num_classes}")
-        if gate_input not in GATE_INPUTS:
-            raise ConfigError(f"unknown gate input variant {gate_input!r}")
         if fusion_mode not in FUSION_MODES:
             raise ConfigError(f"unknown fusion mode {fusion_mode!r}")
         if fusion_mode == "concat" and n_deep != 0:
@@ -221,7 +204,6 @@ class WavFusionModel:
         self.n_shallow = n_shallow
         self.n_deep = n_deep
         self.lvc_enabled = lvc_enabled
-        self.gate_input = gate_input
         self.fusion_mode = fusion_mode
         self.dtype = dtype
 
@@ -264,7 +246,7 @@ class WavFusionModel:
         x = self._as_tensor(feats)
         global_path = self.vis_attn(self.vis_gru(x))
         if self.lvc_enabled:
-            h = T.concat_last(global_path, self.lvc(x))
+            h = T.concat([global_path, self.lvc(x)], axis=-1)
         else:
             h = global_path
         return self.vis_proj(h)
@@ -314,20 +296,10 @@ class WavFusionModel:
                 parts = [_mean_pool(trace.branch[m]) for m in MODALITIES]
                 trace.fused_seq = trace.branch["a"]
                 trace.fused_pooled = self.concat_head(T.concat(parts, axis=-1))
-            elif (self.fusion_mode == "final_layer" and self.deep
-                  and aux_t is not None and aux_v is not None):
-                s_text, s_vis = trace.branch["a"], trace.branch["a"]
-                for layer in self.deep:
-                    s_text = layer.stream(s_text, aux_t, "t")
-                    s_vis = layer.stream(s_vis, aux_v, "v")
-                fused, gate_vals = gated_fuse(s_text, s_vis, self.deep[-1].gate, self.gate_input)
-                trace.deep.append(DeepLayerTrace(s_text, s_vis, gate_vals, fused, fused))
-                trace.fused_seq = fused
-                trace.fused_pooled = _mean_pool(fused)
             else:
                 state = trace.branch["a"]
                 for layer in self.deep:
-                    state, layer_trace = layer(state, aux_t, aux_v, self.gate_input)
+                    state, layer_trace = layer(state, aux_t, aux_v)
                     trace.deep.append(layer_trace)
                 trace.fused_seq = state
                 trace.fused_pooled = _mean_pool(state)
@@ -372,6 +344,3 @@ class WavFusionModel:
         if self.fusion_mode == "concat":
             out += self.concat_head.named_parameters("concat_head")
         return out
-
-    def parameter_arrays(self) -> dict:
-        return {name: p.data for name, p in self.named_parameters()}

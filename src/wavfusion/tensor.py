@@ -16,30 +16,32 @@ Adjoint closures capture input tensors and plain arrays, never their own
 output, so a graph holds no reference cycles: dropping the loss frees the
 whole graph at once, without waiting for the cyclic garbage collector.
 A graph and its tensors belong to one thread during forward/backward;
-independent graphs may run on separate threads.
+independent graphs may run on separate threads, and ``no_grad`` in one
+thread leaves recording in the others untouched.
 """
 
 from __future__ import annotations
+
+from contextvars import ContextVar
 
 import numpy as np
 
 from .errors import GraphError, ShapeError
 
-_GRAD_ENABLED = True
+# per thread (and per asyncio task): one thread's no_grad never reaches another's graph
+_grad_enabled: ContextVar[bool] = ContextVar("grad_enabled", default=True)
 
 
 class no_grad:
-    """Context manager that disables graph recording (values only)."""
+    """Context manager that disables graph recording (values only) in the
+    current thread."""
 
     def __enter__(self):
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._token = _grad_enabled.set(False)
         return self
 
     def __exit__(self, *exc):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        _grad_enabled.reset(self._token)
         return False
 
 
@@ -83,7 +85,10 @@ class Tensor:
     # -- backward ------------------------------------------------------------
 
     def backward(self):
-        """Populate ``grad`` on every reachable tensor that requires it.
+        """Populate ``grad`` on every reachable leaf (a tensor built from
+        data, such as a parameter) that requires it. Interior adjoints are
+        dropped once passed on to their inputs, so a pass never holds an
+        adjoint for every node of the graph at once.
 
         The receiver must be a scalar. Each graph supports exactly one
         backward pass; rebuilding via a fresh forward is the reset.
@@ -114,6 +119,7 @@ class Tensor:
                 node._spent = True
             if node._backprop is not None and node.grad is not None:
                 node._backprop(node.grad)
+                node.grad = None
 
     # -- arithmetic (equal shapes; python scalars allowed) ---------------------
 
@@ -269,25 +275,30 @@ class Tensor:
     # -- linear algebra ---------------------------------------------------------
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
-        if self.data.ndim != 2 or other.data.ndim != 2:
-            raise ShapeError(f"matmul needs rank-2 operands; got {_shape(self)} and {_shape(other)}")
-        if self.data.shape[1] != other.data.shape[0]:
+        """Matrix product of two matrices, or of two equal-size stacks of
+        matrices ([n x m x k] @ [n x k x p], one product per leading index)."""
+        a, b = self.data, other.data
+        if a.ndim != b.ndim or a.ndim not in (2, 3) or a.shape[:-2] != b.shape[:-2]:
+            raise ShapeError(f"matmul needs two rank-2 or two equal-batch rank-3 operands; "
+                             f"got {_shape(self)} and {_shape(other)}")
+        if a.shape[-1] != b.shape[-2]:
             raise ShapeError(f"matmul: inner dimensions of {_shape(self)} and {_shape(other)} disagree")
-        out = _result(self.data @ other.data, (self, other))
+        out = _result(a @ b, (self, other))
         if out._parents:
             def bp(g, a=self, b=other):
-                _accum(a, g @ b.data.T)
-                _accum(b, a.data.T @ g)
+                _accum(a, g @ _swap(b.data))
+                _accum(b, _swap(a.data) @ g)
             out._backprop = bp
         return out
 
     def transpose(self) -> "Tensor":
-        if self.data.ndim != 2:
-            raise ShapeError(f"transpose needs a rank-2 tensor; got {_shape(self)}")
-        out = _result(self.data.T.copy(), (self,))
+        """Swap the last two axes of a matrix or a stack of matrices."""
+        if self.data.ndim not in (2, 3):
+            raise ShapeError(f"transpose needs a rank-2 or rank-3 tensor; got {_shape(self)}")
+        out = _result(_swap(self.data).copy(), (self,))
         if out._parents:
             def bp(g, a=self):
-                _accum(a, g.T)
+                _accum(a, _swap(g))
             out._backprop = bp
         return out
 
@@ -422,25 +433,6 @@ class Tensor:
             out._backprop = bp
         return out
 
-    def take_last(self, indices) -> "Tensor":
-        """Gather one entry per row: out[i, 0] = self[i, indices[i]]."""
-        if self.data.ndim != 2:
-            raise ShapeError(f"take_last needs a rank-2 tensor; got {_shape(self)}")
-        idx = np.asarray(indices, dtype=np.intp)
-        if idx.ndim != 1 or idx.shape[0] != self.data.shape[0]:
-            raise ShapeError(f"take_last: {idx.shape[0] if idx.ndim == 1 else '?'} indices for {_shape(self)}")
-        if idx.size and (idx.min() < 0 or idx.max() >= self.data.shape[1]):
-            raise ShapeError(f"take_last: index out of range for {_shape(self)}")
-        rows = np.arange(self.data.shape[0])
-        out = _result(self.data[rows, idx][:, None].copy(), (self,))
-        if out._parents:
-            def bp(g, a=self):
-                z = np.zeros_like(a.data)
-                z[rows, idx] = g[:, 0]
-                _accum(a, z)
-            out._backprop = bp
-        return out
-
     def gather(self, rows, cols) -> "Tensor":
         """Gather scattered entries of a matrix: out[t] = self[rows[t], cols[t]]."""
         if self.data.ndim != 2:
@@ -489,45 +481,20 @@ def concat(tensors, axis: int) -> Tensor:
     return out
 
 
-def concat_last(a: Tensor, b: Tensor) -> Tensor:
-    """Join two tensors along the last dimension."""
-    return concat([a, b], axis=-1)
-
-
-def concat_rows(tensors) -> Tensor:
-    return concat(tensors, axis=0)
-
-
-def add_n(tensors) -> Tensor:
-    """Elementwise sum of same-shape tensors in one node."""
-    tensors = list(tensors)
-    if not tensors:
-        raise ShapeError("add_n of zero tensors")
-    ref = tensors[0].data.shape
-    for t in tensors[1:]:
-        if t.data.shape != ref:
-            raise ShapeError(f"add_n: shape {_shape(t)} differs from {list(ref)}")
-    total = tensors[0].data.copy()
-    for t in tensors[1:]:
-        total += t.data
-    out = _result(total, tuple(tensors))
-    if out._parents:
-        def bp(g, ts=tensors):
-            for t in ts:
-                _accum(t, g)
-        out._backprop = bp
-    return out
-
-
 # -- internals ---------------------------------------------------------------------
 
 
 def _result(data: np.ndarray, parents: tuple) -> Tensor:
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _grad_enabled.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
     return out
+
+
+def _swap(x: np.ndarray) -> np.ndarray:
+    """View with the last two axes exchanged."""
+    return np.swapaxes(x, -1, -2)
 
 
 def _accum(t: Tensor, g: np.ndarray):

@@ -44,7 +44,6 @@ def build_model(cfg: ExperimentConfig, dataset: Dataset) -> WavFusionModel:
         lvc_centers=cfg.lvc_centers,
         conv_kernel=cfg.conv_kernel,
         lvc_enabled=cfg.lvc_enabled,
-        gate_input=cfg.gate_input,
         fusion_mode=cfg.fusion_mode,
         seed=cfg.seed,
         dtype=np.float64 if cfg.precision == "float64" else np.float32,
@@ -67,7 +66,7 @@ def batch_objective(model: WavFusionModel, samples, mask, alpha: float, balance:
             for m in mask:
                 entries.append((m, sample.label))
                 embeddings.append(trace.shared[m])
-    logits = T.concat_rows(logit_rows) if len(logit_rows) > 1 else logit_rows[0]
+    logits = T.concat(logit_rows, axis=0) if len(logit_rows) > 1 else logit_rows[0]
     task = cross_entropy(logits, labels)
     if balance != 0.0:
         margin = margin_loss(embeddings, build_triplets(entries), alpha, strict_cosine)

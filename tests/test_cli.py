@@ -53,6 +53,15 @@ class TestTrainEval:
         assert "ACC" in capsys.readouterr().out
         assert (tmp_path / "preds.tsv").exists()
 
+    def test_checkpoint_of_other_architecture_is_validation_error(self, dataset_dir, tmp_path,
+                                                                  capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--data-dir", str(dataset_dir), "--out-dir", str(out)] + FAST) == 0
+        rc = main(["eval", "--config", str(out / "config.cfg"),
+                   "--checkpoint", str(out / "model.wvfn"), "--heads", "4"])
+        assert rc == 2
+        assert "heads" in capsys.readouterr().err
+
     def test_flag_overrides_config_file(self, dataset_dir, tmp_path):
         out = tmp_path / "run"
         rc = main(["train", "--data-dir", str(dataset_dir), "--out-dir", str(out),

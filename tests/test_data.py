@@ -4,7 +4,7 @@ import pytest
 
 from helpers import rand
 from wavfusion.config import ExperimentConfig
-from wavfusion.data import (KFold, ManifestEntry, RatioSplit, SynthSpec, generate_synthetic,
+from wavfusion.data import (ManifestEntry, RatioSplit, SynthSpec, generate_synthetic,
                             load_dataset, read_feature, read_manifest, split, write_feature,
                             write_manifest)
 from wavfusion.errors import ConfigError, DataError, FormatError
@@ -189,20 +189,6 @@ class TestSplit:
         train_set, val_set, test_set = split(items, RatioSplit(0.7, 0.2, 0.1, seed=3))
         joined = train_set + val_set + test_set
         assert sorted(joined) == items and len(joined) == len(set(joined))
-
-    def test_kfold_partition(self):
-        items = list(range(23))
-        tests = []
-        for fold in range(5):
-            train_set, val_set, test_set = split(items, KFold(k=5, fold=fold, seed=1))
-            assert sorted(train_set + val_set + test_set) == items
-            tests.append(test_set)
-        flat = [x for fold_items in tests for x in fold_items]
-        assert sorted(flat) == items  # folds cover, pairwise disjoint
-
-    def test_kfold_bad_fold_index(self):
-        with pytest.raises(ConfigError):
-            split(list(range(10)), KFold(k=3, fold=3))
 
     def test_seed_determinism_and_sensitivity(self):
         items = list(range(100))

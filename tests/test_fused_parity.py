@@ -1,0 +1,176 @@
+"""Float64 parity of the fused attention, GRU and conv layers with the
+per-head, per-gate and per-tap layers they replaced, and graph-size bounds.
+
+The ``Legacy*`` classes are the earlier layers, kept here only as the
+reference: one weight per head and role, one per gate, one per tap. Each
+fused parameter is the concatenation of the legacy blocks drawn from the
+same RNG streams, so both start from the same numbers.
+"""
+
+import functools
+import math
+import operator
+
+import numpy as np
+import numpy.testing as npt
+import pytest
+
+from helpers import rand
+from wavfusion import tensor as T
+from wavfusion.gradcheck import synthetic_batch
+from wavfusion.layers import Attention, Conv1d, Gru, _param, xavier_uniform
+from wavfusion.model import WavFusionModel
+from wavfusion.rng import Prng
+from wavfusion.tensor import Tensor
+from wavfusion.train import batch_objective
+
+
+class LegacyConv1d:
+    def __init__(self, d_in, d_out, k, rng, dtype=np.float64):
+        self.k = k
+        self.taps = [_param(xavier_uniform(rng.child(o), k * d_in, d_out, (d_in, d_out), dtype))
+                     for o in range(k)]
+        self.bias = _param(np.zeros(d_out, dtype=dtype))
+
+    def __call__(self, x):
+        t_len = x.shape[0]
+        pad = (self.k - 1) // 2
+        xp = x.pad_rows(pad, pad)
+        terms = [xp.slice_rows(o, o + t_len) @ tap for o, tap in enumerate(self.taps)]
+        return functools.reduce(operator.add, terms).add_row(self.bias)
+
+
+class LegacyGru:
+    def __init__(self, d_in, d_h, rng, dtype=np.float64):
+        self.d_h = d_h
+        self.dtype = dtype
+        gates = ("z", "r", "h")
+        self.w = {g: _param(xavier_uniform(rng.child(i), d_in, d_h, (d_in, d_h), dtype))
+                  for i, g in enumerate(gates)}
+        self.u = {g: _param(xavier_uniform(rng.child(3 + i), d_h, d_h, (d_h, d_h), dtype))
+                  for i, g in enumerate(gates)}
+        self.b = {g: _param(np.zeros(d_h, dtype=dtype)) for g in gates}
+
+    def __call__(self, x):
+        pre = {g: (x @ self.w[g]).add_row(self.b[g]) for g in ("z", "r", "h")}
+        h = Tensor(np.zeros((1, self.d_h), dtype=self.dtype))
+        steps = []
+        for t in range(x.shape[0]):
+            z = (pre["z"].slice_rows(t, t + 1) + h @ self.u["z"]).sigmoid()
+            r = (pre["r"].slice_rows(t, t + 1) + h @ self.u["r"]).sigmoid()
+            cand = (pre["h"].slice_rows(t, t + 1) + (r * h) @ self.u["h"]).tanh()
+            h = (z.scale(-1.0) + 1.0) * h + z * cand
+            steps.append(h)
+        return T.concat(steps, axis=0)
+
+
+class LegacyAttention:
+    def __init__(self, d, heads, rng, dtype=np.float64):
+        self.heads = heads
+        self.d_head = d // heads
+        self.wq = [_param(xavier_uniform(rng.child(3 * i), d, self.d_head, (d, self.d_head), dtype))
+                   for i in range(heads)]
+        self.wk = [_param(xavier_uniform(rng.child(3 * i + 1), d, self.d_head, (d, self.d_head), dtype))
+                   for i in range(heads)]
+        self.wv = [_param(xavier_uniform(rng.child(3 * i + 2), d, self.d_head, (d, self.d_head), dtype))
+                   for i in range(heads)]
+        self.wo = _param(xavier_uniform(rng.child(3 * heads), d, d, (d, d), dtype))
+
+    def __call__(self, x, ctx=None):
+        ctx = x if ctx is None else ctx
+        inv = 1.0 / math.sqrt(self.d_head)
+        outs = []
+        for i in range(self.heads):
+            q = x @ self.wq[i]
+            k = ctx @ self.wk[i]
+            v = ctx @ self.wv[i]
+            weights = (q @ k.transpose()).scale(inv).softmax(axis=-1)
+            outs.append(weights @ v)
+        return T.concat(outs, axis=-1) @ self.wo
+
+
+def assert_rel_close(actual, expected, tol=1e-12):
+    scale = max(float(np.max(np.abs(expected))), 1e-300)
+    assert float(np.max(np.abs(actual - expected))) <= tol * scale
+
+
+def check_parity(new, old, inputs, pairs):
+    """Same output within 1e-12, and the same gradient for every input and
+    every (fused parameter, legacy blocks, concatenation axis) pair."""
+    for fused, blocks, axis in pairs:
+        npt.assert_array_equal(fused.data, np.concatenate([b.data for b in blocks], axis=axis))
+    grads = []
+    for layer in (new, old):
+        leaves = [Tensor(x.copy(), requires_grad=True) for x in inputs]
+        out = layer(*leaves)
+        probe = rand(out.shape, seed=99)
+        (out * Tensor(probe)).sum().backward()
+        grads.append((out.data, [leaf.grad for leaf in leaves]))
+    (out_new, in_new), (out_old, in_old) = grads
+    assert float(np.max(np.abs(out_new - out_old))) <= 1e-12
+    for g_new, g_old in zip(in_new, in_old):
+        assert_rel_close(g_new, g_old)
+    for fused, blocks, axis in pairs:
+        assert_rel_close(fused.grad, np.concatenate([b.grad for b in blocks], axis=axis))
+
+
+class TestFusedParity:
+    @pytest.mark.parametrize("d,heads", [(16, 2), (64, 4), (8, 1)])
+    @pytest.mark.parametrize("cross", [False, True])
+    def test_attention(self, d, heads, cross):
+        new, old = Attention(d, heads, Prng(d + heads)), LegacyAttention(d, heads, Prng(d + heads))
+        inputs = [rand((7, d), seed=1)] + ([rand((5, d), seed=2)] if cross else [])
+        check_parity(new, old, inputs,
+                     [(new.wq, old.wq, 1), (new.wk, old.wk, 1), (new.wv, old.wv, 1),
+                      (new.wo, [old.wo], 1)])
+
+    @pytest.mark.parametrize("d_in,d_h,t_len", [(10, 16, 8), (8, 64, 5), (3, 4, 1)])
+    def test_gru(self, d_in, d_h, t_len):
+        new, old = Gru(d_in, d_h, Prng(7)), LegacyGru(d_in, d_h, Prng(7))
+        new.b.data = rand((3 * d_h,), seed=8, scale=0.5)   # nonzero biases
+        for i, g in enumerate("zrh"):
+            old.b[g].data = new.b.data[i * d_h:(i + 1) * d_h].copy()
+        check_parity(new, old, [rand((t_len, d_in), seed=3)],
+                     [(new.w, [old.w[g] for g in "zrh"], 1),
+                      (new.b, [old.b[g] for g in "zrh"], 0),
+                      (new.u_zr, [old.u["z"], old.u["r"]], 1), (new.u_h, [old.u["h"]], 1)])
+
+    @pytest.mark.parametrize("d_in,d_out,k,t_len", [(8, 64, 3, 6), (3, 4, 5, 7), (2, 3, 1, 4)])
+    def test_conv1d(self, d_in, d_out, k, t_len):
+        new, old = Conv1d(d_in, d_out, k, Prng(11)), LegacyConv1d(d_in, d_out, k, Prng(11))
+        check_parity(new, old, [rand((t_len, d_in), seed=4)],
+                     [(new.weight, old.taps, 0), (new.bias, [old.bias], 0)])
+
+
+def graph_nodes(loss) -> int:
+    """Nodes with inputs reachable from ``loss`` (leaves excluded)."""
+    seen, stack, count = set(), [loss], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        count += bool(node._parents)
+        stack.extend(node._parents)
+    return count
+
+
+class TestGraphSize:
+    def test_attention_nodes_independent_of_heads(self):
+        counts = []
+        for heads in (1, 2, 4):
+            x = Tensor(rand((6, 8), seed=5), requires_grad=True)
+            counts.append(graph_nodes(Attention(8, heads, Prng(0))(x, Tensor(rand((4, 8), seed=6)))))
+        assert counts[0] == counts[1] == counts[2] == 18
+
+    @pytest.mark.parametrize("size,bound", [
+        (dict(d=16, heads=2, n_shallow=2, n_deep=1, lvc_centers=4), 492),
+        (dict(d=64, heads=4, n_shallow=9, n_deep=3, lvc_centers=8), 993),
+    ])
+    def test_nodes_per_sample(self, size, bound):
+        # the per-head, per-gate, per-tap layers built 525 and 1,298 nodes per sample here
+        dims = {"a": 12, "t": 10, "v": 8}
+        model = WavFusionModel(num_classes=4, feature_dims=dims, seed=0, **size)
+        samples = synthetic_batch(0, dims, 4, 8, t_max=12)
+        loss, _, _, _ = batch_objective(model, samples, ("a", "t", "v"), 0.5, 1.0)
+        assert graph_nodes(loss) / len(samples) <= bound

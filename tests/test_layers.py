@@ -29,13 +29,18 @@ def conv1d_oracle(x, taps, bias):
     return out
 
 
+def head_block(w, i, d_head):
+    """Columns of head i in a head-major projection."""
+    return w.data[:, i * d_head:(i + 1) * d_head]
+
+
 def attention_oracle(x, ctx, layer):
     """Dense per-head formula, straight from the definition."""
     outs = []
     for i in range(layer.heads):
-        q = x @ layer.wq[i].data
-        k = ctx @ layer.wk[i].data
-        v = ctx @ layer.wv[i].data
+        q = x @ head_block(layer.wq, i, layer.d_head)
+        k = ctx @ head_block(layer.wk, i, layer.d_head)
+        v = ctx @ head_block(layer.wv, i, layer.d_head)
         scores = q @ k.T / math.sqrt(layer.d_head)
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         outs.append((e / e.sum(axis=-1, keepdims=True)) @ v)
@@ -44,7 +49,7 @@ def attention_oracle(x, ctx, layer):
 
 def lvc_oracle(x, block):
     """Literal loops over positions and codewords."""
-    taps = [t.data for t in block.stem.taps]
+    taps = np.split(block.stem.weight.data, block.stem.k)
     stem = conv1d_oracle(x, taps, block.stem.bias.data)
     t_len, d = stem.shape
     centers = block.centers.data
@@ -99,7 +104,7 @@ class TestLinear:
 class TestConv1d:
     def test_pointwise_identity(self):
         conv = Conv1d(3, 3, 1, Prng(0))
-        conv.taps[0].data = np.eye(3)
+        conv.weight.data = np.eye(3)
         conv.bias.data = np.zeros(3)
         x = rand((5, 3), seed=6)
         npt.assert_allclose(conv(Tensor(x)).data, x, atol=1e-15)
@@ -113,7 +118,7 @@ class TestConv1d:
     def test_against_sliding_window_oracle(self):
         conv = Conv1d(3, 4, 5, Prng(2))
         x = rand((7, 3), seed=7)
-        expect = conv1d_oracle(x, [t.data for t in conv.taps], conv.bias.data)
+        expect = conv1d_oracle(x, np.split(conv.weight.data, conv.k), conv.bias.data)
         npt.assert_allclose(conv(Tensor(x)).data, expect, atol=1e-12)
 
     def test_even_kernel_rejected(self):
@@ -123,16 +128,15 @@ class TestConv1d:
     def test_gradients(self):
         conv = Conv1d(2, 3, 3, Prng(3))
         x = Tensor(rand((4, 2), seed=8), requires_grad=True)
-        params = [x] + conv.taps + [conv.bias]
+        params = [x, conv.weight, conv.bias]
         assert fd_max_rel_error(lambda: (conv(x) * conv(x)).sum(), params) < 1e-6
 
 
 class TestGru:
     def test_all_zero_weights_fixed_point(self):
         gru = Gru(3, 4, Prng(0))
-        for store in (gru.w, gru.u, gru.b):
-            for key in store:
-                store[key].data = np.zeros_like(store[key].data)
+        for p in (gru.w, gru.u_zr, gru.u_h, gru.b):
+            p.data = np.zeros_like(p.data)
         out = gru(Tensor(rand((5, 3), seed=9)))
         npt.assert_array_equal(out.data, np.zeros((5, 4)))
 
@@ -140,8 +144,8 @@ class TestGru:
         gru = Gru(3, 4, Prng(1))
         x = rand((1, 3), seed=10)
         # h_0 = 0, so the reset gate cannot matter at step one
-        z = 1.0 / (1.0 + np.exp(-(x @ gru.w["z"].data + gru.b["z"].data)))
-        cand = np.tanh(x @ gru.w["h"].data + gru.b["h"].data)
+        z = 1.0 / (1.0 + np.exp(-(x @ gru.w.data[:, :4] + gru.b.data[:4])))
+        cand = np.tanh(x @ gru.w.data[:, 8:] + gru.b.data[8:])
         npt.assert_allclose(gru(Tensor(x)).data, z * cand, atol=1e-12)
 
     def test_output_length_matches_input(self):
@@ -163,7 +167,7 @@ class TestGru:
     def test_gradients_t4_d3(self):
         gru = Gru(2, 3, Prng(3))
         x = Tensor(rand((4, 2), seed=11), requires_grad=True)
-        params = [x] + [gru.w[k] for k in gru.w] + [gru.u[k] for k in gru.u] + [gru.b[k] for k in gru.b]
+        params = [x, gru.w, gru.u_zr, gru.u_h, gru.b]
         assert fd_max_rel_error(lambda: (gru(x) * gru(x)).sum(), params) < 1e-3
 
     def test_wrong_width(self):
@@ -175,7 +179,7 @@ class TestAttention:
     def test_single_position_is_value_projection(self):
         layer = Attention(6, 2, Prng(0))
         x = rand((1, 6), seed=12)
-        values = np.concatenate([x @ layer.wv[i].data for i in range(2)], axis=-1)
+        values = np.concatenate([x @ head_block(layer.wv, i, 3) for i in range(2)], axis=-1)
         npt.assert_allclose(layer(Tensor(x)).data, values @ layer.wo.data, atol=1e-12)
 
     def test_identical_rows_give_identical_outputs(self):
@@ -213,7 +217,7 @@ class TestAttention:
     def test_gradients(self):
         layer = Attention(4, 2, Prng(5))
         x = Tensor(rand((3, 4), seed=19), requires_grad=True)
-        params = [x] + layer.wq + layer.wk + layer.wv + [layer.wo]
+        params = [x, layer.wq, layer.wk, layer.wv, layer.wo]
         assert fd_max_rel_error(lambda: (layer(x) * layer(x)).sum(), params) < 1e-4
 
 
@@ -239,8 +243,7 @@ class TestLvcBlock:
         # stem output constant and equal to the single center: descriptor = 0,
         # gate = sigmoid(projection bias)
         block = LvcBlock(3, 4, 3, 1, Prng(0))
-        for tap in block.stem.taps:
-            tap.data = np.zeros_like(tap.data)
+        block.stem.weight.data = np.zeros_like(block.stem.weight.data)
         block.stem.bias.data = np.array([0.3, -0.2, 0.9, 0.1])
         block.centers.data = block.stem.bias.data[None, :].copy()
         block.proj.bias.data = np.array([0.5, -0.5, 0.0, 2.0])
@@ -287,5 +290,5 @@ class TestLvcBlock:
         block = LvcBlock(2, 3, 3, 2, Prng(5))
         x = Tensor(rand((3, 2), seed=26), requires_grad=True)
         params = [x, block.centers, block.scales, block.proj.weight, block.proj.bias,
-                  block.stem.bias] + block.stem.taps
+                  block.stem.bias, block.stem.weight]
         assert fd_max_rel_error(lambda: (block(x) * block(x)).sum(), params) < 1e-4

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -20,6 +22,12 @@ def matmul_oracle(a, b):
                 acc += a[i, p] * b[p, j]
             out[i, j] = acc
     return out
+
+
+def take(x, cols):
+    """One entry per row, as a column: out[i, 0] = x[i, cols[i]]."""
+    n = len(cols)
+    return x.gather(np.arange(n), cols).reshape((n, 1))
 
 
 class TestMatmul:
@@ -46,6 +54,39 @@ class TestMatmul:
         a = Tensor(rand((3, 4), seed=1), requires_grad=True)
         b = Tensor(rand((4, 2), seed=2), requires_grad=True)
         assert fd_max_rel_error(lambda: (a @ b).sum(), [a, b]) < 1e-6
+
+    def test_batched_is_one_product_per_leading_index(self):
+        a = rand((3, 5, 4), seed=14)
+        b = rand((3, 4, 2), seed=15)
+        out = Tensor(a) @ Tensor(b)
+        assert out.shape == (3, 5, 2)
+        for i in range(3):
+            npt.assert_allclose(out.data[i], matmul_oracle(a[i], b[i]), atol=1e-12)
+
+    def test_batched_gradients(self):
+        a = Tensor(rand((2, 3, 4), seed=16), requires_grad=True)
+        b = Tensor(rand((2, 4, 3), seed=17), requires_grad=True)
+        w = Tensor(rand((2, 3, 3), seed=18))
+        assert fd_max_rel_error(lambda: ((a @ b) * w).sum(), [a, b]) < 1e-6
+
+    def test_batched_shape_contracts(self):
+        for left, right in (((2, 3, 4), (3, 4, 2)),    # batch sizes differ
+                            ((2, 3, 4), (2, 3, 2)),    # inner dimensions differ
+                            ((2, 3, 4), (4, 2)),       # ranks differ
+                            ((1, 2, 3, 4), (1, 2, 4, 3))):
+            with pytest.raises(ShapeError, match="matmul"):
+                Tensor(np.zeros(left)) @ Tensor(np.zeros(right))
+
+    def test_batched_transpose(self):
+        x = Tensor(rand((2, 3, 4), seed=19), requires_grad=True)
+        assert x.transpose().shape == (2, 4, 3)
+        npt.assert_array_equal(x.transpose().data, np.swapaxes(x.data, 1, 2))
+        w = Tensor(rand((2, 4, 3), seed=20))
+        assert fd_max_rel_error(lambda: (x.transpose() * w).sum(), [x]) < 1e-6
+        assert fd_max_rel_error(lambda: (x.transpose() @ x).sum(), [x]) < 1e-6
+        for shape in ((3,), (1, 2, 3, 4)):
+            with pytest.raises(ShapeError, match="transpose"):
+                Tensor(np.zeros(shape)).transpose()
 
 
 class TestElementwise:
@@ -138,30 +179,30 @@ class TestSoftmax:
 
 class TestConcatSlice:
     def test_shape_arithmetic(self):
-        out = T.concat_last(Tensor(np.zeros((4, 3))), Tensor(np.zeros((4, 5))))
+        out = T.concat([Tensor(np.zeros((4, 3))), Tensor(np.zeros((4, 5)))], axis=-1)
         assert out.shape == (4, 8)
 
     def test_concat_then_slice_recovers_inputs(self):
         a = rand((4, 3), seed=20)
         b = rand((4, 5), seed=21)
-        joined = T.concat_last(Tensor(a), Tensor(b))
+        joined = T.concat([Tensor(a), Tensor(b)], axis=-1)
         npt.assert_array_equal(joined.slice_last(0, 3).data, a)
         npt.assert_array_equal(joined.slice_last(3, 8).data, b)
 
     def test_concat_gradient_is_all_ones(self):
         a = Tensor(rand((4, 3), seed=22), requires_grad=True)
         b = Tensor(rand((4, 5), seed=23), requires_grad=True)
-        T.concat_last(a, b).sum().backward()
+        T.concat([a, b], axis=-1).sum().backward()
         npt.assert_array_equal(a.grad, np.ones((4, 3)))
         npt.assert_array_equal(b.grad, np.ones((4, 5)))
 
     def test_leading_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            T.concat_last(Tensor(np.zeros((4, 3))), Tensor(np.zeros((5, 3))))
+            T.concat([Tensor(np.zeros((4, 3))), Tensor(np.zeros((5, 3)))], axis=-1)
 
     def test_concat_rows_and_slice_rows(self):
         rows = [Tensor(rand((1, 3), seed=s), requires_grad=True) for s in range(3)]
-        stacked = T.concat_rows(rows)
+        stacked = T.concat(rows, axis=0)
         assert stacked.shape == (3, 3)
         (stacked.slice_rows(1, 2).sum()).backward()
         npt.assert_array_equal(rows[0].grad, np.zeros((1, 3)))
@@ -227,12 +268,12 @@ class TestReductionsStructure:
         assert padded.shape == (6, 4)
         npt.assert_array_equal(padded.data[1:4], x.data)
         npt.assert_array_equal(padded.data[0], np.zeros(4))
-        picked = x.take_last([1, 3, 0])
+        picked = take(x, [1, 3, 0])
         npt.assert_array_equal(picked.data[:, 0], x.data[[0, 1, 2], [1, 3, 0]])
         checks = [
             lambda: (x.transpose() @ x).sum(),
             lambda: (x.pad_rows(1, 1) * x.pad_rows(1, 1)).sum(),
-            lambda: (x.take_last([1, 3, 0]) * x.take_last([0, 0, 2])).sum(),
+            lambda: (take(x, [1, 3, 0]) * take(x, [0, 0, 2])).sum(),
         ]
         for func in checks:
             x.grad = None
@@ -256,14 +297,6 @@ class TestReductionsStructure:
                 x.gather(rows, cols)
         with pytest.raises(ShapeError, match="rank-2"):
             Tensor(np.zeros(3)).gather([0], [0])
-
-    def test_add_n(self):
-        ts = [Tensor(rand((2, 2), seed=50 + i), requires_grad=True) for i in range(4)]
-        out = T.add_n(ts)
-        npt.assert_allclose(out.data, sum(t.data for t in ts))
-        out.sum().backward()
-        for t in ts:
-            npt.assert_array_equal(t.grad, np.ones((2, 2)))
 
 
 class TestBackwardContract:
@@ -296,6 +329,14 @@ class TestBackwardContract:
         (x * x).sum().backward()
         npt.assert_array_equal(x.grad, first)
 
+    def test_only_leaves_keep_gradients(self):
+        x = Tensor(rand((2, 2), seed=66), requires_grad=True)
+        mid = x * x
+        loss = mid.sum()
+        loss.backward()
+        npt.assert_allclose(x.grad, 2 * x.data, atol=1e-15)
+        assert mid.grad is None and loss.grad is None
+
     def test_grad_accumulates_across_uses_in_one_graph(self):
         x = Tensor(np.array(2.0), requires_grad=True)
         ((x * x) + (x * x)).backward()
@@ -309,6 +350,32 @@ class TestBackwardContract:
         assert out.requires_grad is False
         out.backward()  # constant scalar: nothing flows
         assert x.grad is None
+
+    def test_no_grad_stays_in_its_thread(self):
+        inside, built = threading.Event(), threading.Event()
+        w = Tensor(rand((2, 2), seed=65), requires_grad=True)
+        result = {}
+
+        def holds_no_grad():
+            with T.no_grad():
+                inside.set()
+                built.wait(timeout=10)
+
+        def trains():
+            inside.wait(timeout=10)
+            loss = (w * w).sum()
+            built.set()
+            loss.backward()
+            result["grad"] = w.grad
+
+        threads = [threading.Thread(target=holds_no_grad), threading.Thread(target=trains)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert inside.is_set() and built.is_set()
+        npt.assert_allclose(result["grad"], 2 * w.data, atol=1e-15)
 
 
 class TestDeterminism:

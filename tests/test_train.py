@@ -290,7 +290,7 @@ class TestConfig:
     @pytest.mark.parametrize("field,value", [
         ("alpha", 0.0), ("alpha", 2.5), ("balance", -1.0), ("batch_size", 0),
         ("modalities", "x"), ("modalities", "tv"), ("precision", "float16"),
-        ("conv_kernel", 2), ("fusion_mode", "concat"), ("gate_input", "f2f2"),
+        ("conv_kernel", 2), ("fusion_mode", "concat"), ("fusion_mode", "final_layer"),
         ("heads", 3),
     ])
     def test_validation(self, field, value):
