@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .config import ExperimentConfig
-from .data import Dataset
+from .data import Dataset, write_atomic
 from .errors import ConfigError
 from .train import train
 
@@ -107,5 +107,5 @@ def run_suite(suite: str, base: ExperimentConfig, seeds, dataset: Dataset | None
         table.rows.append(row)
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-        (Path(out_dir) / f"{suite}.tsv").write_text(table.to_text(), encoding="utf-8")
+        write_atomic(Path(out_dir) / f"{suite}.tsv", table.to_text())
     return table

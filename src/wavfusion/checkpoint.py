@@ -20,6 +20,7 @@ import struct
 
 import numpy as np
 
+from .data import write_atomic
 from .errors import CheckpointError, FormatError
 
 MAGIC = b"WVFN"
@@ -43,19 +44,13 @@ def save_model(path, model) -> None:
 
 def write_records(path, records, header: dict | None = None) -> None:
     text = "".join(f"{key}={value}\n" for key, value in (header or {}).items()).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, len(text)))
-        fh.write(text)
-        for name, arr in records:
-            raw = name.encode("utf-8")
-            arr = np.asarray(arr)
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<B", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(arr.astype("<f4").tobytes())
+    parts = [MAGIC, struct.pack("<II", VERSION, len(text)), text]
+    for name, arr in records:
+        raw = name.encode("utf-8")
+        arr = np.asarray(arr)
+        parts += [struct.pack("<H", len(raw)), raw,
+                  struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape), arr.astype("<f4").tobytes()]
+    write_atomic(path, b"".join(parts))
 
 
 def read_records(path) -> tuple[dict, list]:
@@ -81,7 +76,7 @@ def read_records(path) -> tuple[dict, list]:
     need(12, header_len, "header")
     header, pos = {}, 12
     for line in blob[12:12 + header_len].splitlines(keepends=True):
-        key, sep, value = line.decode("utf-8").rstrip("\n").partition("=")
+        key, sep, value = _utf8(line, pos, "header line").rstrip("\n").partition("=")
         if not sep:
             raise FormatError(f"header line {line!r} at offset {pos} is not key=value")
         header[key] = value
@@ -93,7 +88,7 @@ def read_records(path) -> tuple[dict, list]:
         name_len = struct.unpack_from("<H", blob, pos)[0]
         pos += 2
         need(pos, name_len, "record name")
-        name = blob[pos:pos + name_len].decode("utf-8")
+        name = _utf8(blob[pos:pos + name_len], pos, "record name")
         pos += name_len
         need(pos, 1, "record rank")
         rank = blob[pos]
@@ -109,6 +104,13 @@ def read_records(path) -> tuple[dict, list]:
         pos += 4 * count
         records.append((name, arr))
     return header, records
+
+
+def _utf8(raw: bytes, offset: int, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise FormatError(f"{what} {raw!r} at offset {offset} is not valid UTF-8") from None
 
 
 def load_model(path, model) -> None:

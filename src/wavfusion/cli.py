@@ -14,8 +14,8 @@ import sys
 from pathlib import Path
 
 from .ablate import SUITES, run_suite
-from .config import ExperimentConfig, load_config
-from .data import SynthSpec, generate_synthetic
+from .config import ExperimentConfig, load_config, set_value
+from .data import SynthSpec, generate_synthetic, read_text
 from .errors import ConfigError, DataError, FormatError, GraphError
 from .gradcheck import run_gradcheck, tiny_config
 from .losses import build_triplets, margin_loss
@@ -23,31 +23,23 @@ from .oracles import margin_loss_reference
 from .tensor import Tensor
 from .train import dump_predictions, evaluate_checkpoint, train
 
-_CONFIG_KINDS = {"int": int, "float": float, "str": str, "bool": bool}
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file")
     for f in dataclasses.fields(ExperimentConfig):
-        kind = _CONFIG_KINDS[f.type] if isinstance(f.type, str) else f.type
-        flag = "--" + f.name.replace("_", "-")
-        if kind is bool:
-            parser.add_argument(flag, default=None, choices=("true", "false"),
-                                help=f"override {f.name}")
-        else:
-            parser.add_argument(flag, type=kind, default=None, help=f"override {f.name}")
+        parser.add_argument(_flag(f.name), help=f"override {f.name} ({f.type})")
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    if args.config:
-        cfg = load_config(args.config, cfg)
+    cfg = load_config(args.config) if args.config else ExperimentConfig()
     for f in dataclasses.fields(ExperimentConfig):
-        value = getattr(args, f.name, None)
-        if value is None:
-            continue
-        kind = _CONFIG_KINDS[f.type] if isinstance(f.type, str) else f.type
-        setattr(cfg, f.name, value == "true" if kind is bool else value)
+        raw = getattr(args, f.name)
+        if raw is not None:
+            set_value(cfg, f.name, raw, _flag(f.name))
     return cfg.validate()
 
 
@@ -58,18 +50,22 @@ def _parse_groups(raw_list) -> dict:
         if "=" not in raw:
             raise ConfigError(f"--mean-groups expects MOD=c,c|c,c; got {raw!r}")
         mod, body = raw.split("=", 1)
-        groups[mod.strip()] = [[int(c) for c in part.split(",") if c != ""]
-                               for part in body.split("|")]
+        try:
+            groups[mod.strip()] = [[int(c) for c in part.split(",") if c != ""]
+                                   for part in body.split("|")]
+        except ValueError:
+            raise ConfigError(f"--mean-groups: classes must be integers; got {raw!r}") from None
     return groups
 
 
 def _parse_scales(raw_list) -> dict:
     scales = {}
     for raw in raw_list or ():
-        if "=" not in raw:
-            raise ConfigError(f"--mu-scale expects MOD=FACTOR; got {raw!r}")
-        mod, value = raw.split("=", 1)
-        scales[mod.strip()] = float(value)
+        mod, _, value = raw.partition("=")
+        try:
+            scales[mod.strip()] = float(value)
+        except ValueError:
+            raise ConfigError(f"--mu-scale expects MOD=FACTOR; got {raw!r}") from None
     return scales
 
 
@@ -121,7 +117,10 @@ def _cmd_ablate(args) -> int:
     cfg = _config_from_args(args)
     if not cfg.data_dir:
         raise ConfigError("ablate needs --data-dir (or data_dir in the config file)")
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+    except ValueError:
+        raise ConfigError(f"--seeds expects comma-separated integers; got {args.seeds!r}") from None
     table = run_suite(args.suite, cfg, seeds, out_dir=cfg.resolved_out_dir(),
                       write_artifacts=False)
     print(table.to_text(), end="")
@@ -150,14 +149,18 @@ def _cmd_gradcheck(args) -> int:
 
 def _read_margin_batch(path):
     entries = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip():
             continue
-        cells = line.split("\t")
-        if len(cells) != 3:
-            raise DataError(f"{path}:{lineno}: expected modality<TAB>label<TAB>v1,v2,...")
-        vec = [float(x) for x in cells[2].split(",")]
-        entries.append((cells[0], int(cells[1]), vec))
+        try:
+            modality, label, vec = line.split("\t")
+            entries.append((modality, int(label), [float(x) for x in vec.split(",")]))
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: expected modality<TAB>label<TAB>v1,v2,...; "
+                            f"got {line!r}") from None
+        if len(entries[-1][2]) != len(entries[0][2]):
+            raise DataError(f"{path}:{lineno}: {len(entries[-1][2])} embedding values; "
+                            f"the first line has {len(entries[0][2])}")
     if not entries:
         raise DataError(f"{path}: empty batch file")
     return entries

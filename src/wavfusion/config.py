@@ -8,6 +8,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
+from .data import read_text, write_atomic
 from .errors import ConfigError
 from .model import FUSION_MODES, MODALITIES
 
@@ -102,42 +103,42 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
 
-def _coerce(name: str, kind, raw: str):
+_KINDS = {f.name: {"int": int, "float": float, "str": str, "bool": bool}[f.type]
+          for f in dataclasses.fields(ExperimentConfig)}
+_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
+          "false": False, "0": False, "no": False, "off": False}
+
+
+def set_value(cfg: ExperimentConfig, key: str, raw: str, where: str) -> None:
+    """Parse ``raw`` as the type of config key ``key`` and set it on ``cfg``;
+    errors name ``where`` (a config file line or a command-line flag)."""
+    kind = _KINDS.get(key)
+    if kind is None:
+        raise ConfigError(f"{where}: unknown key {key!r}")
     raw = raw.strip()
     try:
-        if kind is bool:
-            low = raw.lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(raw)
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(f"config key {name!r}: cannot parse {raw!r} as {kind.__name__}") from None
+        value = _BOOLS[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{where}: cannot parse {raw!r} as {kind.__name__} for {key!r}") from None
+    setattr(cfg, key, value)
 
 
 def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
     cfg = dataclasses.replace(base) if base else ExperimentConfig()
-    kinds = {f.name: f.type for f in dataclasses.fields(cfg)}
-    types = {"int": int, "float": float, "str": str, "bool": bool}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
         if "=" not in body:
             raise ConfigError(f"config line {lineno}: expected key = value, got {line!r}")
-        key, raw = (part.strip() for part in body.split("=", 1))
-        if key not in kinds:
-            raise ConfigError(f"config line {lineno}: unknown key {key!r}")
-        kind = types[kinds[key]] if isinstance(kinds[key], str) else kinds[key]
-        setattr(cfg, key, _coerce(key, kind, raw))
+        key, raw = body.split("=", 1)
+        set_value(cfg, key.strip(), raw, f"config line {lineno}")
     return cfg
 
 
 def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"), base)
+    return parse_config_text(read_text(path, ConfigError), base)
 
 
 def save_config(path, cfg: ExperimentConfig) -> None:
-    Path(path).write_text(cfg.to_text(), encoding="utf-8")
+    write_atomic(path, cfg.to_text())

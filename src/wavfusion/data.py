@@ -1,5 +1,6 @@
 """Feature-file format, manifests, dataset splits, and the seeded synthetic
-multimodal generator that stands in for pretrained feature extractors.
+multimodal generator that stands in for pretrained feature extractors; also
+the UTF-8 text reads of input files and the atomic writes of run artifacts.
 
 Feature file layout (little-endian):
 
@@ -16,7 +17,9 @@ absent).
 
 from __future__ import annotations
 
+import os
 import struct
+import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,6 +31,37 @@ from .rng import Prng
 
 FEATURE_MAGIC = b"WFTF"
 FEATURE_VERSION = 1
+
+
+# -- files -----------------------------------------------------------------------
+
+
+def read_text(path, error=DataError) -> str:
+    """The UTF-8 text of ``path``; bytes that are not UTF-8 raise ``error``
+    naming the file, the line and the byte offset."""
+    blob = Path(path).read_bytes()
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = blob.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: invalid UTF-8 at byte offset {exc.start}") from None
+
+
+def write_atomic(path, data) -> None:
+    """Write ``data`` (bytes, or str as UTF-8) through a temporary file in the
+    same directory and ``os.replace``: a write that fails partway leaves the
+    previous file intact and no temporary file behind."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # -- feature files ---------------------------------------------------------------
@@ -92,7 +126,7 @@ def write_manifest(path, entries) -> None:
 def read_manifest(path) -> list[ManifestEntry]:
     entries = []
     seen = set()
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         cells = line.split("\t")

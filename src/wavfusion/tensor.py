@@ -1,10 +1,17 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Values are numpy arrays (float32 or float64); the graph is implicit: every
-result keeps references to its inputs together with a closure that scatters
-its adjoint back to them. ``backward`` walks an iteratively-built topological
-order, so deep graphs (long recurrences, wide reductions) never touch the
-interpreter recursion limit.
+Values are numpy arrays (float32 or float64); the graph is implicit. Each op
+returns its value and, while recording, a vector-Jacobian function ``_vjp``
+that maps the result's adjoint to a tuple with one gradient per input. It
+reads only arrays captured in the forward pass, never its own output, so
+rebinding an input's ``data`` before ``backward`` leaves the gradient
+unchanged, and a graph holds no reference cycles: dropping the loss frees it
+without waiting for the cyclic garbage collector.
+
+``backward`` is the only writer of ``grad``. Over an iteratively-built
+topological order (deep graphs never touch the recursion limit) it calls each
+``_vjp`` once and sums each gradient into its input, in input order, skipping
+inputs that need no gradient.
 
 Shape discipline is strict. Binary elementwise operations demand equal
 shapes, and the only implicit broadcast is scalar-times-tensor. Row and
@@ -12,9 +19,6 @@ column broadcasts exist as separately named operations (``add_row``,
 ``sub_col``, ...) so no shape mismatch can slip through silently.
 
 ``backward`` may run once per graph; a fresh forward pass rebuilds the graph.
-Adjoint closures capture input tensors and plain arrays, never their own
-output, so a graph holds no reference cycles: dropping the loss frees the
-whole graph at once, without waiting for the cyclic garbage collector.
 A graph and its tensors belong to one thread during forward/backward;
 independent graphs may run on separate threads, and ``no_grad`` in one
 thread leaves recording in the others untouched.
@@ -50,7 +54,7 @@ def _shape(t) -> str:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backprop", "_spent")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_spent")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -60,7 +64,7 @@ class Tensor:
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
-        self._backprop = None
+        self._vjp = None
         self._spent = False
 
     # -- introspection -------------------------------------------------------
@@ -79,16 +83,14 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={list(self.data.shape)}, requires_grad={self.requires_grad})"
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     # -- backward ------------------------------------------------------------
 
     def backward(self):
         """Populate ``grad`` on every reachable leaf (a tensor built from
         data, such as a parameter) that requires it. Interior adjoints are
         dropped once passed on to their inputs, so a pass never holds an
-        adjoint for every node of the graph at once.
+        adjoint for every node of the graph at once; so is each ``_vjp``,
+        which lets an optimizer step free the parameter arrays it replaces.
 
         The receiver must be a scalar. Each graph supports exactly one
         backward pass; rebuilding via a fresh forward is the reset.
@@ -113,13 +115,16 @@ class Tensor:
 
         self.grad = np.ones((), dtype=self.data.dtype)
         for node in reversed(topo):
-            if node._parents:
-                if node._spent:
-                    raise GraphError("graph shares nodes with an already-consumed backward pass")
-                node._spent = True
-            if node._backprop is not None and node.grad is not None:
-                node._backprop(node.grad)
-                node.grad = None
+            if not node._parents:
+                continue
+            if node._spent:
+                raise GraphError("graph shares nodes with an already-consumed backward pass")
+            node._spent = True
+            for parent, g in zip(node._parents, node._vjp(node.grad)):
+                if parent.requires_grad:
+                    parent.grad = (np.array(g, dtype=parent.data.dtype) if parent.grad is None
+                                   else parent.grad + g)
+            node.grad = node._vjp = None
 
     # -- arithmetic (equal shapes; python scalars allowed) ---------------------
 
@@ -128,10 +133,7 @@ class Tensor:
             _check_same(self, other, "add")
             out = _result(self.data + other.data, (self, other))
             if out._parents:
-                def bp(g, a=self, b=other):
-                    _accum(a, g)
-                    _accum(b, g)
-                out._backprop = bp
+                out._vjp = lambda g: (g, g)
             return out
         return self._shift(float(other))
 
@@ -142,10 +144,7 @@ class Tensor:
             _check_same(self, other, "sub")
             out = _result(self.data - other.data, (self, other))
             if out._parents:
-                def bp(g, a=self, b=other):
-                    _accum(a, g)
-                    _accum(b, -g)
-                out._backprop = bp
+                out._vjp = lambda g: (g, -g)
             return out
         return self._shift(-float(other))
 
@@ -155,12 +154,10 @@ class Tensor:
     def __mul__(self, other):
         if isinstance(other, Tensor):
             _check_same(self, other, "mul")
-            out = _result(self.data * other.data, (self, other))
+            a, b = self.data, other.data
+            out = _result(a * b, (self, other))
             if out._parents:
-                def bp(g, a=self, b=other):
-                    _accum(a, g * b.data)
-                    _accum(b, g * a.data)
-                out._backprop = bp
+                out._vjp = lambda g: (g * b, g * a)
             return out
         return self.scale(float(other))
 
@@ -169,12 +166,11 @@ class Tensor:
     def __truediv__(self, other):
         if isinstance(other, Tensor):
             _check_same(self, other, "div")
-            out = _result(self.data / other.data, (self, other))
+            b = other.data
+            val = self.data / b
+            out = _result(val, (self, other))
             if out._parents:
-                def bp(g, a=self, b=other, o=out.data):
-                    _accum(a, g / b.data)
-                    _accum(b, -g * o / b.data)
-                out._backprop = bp
+                out._vjp = lambda g: (g / b, -g * val / b)
             return out
         return self.scale(1.0 / float(other))
 
@@ -184,17 +180,13 @@ class Tensor:
     def scale(self, s: float) -> "Tensor":
         out = _result(self.data * s, (self,))
         if out._parents:
-            def bp(g, a=self):
-                _accum(a, g * s)
-            out._backprop = bp
+            out._vjp = lambda g: (g * s,)
         return out
 
     def _shift(self, c: float) -> "Tensor":
         out = _result(self.data + c, (self,))
         if out._parents:
-            def bp(g, a=self):
-                _accum(a, g)
-            out._backprop = bp
+            out._vjp = lambda g: (g,)
         return out
 
     # -- pointwise nonlinearities ----------------------------------------------
@@ -208,53 +200,43 @@ class Tensor:
         val[~pos] = ex / (1.0 + ex)
         out = _result(val, (self,))
         if out._parents:
-            def bp(g, a=self, s=val):
-                _accum(a, g * s * (1.0 - s))
-            out._backprop = bp
+            out._vjp = lambda g: (g * val * (1.0 - val),)
         return out
 
     def tanh(self) -> "Tensor":
         val = np.tanh(self.data)
         out = _result(val, (self,))
         if out._parents:
-            def bp(g, a=self, t=val):
-                _accum(a, g * (1.0 - t * t))
-            out._backprop = bp
+            out._vjp = lambda g: (g * (1.0 - val * val),)
         return out
 
     def exp(self) -> "Tensor":
         val = np.exp(self.data)
         out = _result(val, (self,))
         if out._parents:
-            def bp(g, a=self, e=val):
-                _accum(a, g * e)
-            out._backprop = bp
+            out._vjp = lambda g: (g * val,)
         return out
 
     def log(self) -> "Tensor":
-        out = _result(np.log(self.data), (self,))
+        x = self.data
+        out = _result(np.log(x), (self,))
         if out._parents:
-            def bp(g, a=self):
-                _accum(a, g / a.data)
-            out._backprop = bp
+            out._vjp = lambda g: (g / x,)
         return out
 
     def sqrt(self) -> "Tensor":
         val = np.sqrt(self.data)
         out = _result(val, (self,))
         if out._parents:
-            def bp(g, a=self, r=val):
-                _accum(a, g * 0.5 / r)
-            out._backprop = bp
+            out._vjp = lambda g: (g * 0.5 / val,)
         return out
 
     def relu(self) -> "Tensor":
         # subgradient 0 at the kink
-        out = _result(np.maximum(self.data, 0.0), (self,))
+        x = self.data
+        out = _result(np.maximum(x, 0.0), (self,))
         if out._parents:
-            def bp(g, a=self):
-                _accum(a, g * (a.data > 0))
-            out._backprop = bp
+            out._vjp = lambda g: (g * (x > 0),)
         return out
 
     def softmax(self, axis: int = -1) -> "Tensor":
@@ -267,9 +249,7 @@ class Tensor:
         val = e / e.sum(axis=axis, keepdims=True)
         out = _result(val, (self,))
         if out._parents:
-            def bp(g, a=self, y=val):
-                _accum(a, y * (g - (g * y).sum(axis=axis, keepdims=True)))
-            out._backprop = bp
+            out._vjp = lambda g: (val * (g - (g * val).sum(axis=axis, keepdims=True)),)
         return out
 
     # -- linear algebra ---------------------------------------------------------
@@ -285,10 +265,7 @@ class Tensor:
             raise ShapeError(f"matmul: inner dimensions of {_shape(self)} and {_shape(other)} disagree")
         out = _result(a @ b, (self, other))
         if out._parents:
-            def bp(g, a=self, b=other):
-                _accum(a, g @ _swap(b.data))
-                _accum(b, _swap(a.data) @ g)
-            out._backprop = bp
+            out._vjp = lambda g: (g @ _swap(b), _swap(a) @ g)
         return out
 
     def transpose(self) -> "Tensor":
@@ -297,28 +274,24 @@ class Tensor:
             raise ShapeError(f"transpose needs a rank-2 or rank-3 tensor; got {_shape(self)}")
         out = _result(_swap(self.data).copy(), (self,))
         if out._parents:
-            def bp(g, a=self):
-                _accum(a, _swap(g))
-            out._backprop = bp
+            out._vjp = lambda g: (_swap(g),)
         return out
 
     # -- reductions ---------------------------------------------------------------
 
     def sum(self) -> "Tensor":
+        shape = self.data.shape
         out = _result(self.data.sum(), (self,))
         if out._parents:
-            def bp(g, a=self):
-                _accum(a, np.broadcast_to(g, a.data.shape))
-            out._backprop = bp
+            out._vjp = lambda g: (np.broadcast_to(g, shape),)
         return out
 
     def sum_last_keep(self) -> "Tensor":
         """Sum over the last axis, keeping it as size 1."""
+        shape = self.data.shape
         out = _result(self.data.sum(axis=-1, keepdims=True), (self,))
         if out._parents:
-            def bp(g, a=self):
-                _accum(a, np.broadcast_to(g, a.data.shape))
-            out._backprop = bp
+            out._vjp = lambda g: (np.broadcast_to(g, shape),)
         return out
 
     # -- named broadcasts (matrix with row / column vector) -------------------------
@@ -327,60 +300,46 @@ class Tensor:
         _check_row(self, v, "add_row")
         out = _result(self.data + v.data, (self, v))
         if out._parents:
-            def bp(g, a=self, b=v):
-                _accum(a, g)
-                _accum(b, g.sum(axis=0))
-            out._backprop = bp
+            out._vjp = lambda g: (g, g.sum(axis=0))
         return out
 
     def mul_row(self, v: "Tensor") -> "Tensor":
         _check_row(self, v, "mul_row")
-        out = _result(self.data * v.data, (self, v))
+        x, r = self.data, v.data
+        out = _result(x * r, (self, v))
         if out._parents:
-            def bp(g, a=self, b=v):
-                _accum(a, g * b.data)
-                _accum(b, (g * a.data).sum(axis=0))
-            out._backprop = bp
+            out._vjp = lambda g: (g * r, (g * x).sum(axis=0))
         return out
 
     def add_col(self, c: "Tensor") -> "Tensor":
         _check_col(self, c, "add_col")
         out = _result(self.data + c.data, (self, c))
         if out._parents:
-            def bp(g, a=self, b=c):
-                _accum(a, g)
-                _accum(b, g.sum(axis=1, keepdims=True))
-            out._backprop = bp
+            out._vjp = lambda g: (g, g.sum(axis=1, keepdims=True))
         return out
 
     def sub_col(self, c: "Tensor") -> "Tensor":
         _check_col(self, c, "sub_col")
         out = _result(self.data - c.data, (self, c))
         if out._parents:
-            def bp(g, a=self, b=c):
-                _accum(a, g)
-                _accum(b, -g.sum(axis=1, keepdims=True))
-            out._backprop = bp
+            out._vjp = lambda g: (g, -g.sum(axis=1, keepdims=True))
         return out
 
     def mul_col(self, c: "Tensor") -> "Tensor":
         _check_col(self, c, "mul_col")
-        out = _result(self.data * c.data, (self, c))
+        x, col = self.data, c.data
+        out = _result(x * col, (self, c))
         if out._parents:
-            def bp(g, a=self, b=c):
-                _accum(a, g * b.data)
-                _accum(b, (g * a.data).sum(axis=1, keepdims=True))
-            out._backprop = bp
+            out._vjp = lambda g: (g * col, (g * x).sum(axis=1, keepdims=True))
         return out
 
     def div_col(self, c: "Tensor") -> "Tensor":
         _check_col(self, c, "div_col")
-        out = _result(self.data / c.data, (self, c))
+        col = c.data
+        val = self.data / col
+        out = _result(val, (self, c))
         if out._parents:
-            def bp(g, a=self, b=c, o=out.data):
-                _accum(a, g / b.data)
-                _accum(b, -(g * o / b.data).sum(axis=1, keepdims=True))
-            out._backprop = bp
+            out._vjp = lambda g: (g / col, -(g * val / col).sum(axis=1, keepdims=True))
         return out
 
     # -- structure -------------------------------------------------------------------
@@ -389,35 +348,31 @@ class Tensor:
         shape = tuple(shape)
         if int(np.prod(shape, dtype=np.int64)) != self.data.size:
             raise ShapeError(f"reshape: {_shape(self)} has {self.data.size} elements, target {list(shape)}")
+        before = self.data.shape
         out = _result(self.data.reshape(shape).copy(), (self,))
         if out._parents:
-            def bp(g, a=self):
-                _accum(a, g.reshape(a.data.shape))
-            out._backprop = bp
+            out._vjp = lambda g: (g.reshape(before),)
         return out
 
     def slice_rows(self, start: int, stop: int) -> "Tensor":
         if self.data.ndim < 1 or not 0 <= start < stop <= self.data.shape[0]:
             raise ShapeError(f"slice_rows[{start}:{stop}] invalid for shape {_shape(self)}")
-        out = _result(self.data[start:stop].copy(), (self,))
-        if out._parents:
-            def bp(g, a=self):
-                z = np.zeros_like(a.data)
-                z[start:stop] = g
-                _accum(a, z)
-            out._backprop = bp
-        return out
+        return self._slice(slice(start, stop))
 
     def slice_last(self, start: int, stop: int) -> "Tensor":
         if self.data.ndim < 1 or not 0 <= start < stop <= self.data.shape[-1]:
             raise ShapeError(f"slice_last[{start}:{stop}] invalid for shape {_shape(self)}")
-        out = _result(self.data[..., start:stop].copy(), (self,))
+        return self._slice((Ellipsis, slice(start, stop)))
+
+    def _slice(self, index) -> "Tensor":
+        x = self.data
+        out = _result(x[index].copy(), (self,))
         if out._parents:
-            def bp(g, a=self):
-                z = np.zeros_like(a.data)
-                z[..., start:stop] = g
-                _accum(a, z)
-            out._backprop = bp
+            def vjp(g):
+                z = np.zeros_like(x)
+                z[index] = g
+                return (z,)
+            out._vjp = vjp
         return out
 
     def pad_rows(self, top: int, bottom: int) -> "Tensor":
@@ -428,9 +383,7 @@ class Tensor:
         val[top:top + m] = self.data
         out = _result(val, (self,))
         if out._parents:
-            def bp(g, a=self):
-                _accum(a, g[top:top + m])
-            out._backprop = bp
+            out._vjp = lambda g: (g[top:top + m],)
         return out
 
     def gather(self, rows, cols) -> "Tensor":
@@ -445,12 +398,11 @@ class Tensor:
         m, n = self.data.shape
         if r.size and (r.min() < 0 or r.max() >= m or c.min() < 0 or c.max() >= n):
             raise ShapeError(f"gather: index out of range for {_shape(self)}")
+        dtype = self.data.dtype
         out = _result(self.data[r, c], (self,))
         if out._parents:
-            def bp(g, a=self):
-                flat = np.bincount(r * n + c, weights=g, minlength=m * n)
-                _accum(a, flat.reshape(m, n).astype(a.data.dtype))
-            out._backprop = bp
+            out._vjp = lambda g: (
+                np.bincount(r * n + c, weights=g, minlength=m * n).reshape(m, n).astype(dtype),)
         return out
 
 
@@ -459,7 +411,7 @@ class Tensor:
 
 def concat(tensors, axis: int) -> Tensor:
     """Concatenate along ``axis``; adjoint splits the gradient back."""
-    tensors = list(tensors)
+    tensors = tuple(tensors)
     if not tensors:
         raise ShapeError("concat of zero tensors")
     ref = tensors[0].data.shape
@@ -468,16 +420,19 @@ def concat(tensors, axis: int) -> Tensor:
         s = t.data.shape
         if len(s) != len(ref) or any(s[i] != ref[i] for i in range(len(ref)) if i != ax):
             raise ShapeError(f"concat(axis={axis}): shapes {[list(x.data.shape) for x in tensors]} disagree")
-    out = _result(np.concatenate([t.data for t in tensors], axis=ax), tuple(tensors))
+    out = _result(np.concatenate([t.data for t in tensors], axis=ax), tensors)
     if out._parents:
-        offsets = np.cumsum([0] + [t.data.shape[ax] for t in tensors])
+        sizes = [t.data.shape[ax] for t in tensors]
 
-        def bp(g, ts=tensors, offs=offsets):
-            sl = [slice(None)] * g.ndim
-            for t, a, b in zip(ts, offs[:-1], offs[1:]):
-                sl[ax] = slice(a, b)
-                _accum(t, g[tuple(sl)])
-        out._backprop = bp
+        def vjp(g):
+            index = [slice(None)] * g.ndim
+            grads, start = [], 0
+            for size in sizes:
+                index[ax] = slice(start, start + size)
+                grads.append(g[tuple(index)])
+                start += size
+            return tuple(grads)
+        out._vjp = vjp
     return out
 
 
@@ -485,21 +440,21 @@ def concat(tensors, axis: int) -> Tensor:
 
 
 def _result(data: np.ndarray, parents: tuple) -> Tensor:
+    """The op's output node; it records ``parents`` only when gradients are
+    enabled and some parent requires one (the caller then sets ``_vjp``)."""
     out = Tensor(data)
-    if _grad_enabled.get() and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
+    if _grad_enabled.get():
+        for p in parents:   # a plain loop: any(genexpr) costs ~5% of a small step
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = parents
+                break
     return out
 
 
 def _swap(x: np.ndarray) -> np.ndarray:
     """View with the last two axes exchanged."""
     return np.swapaxes(x, -1, -2)
-
-
-def _accum(t: Tensor, g: np.ndarray):
-    if t.requires_grad:
-        t.grad = np.array(g, dtype=t.data.dtype) if t.grad is None else t.grad + g
 
 
 def _check_same(a: Tensor, b: Tensor, op: str):

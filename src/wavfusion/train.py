@@ -18,7 +18,7 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import load_model, save_model
 from .config import ExperimentConfig, save_config
-from .data import Dataset, RatioSplit, load_dataset, split
+from .data import Dataset, RatioSplit, load_dataset, split, write_atomic
 from .errors import ConfigError, DataError
 from .losses import build_triplets, cross_entropy, margin_loss, metrics, total_loss
 from .model import WavFusionModel
@@ -207,7 +207,7 @@ def train(cfg: ExperimentConfig, dataset: Dataset | None = None,
         run_dir.mkdir(parents=True, exist_ok=True)
         save_config(run_dir / "config.cfg", cfg)
         save_model(run_dir / "model.wvfn", model)
-        (run_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
+        write_atomic(run_dir / "report.txt", report.to_text())
         if test_set:
             dump_predictions(run_dir / "predictions.tsv", test_set, preds)
     return TrainResult(report, model, run_dir, (train_set, val_set, test_set))
@@ -215,7 +215,7 @@ def train(cfg: ExperimentConfig, dataset: Dataset | None = None,
 
 def dump_predictions(path, samples, predictions) -> None:
     lines = [f"{s.uid}\t{s.label}\t{p}" for s, p in zip(samples, predictions)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_predictions(path):

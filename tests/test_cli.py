@@ -1,7 +1,9 @@
+import shutil
+
 import pytest
 
-from wavfusion.cli import main
-from wavfusion.config import load_config
+from wavfusion.cli import _config_from_args, build_parser, main
+from wavfusion.config import load_config, parse_config_text
 from wavfusion.data import SynthSpec, generate_synthetic
 
 
@@ -35,6 +37,14 @@ class TestGenData:
         rc = main(["gen-data", "--out", str(tmp_path / "b"), "--classes", "4",
                    "--per-class", "2", "--mean-groups", "a=0,1"])
         assert rc == 2
+
+    @pytest.mark.parametrize("flag,value", [("--mean-groups", "a=0,x|2,3"),
+                                            ("--mu-scale", "v=abc")])
+    def test_malformed_flag_names_it(self, tmp_path, capsys, flag, value):
+        rc = main(["gen-data", "--out", str(tmp_path / "m"), "--classes", "4",
+                   "--per-class", "2", flag, value])
+        assert rc == 2
+        assert flag in capsys.readouterr().err
 
 
 class TestTrainEval:
@@ -94,6 +104,41 @@ class TestTrainEval:
                    "--checkpoint", "/nonexistent.wvfn"] + FAST)
         assert rc == 2
 
+    def test_non_utf8_checkpoint_is_validation_error(self, dataset_dir, tmp_path, capsys):
+        checkpoint = tmp_path / "bad.wvfn"
+        checkpoint.write_bytes(b"WVFN\x02\x00\x00\x00\x04\x00\x00\x00\xff\xfe=\n")
+        rc = main(["eval", "--data-dir", str(dataset_dir), "--checkpoint", str(checkpoint)] + FAST)
+        assert rc == 2
+        assert "offset 12" in capsys.readouterr().err
+
+    def test_non_utf8_config_file_names_line_and_offset(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"d = 8\nmodalities = a\xff\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert f"{cfg}:2: invalid UTF-8 at byte offset 20" in capsys.readouterr().err
+
+    def test_non_utf8_manifest_names_line_and_offset(self, dataset_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        manifest = data / "manifest.tsv"
+        blob = manifest.read_bytes()
+        manifest.write_bytes(b"\xfe" + blob)
+        assert main(["train", "--data-dir", str(data)] + FAST) == 2
+        assert f"{manifest}:1: invalid UTF-8 at byte offset 0" in capsys.readouterr().err
+
+    def test_bool_flag_parses_like_the_config_file(self):
+        args = build_parser().parse_args(["train", "--lvc-enabled", "yes", "--d", "32"])
+        expect = parse_config_text("lvc_enabled = yes\nd = 32\n")
+        assert _config_from_args(args) == expect
+        args = build_parser().parse_args(["train", "--lvc-enabled", "no"])
+        assert _config_from_args(args).lvc_enabled is False
+
+    @pytest.mark.parametrize("flag,value", [("--lvc-enabled", "maybe"), ("--d", "soon"),
+                                            ("--alpha", "x")])
+    def test_unparsable_config_flag_names_it(self, dataset_dir, capsys, flag, value):
+        assert main(["train", "--data-dir", str(dataset_dir), flag, value]) == 2
+        assert flag in capsys.readouterr().err
+
 
 class TestAblateCli:
     def test_lvc_suite(self, dataset_dir, tmp_path, capsys):
@@ -103,6 +148,12 @@ class TestAblateCli:
         out = capsys.readouterr().out
         assert "w/o LVC block" in out and "w/ LVC block" in out
         assert (tmp_path / "ab" / "lvc.tsv").exists()
+
+    def test_malformed_seed_list_names_the_flag(self, dataset_dir, capsys):
+        rc = main(["ablate", "--suite", "lvc", "--data-dir", str(dataset_dir),
+                   "--seeds", "0,x"] + FAST)
+        assert rc == 2
+        assert "--seeds" in capsys.readouterr().err
 
 
 class TestGradcheckCli:
@@ -137,3 +188,10 @@ class TestOracleMarginCli:
         batch = tmp_path / "empty.tsv"
         batch.write_text("")
         assert main(["oracle-margin", "--batch-file", str(batch)]) == 2
+
+    @pytest.mark.parametrize("cell", ["1.0,abc", "1.0"])
+    def test_malformed_vector_cell_names_the_line(self, tmp_path, capsys, cell):
+        batch = tmp_path / "batch.tsv"
+        batch.write_text(f"a\t0\t1.0,2.0\nt\t1\t{cell}\n")
+        assert main(["oracle-margin", "--batch-file", str(batch)]) == 2
+        assert f"{batch}:2:" in capsys.readouterr().err

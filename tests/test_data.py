@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,8 +7,8 @@ import pytest
 from helpers import rand
 from wavfusion.config import ExperimentConfig
 from wavfusion.data import (ManifestEntry, RatioSplit, SynthSpec, generate_synthetic,
-                            load_dataset, read_feature, read_manifest, split, write_feature,
-                            write_manifest)
+                            load_dataset, read_feature, read_manifest, split, write_atomic,
+                            write_feature, write_manifest)
 from wavfusion.errors import ConfigError, DataError, FormatError
 from wavfusion.train import train
 
@@ -106,6 +108,22 @@ class TestManifest:
                        [ManifestEntry("u0", 5, {"a": "features/u0.a.wftf"})])
         with pytest.raises(DataError, match=r"\[0, 3\)"):
             load_dataset(tmp_path, num_classes=3)
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "report.txt"
+        write_atomic(path, "first\n")
+        assert path.read_bytes() == b"first\n"
+
+        def fail(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fsync", fail)    # after the new bytes reached the temp file
+        with pytest.raises(OSError, match="disk full"):
+            write_atomic(path, "second\n")
+        assert path.read_bytes() == b"first\n"
+        assert os.listdir(tmp_path) == ["report.txt"]
 
 
 class TestSyntheticGenerator:

@@ -1,3 +1,6 @@
+import os
+import struct
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,7 +8,7 @@ import pytest
 from helpers import make_sample, rand
 from test_layers import attention_oracle
 from wavfusion import tensor as T
-from wavfusion.checkpoint import load_model, read_records, save_model
+from wavfusion.checkpoint import load_model, read_records, save_model, write_records
 from wavfusion.errors import CheckpointError, ConfigError, DataError, FormatError, ShapeError
 from wavfusion.layers import LayerNorm, Linear
 from wavfusion.losses import build_triplets, margin_loss
@@ -386,3 +389,28 @@ class TestCheckpoint:
             path.write_bytes(blob[:cut])
             with pytest.raises(FormatError, match=f"header.* at offset {offset},"):
                 read_records(path)
+
+    @pytest.mark.parametrize("body,what,offset", [
+        (struct.pack("<I", 4) + b"\xff\xfe=\n", "header line", 12),
+        (struct.pack("<IH", 0, 2) + b"\xff\xfe", "record name", 14),
+    ], ids=["header", "record-name"])
+    def test_non_utf8_text_positioned_error(self, tmp_path, body, what, offset):
+        path = tmp_path / "m.wvfn"
+        path.write_bytes(b"WVFN" + struct.pack("<I", 2) + body)
+        with pytest.raises(FormatError, match=f"{what} .* at offset {offset} is not valid UTF-8"):
+            read_records(path)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path):
+        path = tmp_path / "m.wvfn"
+        model = tiny_model()
+        save_model(path, model)
+        before = path.read_bytes()
+
+        def records():
+            yield from list(model.named_parameters())[:3]
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            write_records(path, ((name, p.data) for name, p in records()))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["m.wvfn"]

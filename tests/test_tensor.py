@@ -378,6 +378,93 @@ class TestBackwardContract:
         npt.assert_allclose(result["grad"], 2 * w.data, atol=1e-15)
 
 
+# every op: name -> (input shapes, op); inputs are positive so log, sqrt and
+# division are defined
+OPS = {
+    "add": ([(3, 4), (3, 4)], lambda a, b: a + b),
+    "sub": ([(3, 4), (3, 4)], lambda a, b: a - b),
+    "mul": ([(3, 4), (3, 4)], lambda a, b: a * b),
+    "div": ([(3, 4), (3, 4)], lambda a, b: a / b),
+    "scale": ([(3, 4)], lambda a: a.scale(-2.5)),
+    "shift": ([(3, 4)], lambda a: a + 1.5),
+    "sigmoid": ([(3, 4)], lambda a: a.sigmoid()),
+    "tanh": ([(3, 4)], lambda a: a.tanh()),
+    "exp": ([(3, 4)], lambda a: a.exp()),
+    "log": ([(3, 4)], lambda a: a.log()),
+    "sqrt": ([(3, 4)], lambda a: a.sqrt()),
+    "relu": ([(3, 4)], lambda a: a.relu()),
+    "softmax": ([(3, 4)], lambda a: a.softmax(axis=0)),
+    "matmul": ([(3, 4), (4, 2)], lambda a, b: a @ b),
+    "matmul_batched": ([(2, 3, 4), (2, 4, 5)], lambda a, b: a @ b),
+    "transpose": ([(2, 3, 4)], lambda a: a.transpose()),
+    "sum": ([(3, 4)], lambda a: a.sum()),
+    "sum_last_keep": ([(3, 4)], lambda a: a.sum_last_keep()),
+    "add_row": ([(3, 4), (4,)], lambda a, v: a.add_row(v)),
+    "mul_row": ([(3, 4), (4,)], lambda a, v: a.mul_row(v)),
+    "add_col": ([(3, 4), (3, 1)], lambda a, c: a.add_col(c)),
+    "sub_col": ([(3, 4), (3, 1)], lambda a, c: a.sub_col(c)),
+    "mul_col": ([(3, 4), (3, 1)], lambda a, c: a.mul_col(c)),
+    "div_col": ([(3, 4), (3, 1)], lambda a, c: a.div_col(c)),
+    "reshape": ([(3, 4)], lambda a: a.reshape((2, 6))),
+    "slice_rows": ([(3, 4)], lambda a: a.slice_rows(1, 3)),
+    "slice_last": ([(2, 3, 4)], lambda a: a.slice_last(1, 3)),
+    "pad_rows": ([(3, 4)], lambda a: a.pad_rows(1, 2)),
+    "gather": ([(3, 4)], lambda a: a.gather([0, 2, 2], [1, 3, 3])),
+    "concat": ([(3, 2), (3, 4), (3, 1)], lambda *ts: T.concat(ts, axis=-1)),
+}
+
+
+class TestNodeProtocol:
+    @staticmethod
+    def inputs(name, dtype):
+        shapes, _ = OPS[name]
+        return [Tensor((np.abs(rand(s, seed=90 + i)) + 0.5).astype(dtype), requires_grad=True)
+                for i, s in enumerate(shapes)]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_vjp_returns_one_gradient_per_input(self, name, dtype):
+        ins = self.inputs(name, dtype)
+        out = OPS[name][1](*ins)
+        assert len(out._parents) == len(ins)
+        assert all(p is t for p, t in zip(out._parents, ins))
+        g = rand(out.shape, seed=99).astype(dtype)
+        grads = out._vjp(g)
+        assert isinstance(grads, tuple) and len(grads) == len(ins)
+        for grad, t in zip(grads, ins):
+            assert grad.shape == t.shape and grad.dtype == t.data.dtype
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_vjp_captures_arrays_only(self, name):
+        out = OPS[name][1](*self.inputs(name, np.float64))
+        for cell in out._vjp.__closure__ or ():
+            assert cell.cell_contents is not out
+            assert not isinstance(cell.cell_contents, Tensor)
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_no_grad_records_nothing(self, name):
+        ins = self.inputs(name, np.float64)
+        with T.no_grad():
+            out = OPS[name][1](*ins)
+        assert out._parents == () and out._vjp is None
+
+    def test_gradients_use_forward_values(self):
+        w = Tensor(np.abs(rand((3, 3), seed=81)) + 0.5, requires_grad=True)
+        x = Tensor(np.abs(rand((3, 3), seed=82)) + 0.5)
+
+        def loss():
+            h = (w @ x) * w
+            return (h.log() + h.mul_col(w.slice_last(0, 1)).sqrt() + w.relu()).sum()
+
+        loss().backward()
+        expect = w.grad
+        w.grad = None
+        graph = loss()
+        w.data = w.data + 1.0       # rebound after the forward pass, as an optimizer step does
+        graph.backward()
+        npt.assert_array_equal(w.grad, expect)
+
+
 class TestDeterminism:
     def test_identical_seed_bit_identical_forward(self):
         def run():
