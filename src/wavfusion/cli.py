@@ -34,8 +34,17 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(_flag(f.name), help=f"override {f.name} ({f.type})")
 
 
+def _input_file(path, flag: str) -> Path:
+    """``path`` if it names an existing file; otherwise a validation error
+    naming ``flag``."""
+    path = Path(path)
+    if not path.is_file():
+        raise ConfigError(f"{flag}: no such file {str(path)!r}")
+    return path
+
+
 def _config_from_args(args) -> ExperimentConfig:
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
+    cfg = load_config(_input_file(args.config, "--config")) if args.config else ExperimentConfig()
     for f in dataclasses.fields(ExperimentConfig):
         raw = getattr(args, f.name)
         if raw is not None:
@@ -87,10 +96,15 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
+def _data_dir(cfg: ExperimentConfig, command: str) -> None:
+    if not cfg.data_dir:
+        raise ConfigError(f"{command} needs --data-dir (or data_dir in the config file)")
+    _input_file(Path(cfg.data_dir) / "manifest.tsv", "--data-dir")
+
+
 def _cmd_train(args) -> int:
     cfg = _config_from_args(args)
-    if not cfg.data_dir:
-        raise ConfigError("train needs --data-dir (or data_dir in the config file)")
+    _data_dir(cfg, "train")
     result = train(cfg)
     report = result.report
     print(f"run dir: {result.run_dir}")
@@ -101,9 +115,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _config_from_args(args)
-    checkpoint = Path(args.checkpoint)
-    if not checkpoint.exists():
-        raise DataError(f"checkpoint {checkpoint} does not exist")
+    checkpoint = _input_file(args.checkpoint, "--checkpoint")
+    _data_dir(cfg, "eval")
     mask = tuple(args.eval_modalities) if args.eval_modalities else None
     acc, wf1, samples, predictions = evaluate_checkpoint(checkpoint, cfg, mask, args.split)
     print(f"{args.split} ACC = {acc:.4f}  WF1 = {wf1:.4f}  over {len(samples)} samples")
@@ -115,8 +128,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_ablate(args) -> int:
     cfg = _config_from_args(args)
-    if not cfg.data_dir:
-        raise ConfigError("ablate needs --data-dir (or data_dir in the config file)")
+    _data_dir(cfg, "ablate")
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
     except ValueError:
@@ -128,7 +140,8 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    cfg = load_config(args.config, tiny_config()) if args.config else tiny_config()
+    cfg = (load_config(_input_file(args.config, "--config"), tiny_config()) if args.config
+           else tiny_config())
     if args.modalities:
         cfg.modalities = args.modalities
     if args.n_shallow is not None:
@@ -167,7 +180,7 @@ def _read_margin_batch(path):
 
 
 def _cmd_oracle_margin(args) -> int:
-    entries = _read_margin_batch(args.batch_file)
+    entries = _read_margin_batch(_input_file(args.batch_file, "--batch-file"))
     tagged = [(m, lab) for m, lab, _ in entries]
     embeddings = [Tensor([vec]) for _, _, vec in entries]
     production = float(margin_loss(embeddings, build_triplets(tagged), args.alpha).data)

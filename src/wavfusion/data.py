@@ -229,6 +229,11 @@ class SynthSpec:
             lo, hi = self.seq_len[m]
             if lo < 1 or hi < lo:
                 raise ConfigError(f"bad sequence length range {lo}..{hi} for {m!r}")
+        for name, keys in (("mean_groups", self.mean_groups), ("mu_scale", self.mu_scale)):
+            unknown = sorted(set(keys) - set(MODALITIES))
+            if unknown:
+                raise ConfigError(f"{name}: unknown modalities {unknown}; "
+                                  f"expected some of {list(MODALITIES)}")
         for m, groups in self.mean_groups.items():
             flat = sorted(c for g in groups for c in g)
             if flat != list(range(self.classes)):

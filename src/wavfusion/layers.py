@@ -5,6 +5,12 @@ on the visual stream.
 Layers own their parameters as ``Tensor``s with ``requires_grad=True`` and
 are callable on activation tensors. Parameters are immutable during a
 forward/backward pass; updates happen between steps.
+
+A batch of B sequences travels as one packed [sum(T) x d] matrix, the rows
+of each sequence in turn, with a ``Segments`` layout beside it. Row-wise
+layers (linear, layer norm) ignore the layout; the convolution, the GRU,
+attention and the codebook pooling take it as ``seg``, and ``seg=None``
+makes the whole input one sequence.
 """
 
 from __future__ import annotations
@@ -30,6 +36,75 @@ def _param(arr: np.ndarray) -> Tensor:
     return Tensor(arr, requires_grad=True)
 
 
+class Segments:
+    """Row layout of B sequences packed into one [sum(T) x d] matrix:
+    sequence b owns rows ``offsets[b]:offsets[b + 1]``.
+
+    The index arrays feed ``Tensor.take_rows``, where -1 stands for a zero
+    row. ``padded`` [B x T_max] lays each sequence out as one zero-padded
+    block; ``time_major`` [T_max * B] does the same with time as the outer
+    axis, and ``from_time_major`` [sum(T)] takes the packed rows back.
+    """
+
+    def __init__(self, lengths):
+        lengths = np.asarray(lengths, dtype=np.intp)
+        if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1:
+            raise ShapeError(f"segments need one or more positive lengths; got {lengths.tolist()}")
+        self.lengths = lengths
+        self.count = lengths.size
+        self.total = int(lengths.sum())
+        self.t_max = int(lengths.max())
+        self.offsets = np.concatenate([[0], np.cumsum(lengths)])
+        self.ids = np.repeat(np.arange(self.count), lengths)            # sequence of each row
+        self.positions = np.arange(self.total) - self.offsets[self.ids]  # time step of each row
+        self.valid = np.arange(self.t_max) < lengths[:, None]            # [B x T_max]
+        self.padded = np.where(self.valid, self.offsets[:-1, None] + np.arange(self.t_max), -1)
+        self.time_major = self.padded.T.reshape(-1)
+        self.from_time_major = self.positions * self.count + self.ids
+
+    @staticmethod
+    def of(x: Tensor, seg: Segments | None) -> Segments:
+        """``seg``, checked against the rows of ``x``; None is one sequence."""
+        if seg is None:
+            return Segments([x.shape[0]])
+        if seg.total != x.shape[0]:
+            raise ShapeError(f"segments cover {seg.total} rows; input has {x.shape[0]}")
+        return seg
+
+    def neighbours(self, k: int) -> np.ndarray:
+        """[sum(T) x k] index of rows i - (k-1)/2 ... i + (k-1)/2, each kept
+        only inside row i's own sequence (-1 outside it)."""
+        shift = np.arange(k) - (k - 1) // 2
+        pos = self.positions[:, None] + shift
+        inside = (pos >= 0) & (pos < self.lengths[self.ids][:, None])
+        return np.where(inside, np.arange(self.total)[:, None] + shift, -1)
+
+    def pooling(self, dtype, mean: bool) -> np.ndarray:
+        """[B x sum(T)] matrix that sums (or averages) each sequence's rows."""
+        weights = 1.0 / self.lengths[self.ids] if mean else np.ones(self.total)
+        out = np.zeros((self.count, self.total), dtype=dtype)
+        out[self.ids, np.arange(self.total)] = weights
+        return out
+
+    def head_blocks(self, heads: int) -> np.ndarray:
+        """[B*heads x T_max] index into the packed rows cut into ``heads``
+        column blocks each (row t*heads + i is block i of packed row t):
+        one zero-padded block per sequence and head."""
+        rows = self.padded[:, None, :] * heads + np.arange(heads)[:, None]
+        return np.where(self.valid[:, None, :], rows, -1).reshape(self.count * heads, self.t_max)
+
+    def from_head_blocks(self, heads: int) -> np.ndarray:
+        """[sum(T) x heads] index from those blocks back to packed rows."""
+        block = self.ids[:, None] * heads + np.arange(heads)
+        return block * self.t_max + self.positions[:, None]
+
+    def key_mask(self, heads: int, dtype) -> np.ndarray:
+        """[B*heads x 1 x T_max] additive attention mask: 0 on this layout's
+        keys, -inf on the padding after each sequence."""
+        mask = np.where(self.valid, 0.0, -np.inf).astype(dtype)
+        return np.repeat(mask, heads, axis=0)[:, None, :]
+
+
 class Linear:
     """Affine map along the last dimension: y = x W + b."""
 
@@ -53,7 +128,8 @@ class Conv1d:
 
     The kernel is one [(k*d_in) x d_out] matrix: row block o is the tap that
     acts on input rows shifted by o - (k-1)/2. The forward pass lays the k
-    shifted copies of the input side by side (im2col) and does one matmul.
+    shifted copies of the input side by side (im2col, one row gather) and
+    does one matmul. Each sequence of a packed batch is padded on its own.
     """
 
     def __init__(self, d_in: int, d_out: int, k: int, rng: Prng, dtype=np.float64):
@@ -67,13 +143,12 @@ class Conv1d:
             [xavier_uniform(rng.child(o), fan_in, d_out, (d_in, d_out), dtype) for o in range(k)]))
         self.bias = _param(np.zeros(d_out, dtype=dtype))
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, seg: Segments | None = None) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.d_in:
             raise ShapeError(f"conv1d: input {list(x.shape)} does not match d_in={self.d_in}")
-        t_len = x.shape[0]
-        pad = (self.k - 1) // 2
-        xp = x.pad_rows(pad, pad)
-        cols = T.concat([xp.slice_rows(o, o + t_len) for o in range(self.k)], axis=-1)
+        seg = Segments.of(x, seg)
+        # zero padding at each sequence's ends: no window crosses into a neighbour
+        cols = x.take_rows(seg.neighbours(self.k)).reshape((seg.total, self.k * self.d_in))
         return (cols @ self.weight).add_row(self.bias)
 
     def named_parameters(self, prefix: str):
@@ -91,6 +166,11 @@ class Gru:
     The three input maps are one weight ``w`` = [W_z | W_r | W_h] with bias
     ``b`` = [b_z | b_r | b_h]; the recurrent ones are ``u_zr`` = [U_z | U_r]
     and ``u_h``, which stays apart because it multiplies r_t * h_{t-1}.
+
+    A packed batch steps one [B x d] state over the longest sequence. The
+    steps past a sequence's end run on zero input, and the gather back to
+    packed rows drops them; the recurrence only runs forward in time, so
+    they never reach a kept state or its gradient.
     """
 
     def __init__(self, d_in: int, d_h: int, rng: Prng, dtype=np.float64):
@@ -104,21 +184,24 @@ class Gru:
         self.u_h = _param(xavier_uniform(rng.child(5), d_h, d_h, (d_h, d_h), dtype))
         self.b = _param(np.zeros(3 * d_h, dtype=dtype))
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, seg: Segments | None = None) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.d_in:
             raise ShapeError(f"gru: input {list(x.shape)} does not match d_in={self.d_in}")
-        d = self.d_h
-        pre = (x @ self.w).add_row(self.b)
+        seg = Segments.of(x, seg)
+        d, b = self.d_h, seg.count
+        # time-major: rows t*B .. (t+1)*B - 1 hold step t of every sequence
+        pre = (x @ self.w).add_row(self.b).take_rows(seg.time_major)
         pre_zr, pre_h = pre.slice_last(0, 2 * d), pre.slice_last(2 * d, 3 * d)
-        h = Tensor(np.zeros((1, d), dtype=self.dtype))
+        h = Tensor(np.zeros((b, d), dtype=self.dtype))
         steps = []
-        for t in range(x.shape[0]):
-            zr = (pre_zr.slice_rows(t, t + 1) + h @ self.u_zr).sigmoid()
+        for t in range(seg.t_max):
+            rows = (t * b, (t + 1) * b)
+            zr = (pre_zr.slice_rows(*rows) + h @ self.u_zr).sigmoid()
             z, r = zr.slice_last(0, d), zr.slice_last(d, 2 * d)
-            cand = (pre_h.slice_rows(t, t + 1) + (r * h) @ self.u_h).tanh()
+            cand = (pre_h.slice_rows(*rows) + (r * h) @ self.u_h).tanh()
             h = (z.scale(-1.0) + 1.0) * h + z * cand
             steps.append(h)
-        return T.concat(steps, axis=0)
+        return T.concat(steps, axis=0).take_rows(seg.from_time_major)
 
     def named_parameters(self, prefix: str):
         return [(f"{prefix}.w", self.w), (f"{prefix}.u_zr", self.u_zr),
@@ -127,13 +210,17 @@ class Gru:
 
 class Attention:
     """Scaled dot-product multi-head attention with separate query and
-    context inputs; self-attention is the ``ctx is x`` case. No mask.
+    context inputs; self-attention is the ``ctx is x`` case.
 
     Each of ``wq``, ``wk``, ``wv`` and ``wo`` is one [d x d] matrix. The
     columns of the first three are head-major: head i owns columns
     [i*d_head, (i+1)*d_head). Heads run as the leading axis of rank-3
     tensors, so one call costs the same number of graph nodes at any head
-    count.
+    count. In a packed batch the projections run on the packed rows; each
+    sequence and head then gets its own zero-padded block, the padded keys
+    an additive -inf mask, and the result goes back to packed rows before
+    ``wo``. The score tensor is [B*heads x T_max x T_ctx_max], never
+    [sum(T) x sum(T_ctx)].
     """
 
     def __init__(self, d: int, heads: int, rng: Prng, dtype=np.float64):
@@ -150,28 +237,35 @@ class Attention:
             for j in range(3))
         self.wo = _param(xavier_uniform(rng.child(3 * heads), d, d, (d, d), dtype))
 
-    def _split(self, x: Tensor, w: Tensor) -> Tensor:
-        """x @ w with its head-major columns split off: [heads x d_head x T]."""
-        return (x @ w).transpose().reshape((self.heads, self.d_head, x.shape[0]))
+    def _split(self, x: Tensor, w: Tensor, seg: Segments) -> Tensor:
+        """x @ w as one zero-padded block per sequence and head:
+        [B*heads x T_max x d_head]."""
+        cut = (x @ w).reshape((seg.total, self.heads, self.d_head))
+        return cut.take_rows(seg.head_blocks(self.heads))
 
-    def _weights(self, x: Tensor, ctx: Tensor) -> Tensor:
-        """Attention weights of every head: [heads x T_x x T_ctx]."""
+    def _weights(self, x: Tensor, ctx: Tensor, seg: Segments, ctx_seg: Segments) -> Tensor:
+        """Attention weights of every sequence and head: [B*heads x T_max x T_ctx_max]."""
         if x.ndim != 2 or x.shape[1] != self.d or ctx.ndim != 2 or ctx.shape[1] != self.d:
             raise ShapeError(f"attention: inputs {list(x.shape)}, {list(ctx.shape)} need width {self.d}")
-        scores = self._split(x, self.wq).transpose() @ self._split(ctx, self.wk)
-        return scores.scale(1.0 / math.sqrt(self.d_head)).softmax(axis=-1)
+        if seg.count != ctx_seg.count:
+            raise ShapeError(f"attention: {seg.count} query sequences, {ctx_seg.count} context ones")
+        scores = self._split(x, self.wq, seg) @ self._split(ctx, self.wk, ctx_seg).transpose()
+        mask = ctx_seg.key_mask(self.heads, scores.data.dtype)
+        return scores.scale(1.0 / math.sqrt(self.d_head)).softmax(axis=-1, mask=mask)
 
-    def __call__(self, x: Tensor, ctx: Tensor | None = None) -> Tensor:
-        ctx = x if ctx is None else ctx
-        weights = self._weights(x, ctx)
-        # per head, (weights @ v) transposed: [heads x d_head x T_x]
-        out = self._split(ctx, self.wv) @ weights.transpose()
-        return out.reshape((self.d, x.shape[0])).transpose() @ self.wo
+    def __call__(self, x: Tensor, ctx: Tensor | None = None, seg: Segments | None = None,
+                 ctx_seg: Segments | None = None) -> Tensor:
+        seg = Segments.of(x, seg)
+        ctx, ctx_seg = (x, seg) if ctx is None else (ctx, Segments.of(ctx, ctx_seg))
+        out = self._weights(x, ctx, seg, ctx_seg) @ self._split(ctx, self.wv, ctx_seg)
+        rows = out.take_rows(seg.from_head_blocks(self.heads)).reshape((seg.total, self.d))
+        return rows @ self.wo
 
     def attention_weights(self, x: Tensor, ctx: Tensor | None = None) -> list[np.ndarray]:
-        """Per-head weight matrices of a forward pass (values only)."""
+        """Per-head weight matrices of one sequence's forward pass (values only)."""
         with T.no_grad():
-            return list(self._weights(x, x if ctx is None else ctx).data)
+            ctx = x if ctx is None else ctx
+            return list(self._weights(x, ctx, Segments.of(x, None), Segments.of(ctx, None)).data)
 
     def named_parameters(self, prefix: str):
         return [(f"{prefix}.q", self.wq), (f"{prefix}.k", self.wk), (f"{prefix}.v", self.wv),
@@ -209,7 +303,8 @@ class LvcBlock:
     to K learnable centers with weights softmax_k(-s_k * ||x_i - b_k||^2); the
     weighted residuals are averaged over time into one descriptor, projected,
     and squashed into a per-channel gate in (0, 1) that scales the stem output
-    at every time step.
+    at every time step. A packed batch gets one descriptor and one gate [B x d]
+    per sequence.
     """
 
     def __init__(self, d_in: int, d: int, k_conv: int, n_centers: int, rng: Prng, dtype=np.float64):
@@ -222,23 +317,25 @@ class LvcBlock:
         self.scales = _param(np.ones(n_centers, dtype=dtype))
         self.proj = Linear(d, d, rng.child(2), dtype)
 
-    def __call__(self, x: Tensor, return_parts: bool = False):
-        stem_out = self.stem(x)
-        t_len = stem_out.shape[0]
+    def __call__(self, x: Tensor, seg: Segments | None = None, return_parts: bool = False):
+        seg = Segments.of(x, seg)
+        stem_out = self.stem(x, seg)
+        dtype = stem_out.data.dtype
         x_sq = (stem_out * stem_out).sum_last_keep()                    # [T x 1]
         c_sq = (self.centers * self.centers).sum_last_keep().reshape((self.n_centers,))
         cross = stem_out @ self.centers.transpose()                     # [T x K]
         dist_sq = cross.scale(-2.0).add_col(x_sq).add_row(c_sq)
         assign = dist_sq.mul_row(self.scales).scale(-1.0).softmax(axis=-1)
 
-        ones = Tensor(np.ones((1, t_len), dtype=stem_out.data.dtype))
+        sums = Tensor(seg.pooling(dtype, mean=False))                   # [B x T]
         weight_per_pos = assign.sum_last_keep()                         # [T x 1], ~1
-        pooled = ones @ stem_out.mul_col(weight_per_pos)                # sum_i sum_k w_ik x_i
-        center_mass = (ones @ assign) @ self.centers                    # sum_i sum_k w_ik b_k
-        descriptor = (pooled - center_mass).scale(1.0 / t_len)          # [1 x d]
+        pooled = sums @ stem_out.mul_col(weight_per_pos)                # sum_i sum_k w_ik x_i
+        center_mass = (sums @ assign) @ self.centers                    # sum_i sum_k w_ik b_k
+        inv_len = Tensor((1.0 / seg.lengths)[:, None].astype(dtype))
+        descriptor = (pooled - center_mass).mul_col(inv_len)            # [B x d]
 
-        gate = self.proj(descriptor).sigmoid().reshape((self.d,))
-        out = stem_out.mul_row(gate)
+        gate = self.proj(descriptor).sigmoid()                          # [B x d]
+        out = stem_out * gate.take_rows(seg.ids)
         if return_parts:
             return out, assign, gate
         return out

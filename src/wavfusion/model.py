@@ -5,6 +5,11 @@ cross-modal embeddings, and a classifier head.
 
 Audio is the primary stream: every layer of the primary stack maps
 [T_a x d] -> [T_a x d] regardless of auxiliary sequence lengths.
+
+One forward pass takes a whole batch. Each modality's sequences are packed
+into one [sum(T) x d] matrix with a ``Segments`` layout (see ``layers``);
+pooling turns each into [B x d] rows, one per utterance. A single utterance
+is the batch of one.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DataError, ShapeError
-from .layers import Attention, Gru, LayerNorm, Linear, LvcBlock
+from .layers import Attention, Gru, LayerNorm, Linear, LvcBlock, Segments
 from .rng import Prng
 from .tensor import Tensor
 
@@ -61,8 +66,8 @@ class TransformerEncoderLayer:
         self.ff = FeedForward(d, rng.child(1), dtype)
         self.norm_ff = LayerNorm(d, dtype)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        h = self.norm_attn(x + self.attn(x))
+    def __call__(self, x: Tensor, seg: Segments | None = None) -> Tensor:
+        h = self.norm_attn(x + self.attn(x, seg=seg))
         return self.norm_ff(h + self.ff(h))
 
     def named_parameters(self, prefix: str):
@@ -97,15 +102,19 @@ class GatedCrossModalLayer:
         self.ff = FeedForward(d, rng.child(3), dtype)
         self.norm_ff = LayerNorm(d, dtype)
 
-    def cross_text(self, x: Tensor, ctx: Tensor) -> Tensor:
-        return self.norm_text(x + self.attn_text(x, ctx))
+    def cross_text(self, x: Tensor, ctx: Tensor, seg=None, ctx_seg=None) -> Tensor:
+        return self.norm_text(x + self.attn_text(x, ctx, seg, ctx_seg))
 
-    def cross_visual(self, x: Tensor, ctx: Tensor) -> Tensor:
-        return self.norm_vis(x + self.attn_vis(x, ctx))
+    def cross_visual(self, x: Tensor, ctx: Tensor, seg=None, ctx_seg=None) -> Tensor:
+        return self.norm_vis(x + self.attn_vis(x, ctx, seg, ctx_seg))
 
-    def __call__(self, x: Tensor, aux_text: Tensor | None, aux_vis: Tensor | None):
-        text_aug = self.cross_text(x, aux_text) if aux_text is not None else None
-        vis_aug = self.cross_visual(x, aux_vis) if aux_vis is not None else None
+    def __call__(self, x: Tensor, aux_text: Tensor | None, aux_vis: Tensor | None,
+                 seg: Segments | None = None, text_seg: Segments | None = None,
+                 vis_seg: Segments | None = None):
+        """``seg``, ``text_seg`` and ``vis_seg`` are the packed layouts of
+        ``x`` and the two auxiliaries (None: one sequence each)."""
+        text_aug = self.cross_text(x, aux_text, seg, text_seg) if aux_text is not None else None
+        vis_aug = self.cross_visual(x, aux_vis, seg, vis_seg) if aux_vis is not None else None
         gate_vals = None
         if text_aug is not None and vis_aug is not None:
             fused, gate_vals = gated_fuse(text_aug, vis_aug, self.gate)
@@ -115,7 +124,7 @@ class GatedCrossModalLayer:
             fused = vis_aug
         else:
             # no auxiliaries: degrade to a plain self-attention layer
-            fused = self.cross_text(x, x)
+            fused = self.cross_text(x, x, seg, seg)
         out = self.norm_ff(fused + self.ff(fused))
         return out, DeepLayerTrace(text_aug, vis_aug, gate_vals, fused, out)
 
@@ -131,18 +140,21 @@ class GatedCrossModalLayer:
 
 @dataclass
 class FusionTrace:
-    """Every intermediate of one forward pass, for inspection and testing."""
+    """Every intermediate of one forward pass over a batch of B utterances,
+    for inspection and testing. Sequences are packed (see ``segments``)."""
     mask: tuple
-    branch: dict = field(default_factory=dict)        # modality -> encoded sequence
+    branch: dict = field(default_factory=dict)        # modality -> encoded packed sequences
+    segments: dict = field(default_factory=dict)      # modality -> Segments of its branch
     deep: list = field(default_factory=list)          # DeepLayerTrace per deep layer
-    fused_seq: Tensor | None = None                   # final primary-stream sequence
-    fused_pooled: Tensor | None = None                # [1 x d] vector fed to the classifier
-    pooled: dict = field(default_factory=dict)        # modality -> pooled branch vector
-    shared: dict = field(default_factory=dict)        # modality -> shared-encoder embedding
-    logits: Tensor | None = None                      # [1 x c]
+    fused_seq: Tensor | None = None                   # final primary-stream sequences
+    fused_pooled: Tensor | None = None                # [B x d] rows fed to the classifier
+    pooled: dict = field(default_factory=dict)        # modality -> pooled branch rows [B x d]
+    shared: dict = field(default_factory=dict)        # modality -> shared-encoder embeddings [B x d]
+    logits: Tensor | None = None                      # [B x c]
 
-    def predicted_class(self) -> int:
-        return int(np.argmax(self.logits.data))
+    def predictions(self) -> list[int]:
+        """Argmax class of each utterance."""
+        return [int(c) for c in np.argmax(self.logits.data, axis=-1)]
 
     def all_values(self):
         """Yield (name, array) for every recorded tensor."""
@@ -163,11 +175,9 @@ class FusionTrace:
             yield f"shared.{m}", t.data
 
 
-def _mean_pool(x: Tensor) -> Tensor:
-    """Mean over time: [T x d] -> [1 x d]."""
-    t_len = x.shape[0]
-    ones = Tensor(np.full((1, t_len), 1.0 / t_len, dtype=x.data.dtype))
-    return ones @ x
+def _mean_pool(x: Tensor, seg: Segments | None) -> Tensor:
+    """Mean over each sequence's time steps: [sum(T) x d] -> [B x d]."""
+    return Tensor(Segments.of(x, seg).pooling(x.data.dtype, mean=True)) @ x
 
 
 class WavFusionModel:
@@ -238,34 +248,57 @@ class WavFusionModel:
             raise DataError(f"feature sequence must be a non-empty [T x D] matrix; got shape {list(arr.shape)}")
         return Tensor(arr)
 
-    def text_branch(self, feats) -> Tensor:
+    def text_branch(self, feats, seg: Segments | None = None) -> Tensor:
+        """Text features, packed [sum(T) x D] with layout ``seg`` or one
+        [T x D] sequence, to [sum(T) x d]; likewise the other two branches."""
         x = self._as_tensor(feats)
-        return self.text_proj(self.text_attn(self.text_gru(x)))
+        seg = Segments.of(x, seg)
+        return self.text_proj(self.text_attn(self.text_gru(x, seg), seg=seg))
 
-    def visual_branch(self, feats) -> Tensor:
+    def visual_branch(self, feats, seg: Segments | None = None) -> Tensor:
         x = self._as_tensor(feats)
-        global_path = self.vis_attn(self.vis_gru(x))
+        seg = Segments.of(x, seg)
+        global_path = self.vis_attn(self.vis_gru(x, seg), seg=seg)
         if self.lvc_enabled:
-            h = T.concat([global_path, self.lvc(x)], axis=-1)
+            h = T.concat([global_path, self.lvc(x, seg)], axis=-1)
         else:
             h = global_path
         return self.vis_proj(h)
 
-    def audio_stack(self, feats) -> Tensor:
+    def audio_stack(self, feats, seg: Segments | None = None) -> Tensor:
         x = self.audio_proj(self._as_tensor(feats))
+        seg = Segments.of(x, seg)
         for layer in self.shallow:
-            x = layer(x)
+            x = layer(x, seg)
         return x
 
     # -- full forward -----------------------------------------------------------
 
-    def forward(self, sample, mask=None) -> FusionTrace:
-        """Run one utterance through the network.
+    def _pack(self, samples, m: str):
+        """One modality of a batch: the packed [sum(T) x D] features and their layout."""
+        seqs = []
+        for sample in samples:
+            if m not in sample.features:
+                raise DataError(f"sample {getattr(sample, 'uid', '?')} lacks modality {m!r}")
+            arr = np.asarray(sample.features[m], dtype=self.dtype)
+            if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] != self.feature_dims[m]:
+                raise DataError(f"sample {getattr(sample, 'uid', '?')}: {m!r} features must be a "
+                                f"non-empty [T x {self.feature_dims[m]}] matrix; got shape "
+                                f"{list(arr.shape)}")
+            seqs.append(arr)
+        return np.concatenate(seqs), Segments([len(a) for a in seqs])
 
-        ``sample`` provides ``features[modality] -> [T x D]``; ``mask`` is an
-        iterable of modality letters selecting which branches participate
-        (default: every branch this model was built with).
+    def forward_batch(self, samples, mask=None) -> FusionTrace:
+        """Run a batch of utterances through the network as one packed pass.
+
+        Each sample provides ``features[modality] -> [T x D]``; ``mask`` is
+        an iterable of modality letters selecting which branches participate
+        (default: every branch this model was built with). Row b of the
+        trace's pooled outputs and logits belongs to ``samples[b]``.
         """
+        samples = list(samples)
+        if not samples:
+            raise DataError("forward pass over an empty batch")
         wanted = set(self.feature_dims) if mask is None else set(mask)
         unknown = wanted - set(MODALITIES)
         if unknown:
@@ -276,46 +309,47 @@ class WavFusionModel:
         for m in mask:
             if m not in self.feature_dims:
                 raise ConfigError(f"model has no branch for modality {m!r}")
-            if m not in sample.features:
-                raise DataError(f"sample {getattr(sample, 'uid', '?')} lacks modality {m!r}")
         if "a" not in mask and len(mask) > 1:
             raise ConfigError(f"multimodal mode {mask} requires the audio stream")
 
         trace = FusionTrace(mask=mask)
-        if "a" in mask:
-            trace.branch["a"] = self.audio_stack(sample.features["a"])
-        if "t" in mask:
-            trace.branch["t"] = self.text_branch(sample.features["t"])
-        if "v" in mask:
-            trace.branch["v"] = self.visual_branch(sample.features["v"])
+        encoders = {"a": self.audio_stack, "t": self.text_branch, "v": self.visual_branch}
+        for m in mask:
+            feats, seg = self._pack(samples, m)
+            trace.segments[m] = seg
+            trace.branch[m] = encoders[m](feats, seg)
 
+        segs = trace.segments
         if "a" in mask:
-            aux_t = trace.branch.get("t")
-            aux_v = trace.branch.get("v")
             if self.fusion_mode == "concat":
-                parts = [_mean_pool(trace.branch[m]) for m in MODALITIES]
+                parts = [_mean_pool(trace.branch[m], segs[m]) for m in MODALITIES]
                 trace.fused_seq = trace.branch["a"]
                 trace.fused_pooled = self.concat_head(T.concat(parts, axis=-1))
             else:
                 state = trace.branch["a"]
                 for layer in self.deep:
-                    state, layer_trace = layer(state, aux_t, aux_v)
+                    state, layer_trace = layer(state, trace.branch.get("t"), trace.branch.get("v"),
+                                               segs["a"], segs.get("t"), segs.get("v"))
                     trace.deep.append(layer_trace)
                 trace.fused_seq = state
-                trace.fused_pooled = _mean_pool(state)
+                trace.fused_pooled = _mean_pool(state, segs["a"])
         else:
             only = mask[0]
             trace.fused_seq = trace.branch[only]
-            trace.fused_pooled = _mean_pool(trace.branch[only])
+            trace.fused_pooled = _mean_pool(trace.branch[only], segs[only])
 
         trace.logits = self.classifier(trace.fused_pooled)
         return trace
 
+    def forward(self, sample, mask=None) -> FusionTrace:
+        """One utterance: the batch of one."""
+        return self.forward_batch([sample], mask)
+
     def shared_encode(self, trace: FusionTrace) -> dict:
-        """Mean-pool each unfused branch and push it through the one shared
-        linear encoder (same parameters for every modality)."""
+        """Mean-pool each unfused branch per utterance and push it through the
+        one shared linear encoder (same parameters for every modality)."""
         for m, seq in trace.branch.items():
-            pooled = _mean_pool(seq)
+            pooled = _mean_pool(seq, trace.segments.get(m))
             trace.pooled[m] = pooled
             trace.shared[m] = self.shared_encoder(pooled)
         return trace.shared

@@ -18,6 +18,12 @@ shapes, and the only implicit broadcast is scalar-times-tensor. Row and
 column broadcasts exist as separately named operations (``add_row``,
 ``sub_col``, ...) so no shape mismatch can slip through silently.
 
+No op writes into its inputs' ``data`` or into the adjoint it is given, and
+no caller writes into an activation (an op's output). ``reshape`` returns a
+view and each ``_vjp`` captures its inputs' arrays, so both rely on this. A
+leaf, such as a parameter, may change in place only while no graph over it
+is waiting for ``backward``.
+
 ``backward`` may run once per graph; a fresh forward pass rebuilds the graph.
 A graph and its tensors belong to one thread during forward/backward;
 independent graphs may run on separate threads, and ``no_grad`` in one
@@ -239,11 +245,23 @@ class Tensor:
             out._vjp = lambda g: (g * (x > 0),)
         return out
 
-    def softmax(self, axis: int = -1) -> "Tensor":
-        """Normalized exponentials along ``axis``, max-subtracted for stability."""
+    def softmax(self, axis: int = -1, mask=None) -> "Tensor":
+        """Normalized exponentials along ``axis``, max-subtracted for stability.
+
+        ``mask`` is an optional constant array, broadcast against the input
+        and added to it first: -inf there gives a weight of exactly 0, and
+        no gradient, to that entry.
+        """
         x = self.data
         if not -x.ndim <= axis < x.ndim:
             raise ShapeError(f"softmax: axis {axis} out of bounds for shape {_shape(self)}")
+        if mask is not None:
+            mask = np.asarray(mask, dtype=x.dtype)
+            trailing = x.shape[x.ndim - mask.ndim:]
+            if mask.ndim > x.ndim or any(m not in (1, n) for m, n in zip(mask.shape, trailing)):
+                raise ShapeError(f"softmax: mask {list(mask.shape)} does not broadcast "
+                                 f"to {_shape(self)}")
+            x = x + mask
         shifted = x - x.max(axis=axis, keepdims=True)
         e = np.exp(shifted)
         val = e / e.sum(axis=axis, keepdims=True)
@@ -349,7 +367,8 @@ class Tensor:
         if int(np.prod(shape, dtype=np.int64)) != self.data.size:
             raise ShapeError(f"reshape: {_shape(self)} has {self.data.size} elements, target {list(shape)}")
         before = self.data.shape
-        out = _result(self.data.reshape(shape).copy(), (self,))
+        # a view when the layout allows; safe because no op writes into an input
+        out = _result(self.data.reshape(shape), (self,))
         if out._parents:
             out._vjp = lambda g: (g.reshape(before),)
         return out
@@ -375,15 +394,33 @@ class Tensor:
             out._vjp = vjp
         return out
 
-    def pad_rows(self, top: int, bottom: int) -> "Tensor":
-        if self.data.ndim != 2 or top < 0 or bottom < 0:
-            raise ShapeError(f"pad_rows({top}, {bottom}) invalid for shape {_shape(self)}")
-        m = self.data.shape[0]
-        val = np.zeros((m + top + bottom, self.data.shape[1]), dtype=self.data.dtype)
-        val[top:top + m] = self.data
+    def take_rows(self, index) -> "Tensor":
+        """Rows picked by an integer array of any shape: with the tensor seen
+        as [rows x width] (every axis but the last flattened), ``out[i...] =
+        rows[index[i...]]``, and a zero row where ``index`` is -1. The result
+        has shape ``index.shape + (width,)``. An index may repeat, so the
+        adjoint is a scatter-add."""
+        x = self.data
+        if x.ndim < 2:
+            raise ShapeError(f"take_rows needs a tensor of rank >= 2; got {_shape(self)}")
+        idx = np.asarray(index, dtype=np.intp)
+        rows = x.reshape(-1, x.shape[-1])
+        n, width = rows.shape
+        if idx.size and (idx.min() < -1 or idx.max() >= n):
+            raise ShapeError(f"take_rows: index out of range for {n} rows of {_shape(self)}")
+        val = rows[idx]
+        val[idx < 0] = 0.0
         out = _result(val, (self,))
         if out._parents:
-            out._vjp = lambda g: (g[top:top + m],)
+            shape, dtype = x.shape, x.dtype
+
+            def vjp(g):
+                # -1 (a zero row) scatters into an extra row that is dropped
+                flat = (idx.reshape(-1, 1) % (n + 1)) * width + np.arange(width)
+                total = np.bincount(flat.reshape(-1), weights=g.reshape(-1),
+                                    minlength=(n + 1) * width)
+                return (total[:n * width].reshape(shape).astype(dtype, copy=False),)
+            out._vjp = vjp
         return out
 
     def gather(self, rows, cols) -> "Tensor":

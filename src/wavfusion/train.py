@@ -1,10 +1,11 @@
 """Training and evaluation loops.
 
-Per batch: every sample runs a full forward pass, the per-modality shared
-embeddings of the whole batch form the triplet pool for the margin loss, and
-the batch objective is task loss plus the balance factor times the margin
-loss. Deterministic mode is the default: batch order, initialization and
-arithmetic depend only on the config and seed.
+Per batch: one packed forward pass runs every sample (a single graph per
+batch), the per-modality shared embeddings of the whole batch form the
+triplet pool for the margin loss, and the batch objective is task loss plus
+the balance factor times the margin loss. Evaluation packs its samples the
+same way. Deterministic mode is the default: batch order, initialization
+and arithmetic depend only on the config and seed.
 """
 
 from __future__ import annotations
@@ -53,39 +54,27 @@ def build_model(cfg: ExperimentConfig, dataset: Dataset) -> WavFusionModel:
 def batch_objective(model: WavFusionModel, samples, mask, alpha: float, balance: float,
                     strict_cosine: bool = False):
     """Forward a batch; returns (total, task, margin, predictions)."""
-    logit_rows = []
-    labels = []
-    entries = []
-    embeddings = []
-    for sample in samples:
-        trace = model.forward(sample, mask)
-        logit_rows.append(trace.logits)
-        labels.append(sample.label)
-        if balance != 0.0:
-            model.shared_encode(trace)
-            for m in mask:
-                entries.append((m, sample.label))
-                embeddings.append(trace.shared[m])
-    logits = T.concat(logit_rows, axis=0) if len(logit_rows) > 1 else logit_rows[0]
-    task = cross_entropy(logits, labels)
+    trace = model.forward_batch(samples, mask)
+    labels = [sample.label for sample in samples]
+    task = cross_entropy(trace.logits, labels)
     if balance != 0.0:
+        shared = model.shared_encode(trace)
+        # one [1 x d] row per entry, sample-major, then in mask order
+        entries = [(m, label) for label in labels for m in mask]
+        embeddings = [shared[m].slice_rows(b, b + 1) for b in range(len(labels)) for m in mask]
         margin = margin_loss(embeddings, build_triplets(entries), alpha, strict_cosine)
     else:
         margin = Tensor(np.zeros((), dtype=model.dtype))
     total = total_loss(task, margin, balance)
-    predictions = [int(np.argmax(row)) for row in logits.data]
-    return total, task, margin, predictions
+    return total, task, margin, trace.predictions()
 
 
 def evaluate(model: WavFusionModel, samples, mask):
-    """Argmax predictions and (ACC, WF1) over ``samples``."""
-    predictions = []
-    labels = []
+    """Argmax predictions and (ACC, WF1) over ``samples``, in one packed
+    forward pass."""
     with T.no_grad():
-        for sample in samples:
-            trace = model.forward(sample, mask)
-            predictions.append(trace.predicted_class())
-            labels.append(sample.label)
+        predictions = model.forward_batch(samples, mask).predictions()
+    labels = [sample.label for sample in samples]
     acc, wf1 = metrics(predictions, labels, model.num_classes)
     return acc, wf1, predictions, labels
 

@@ -46,6 +46,42 @@ class TestGenData:
         assert rc == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("--mean-groups", "q=0|1"), ("--mu-scale", "q=3")])
+    def test_unknown_modality_key_is_validation_error(self, tmp_path, capsys, flag, value):
+        rc = main(["gen-data", "--out", str(tmp_path / "q"), "--classes", "2",
+                   "--per-class", "2", flag, value])
+        assert rc == 2
+        assert "unknown modalities ['q']" in capsys.readouterr().err
+        assert not (tmp_path / "q").exists()
+
+
+class TestMissingInput:
+    """A missing input file is a validation error (exit 2) naming its flag."""
+
+    def test_missing_config(self, tmp_path, capsys):
+        missing = tmp_path / "nope.cfg"
+        assert main(["train", "--config", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert "--config" in err and str(missing) in err
+
+    def test_missing_batch_file(self, tmp_path, capsys):
+        missing = tmp_path / "nope.tsv"
+        assert main(["oracle-margin", "--batch-file", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert "--batch-file" in err and str(missing) in err
+
+    def test_missing_manifest(self, tmp_path, capsys):
+        (tmp_path / "data").mkdir()
+        assert main(["train", "--data-dir", str(tmp_path / "data")] + FAST) == 2
+        err = capsys.readouterr().err
+        assert "--data-dir" in err and "manifest.tsv" in err
+
+    def test_missing_checkpoint_names_the_flag(self, dataset_dir, tmp_path, capsys):
+        missing = tmp_path / "nope.wvfn"
+        assert main(["eval", "--data-dir", str(dataset_dir), "--checkpoint", str(missing)]
+                    + FAST) == 2
+        assert "--checkpoint" in capsys.readouterr().err
+
 
 class TestTrainEval:
     def test_train_then_eval(self, dataset_dir, tmp_path, capsys):

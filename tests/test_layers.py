@@ -250,7 +250,7 @@ class TestLvcBlock:
         out, weights, gate = block(Tensor(rand((5, 3), seed=24)), return_parts=True)
         npt.assert_allclose(weights.data, np.ones((5, 1)), atol=1e-12)
         expect_gate = 1.0 / (1.0 + np.exp(-block.proj.bias.data))
-        npt.assert_allclose(gate.data, expect_gate, atol=1e-12)
+        npt.assert_allclose(gate.data, expect_gate[None, :], atol=1e-12)  # one row per sequence
         npt.assert_allclose(out.data, np.tile(block.stem.bias.data * expect_gate, (5, 1)),
                             atol=1e-12)
 
@@ -265,7 +265,7 @@ class TestLvcBlock:
         out, weights, gate = block(Tensor(x), return_parts=True)
         expect_out, expect_weights, expect_gate = lvc_oracle(x, block)
         npt.assert_allclose(weights.data, expect_weights, atol=1e-10)
-        npt.assert_allclose(gate.data, expect_gate, atol=1e-10)
+        npt.assert_allclose(gate.data, expect_gate[None, :], atol=1e-10)
         npt.assert_allclose(out.data, expect_out, atol=1e-10)
 
     def test_codeword_weights_normalize(self):

@@ -176,6 +176,22 @@ class TestSoftmax:
         w = Tensor(rand((3, 4), seed=13))
         assert fd_max_rel_error(lambda: (x.softmax(axis=-1) * w).sum(), [x]) < 1e-6
 
+    def test_mask_excludes_entries(self):
+        x = Tensor(rand((2, 3, 4), seed=14), requires_grad=True)
+        mask = np.array([[[0.0, 0.0, -np.inf, -np.inf]], [[0.0, 0.0, 0.0, -np.inf]]])
+        out = x.softmax(axis=-1, mask=mask)     # [2 x 1 x 4] broadcasts over the rows
+        npt.assert_array_equal(out.data[0, :, 2:], 0.0)
+        npt.assert_array_equal(out.data[1, :, 3], 0.0)
+        npt.assert_allclose(out.data[0, :, :2], Tensor(x.data[0, :, :2]).softmax().data,
+                            rtol=0, atol=1e-15)
+        w = Tensor(rand((2, 3, 4), seed=15))
+        (out * w).sum().backward()
+        assert np.isfinite(x.grad).all()
+        npt.assert_array_equal(x.grad[0, :, 2:], 0.0)
+        npt.assert_array_equal(x.data, rand((2, 3, 4), seed=14))
+        with pytest.raises(ShapeError, match="mask"):
+            x.softmax(axis=-1, mask=np.zeros((3, 1, 4)))
+
 
 class TestConcatSlice:
     def test_shape_arithmetic(self):
@@ -264,7 +280,7 @@ class TestReductionsStructure:
         x = Tensor(rand((3, 4), seed=43), requires_grad=True)
         npt.assert_array_equal(x.transpose().data, x.data.T)
         npt.assert_array_equal(x.reshape((4, 3)).data, x.data.reshape(4, 3))
-        padded = x.pad_rows(1, 2)
+        padded = x.take_rows([-1, 0, 1, 2, -1, -1])
         assert padded.shape == (6, 4)
         npt.assert_array_equal(padded.data[1:4], x.data)
         npt.assert_array_equal(padded.data[0], np.zeros(4))
@@ -272,7 +288,7 @@ class TestReductionsStructure:
         npt.assert_array_equal(picked.data[:, 0], x.data[[0, 1, 2], [1, 3, 0]])
         checks = [
             lambda: (x.transpose() @ x).sum(),
-            lambda: (x.pad_rows(1, 1) * x.pad_rows(1, 1)).sum(),
+            lambda: (x.take_rows([-1, 0, 1, 2, -1]) * x.take_rows([-1, 0, 1, 2, -1])).sum(),
             lambda: (take(x, [1, 3, 0]) * take(x, [0, 0, 2])).sum(),
         ]
         for func in checks:
@@ -289,6 +305,41 @@ class TestReductionsStructure:
         (x32.gather([0, 1], [1, 1]) - x32.gather([1, 0], [0, 1])).sum().backward()
         assert x32.grad.dtype == np.float32
         npt.assert_array_equal(x32.grad, [[0.0, 0.0], [-1.0, 1.0]])
+
+    def test_take_rows(self):
+        x = Tensor(rand((2, 3, 4), seed=46), requires_grad=True)
+        rows = x.data.reshape(6, 4)
+        index = np.array([[5, 0, -1], [0, 0, 2]])       # repeats, and a zero row
+        out = x.take_rows(index)
+        assert out.shape == (2, 3, 4)
+        npt.assert_array_equal(out.data[0, 0], rows[5])
+        npt.assert_array_equal(out.data[1, :2], rows[[0, 0]])
+        npt.assert_array_equal(out.data[0, 2], np.zeros(4))
+        probe = Tensor(rand((2, 3, 4), seed=47))
+        (x.take_rows(index) * probe).sum().backward()
+        expect = np.zeros((6, 4))
+        np.add.at(expect, index[index >= 0], probe.data[index >= 0])
+        npt.assert_allclose(x.grad, expect.reshape(2, 3, 4), rtol=0, atol=1e-15)
+        assert fd_max_rel_error(lambda: (x.take_rows(index) * x.take_rows(index[::-1])).sum(),
+                                [x]) < 1e-6
+        x32 = Tensor(rand((3, 2), seed=48).astype(np.float32), requires_grad=True)
+        x32.take_rows([2, 2, -1]).sum().backward()
+        assert x32.grad.dtype == np.float32
+        npt.assert_array_equal(x32.grad, [[0, 0], [0, 0], [2, 2]])
+
+    def test_take_rows_shape_contracts(self):
+        x = Tensor(np.zeros((3, 4)))
+        for index in ([3], [-2], [[0, 1], [2, 5]]):
+            with pytest.raises(ShapeError, match="out of range"):
+                x.take_rows(index)
+        with pytest.raises(ShapeError, match="rank >= 2"):
+            Tensor(np.zeros(3)).take_rows([0])
+
+    def test_reshape_is_a_view_of_contiguous_input(self):
+        x = Tensor(rand((3, 4), seed=49))
+        assert np.shares_memory(x.reshape((2, 6)).data, x.data)
+        y = x.transpose()   # a copy, contiguous in its own layout
+        assert np.shares_memory(y.reshape((12,)).data, y.data)
 
     def test_gather_shape_contracts(self):
         x = Tensor(np.zeros((3, 4)))
@@ -394,6 +445,8 @@ OPS = {
     "sqrt": ([(3, 4)], lambda a: a.sqrt()),
     "relu": ([(3, 4)], lambda a: a.relu()),
     "softmax": ([(3, 4)], lambda a: a.softmax(axis=0)),
+    "softmax_masked": ([(3, 4)],
+                       lambda a: a.softmax(axis=-1, mask=np.array([0.0, -np.inf, 0.0, 0.0]))),
     "matmul": ([(3, 4), (4, 2)], lambda a, b: a @ b),
     "matmul_batched": ([(2, 3, 4), (2, 4, 5)], lambda a, b: a @ b),
     "transpose": ([(2, 3, 4)], lambda a: a.transpose()),
@@ -408,7 +461,9 @@ OPS = {
     "reshape": ([(3, 4)], lambda a: a.reshape((2, 6))),
     "slice_rows": ([(3, 4)], lambda a: a.slice_rows(1, 3)),
     "slice_last": ([(2, 3, 4)], lambda a: a.slice_last(1, 3)),
-    "pad_rows": ([(3, 4)], lambda a: a.pad_rows(1, 2)),
+    # zero-padding rows, the layout packed sequences use
+    "pad_rows": ([(3, 4)], lambda a: a.take_rows([-1, 0, 1, 2, -1, -1])),
+    "take_rows": ([(2, 3, 4)], lambda a: a.take_rows([[5, 0, -1], [0, 0, 2]])),
     "gather": ([(3, 4)], lambda a: a.gather([0, 2, 2], [1, 3, 3])),
     "concat": ([(3, 2), (3, 4), (3, 1)], lambda *ts: T.concat(ts, axis=-1)),
 }
@@ -447,6 +502,22 @@ class TestNodeProtocol:
         with T.no_grad():
             out = OPS[name][1](*ins)
         assert out._parents == () and out._vjp is None
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_inputs_and_adjoint_are_never_written(self, name):
+        # the contract that lets reshape return a view and a _vjp keep its
+        # inputs' arrays: no op writes into an input, its output or its adjoint
+        ins = self.inputs(name, np.float64)
+        before = [t.data.copy() for t in ins]
+        out = OPS[name][1](*ins)
+        out_before = out.data.copy()
+        g = rand(out.shape, seed=98)
+        g_before = g.copy()
+        out._vjp(g)
+        for t, arr in zip(ins, before):
+            npt.assert_array_equal(t.data, arr)
+        npt.assert_array_equal(out.data, out_before)
+        npt.assert_array_equal(g, g_before)
 
     def test_gradients_use_forward_values(self):
         w = Tensor(np.abs(rand((3, 3), seed=81)) + 0.5, requires_grad=True)
