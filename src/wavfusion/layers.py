@@ -61,6 +61,7 @@ class Segments:
         self.padded = np.where(self.valid, self.offsets[:-1, None] + np.arange(self.t_max), -1)
         self.time_major = self.padded.T.reshape(-1)
         self.from_time_major = self.positions * self.count + self.ids
+        self._head_blocks: dict = {}
 
     @staticmethod
     def of(x: Tensor, seg: Segments | None) -> Segments:
@@ -86,23 +87,23 @@ class Segments:
         out[self.ids, np.arange(self.total)] = weights
         return out
 
-    def head_blocks(self, heads: int) -> np.ndarray:
-        """[B*heads x T_max] index into the packed rows cut into ``heads``
-        column blocks each (row t*heads + i is block i of packed row t):
-        one zero-padded block per sequence and head."""
-        rows = self.padded[:, None, :] * heads + np.arange(heads)[:, None]
-        return np.where(self.valid[:, None, :], rows, -1).reshape(self.count * heads, self.t_max)
-
-    def from_head_blocks(self, heads: int) -> np.ndarray:
-        """[sum(T) x heads] index from those blocks back to packed rows."""
-        block = self.ids[:, None] * heads + np.arange(heads)
-        return block * self.t_max + self.positions[:, None]
-
-    def key_mask(self, heads: int, dtype) -> np.ndarray:
-        """[B*heads x 1 x T_max] additive attention mask: 0 on this layout's
-        keys, -inf on the padding after each sequence."""
-        mask = np.where(self.valid, 0.0, -np.inf).astype(dtype)
-        return np.repeat(mask, heads, axis=0)[:, None, :]
+    def head_blocks(self, heads: int):
+        """Index arrays that cut the packed rows into ``heads`` column blocks
+        each (row t*heads + i is block i of packed row t) and lay them out as
+        one zero-padded block per sequence and head; built once per head
+        count. Returns ``(into, back, pad)``: ``into`` [B*heads x T_max]
+        indexes those rows, ``back`` [sum(T)*heads] takes the blocks'
+        [B*heads*T_max] rows back, and ``pad`` [B*heads x 1 x T_max] is True
+        on the padding after each sequence (None if there is none)."""
+        layout = self._head_blocks.get(heads)
+        if layout is None:
+            rows = self.padded[:, None, :] * heads + np.arange(heads)[:, None]
+            into = np.where(self.valid[:, None, :], rows, -1).reshape(self.count * heads, self.t_max)
+            block = self.ids[:, None] * heads + np.arange(heads)
+            back = (block * self.t_max + self.positions[:, None]).reshape(-1)
+            pad = None if self.valid.all() else np.repeat(~self.valid, heads, axis=0)[:, None, :]
+            layout = self._head_blocks[heads] = (into, back, pad)
+        return layout
 
 
 class Linear:
@@ -167,16 +168,13 @@ class Gru:
     ``b`` = [b_z | b_r | b_h]; the recurrent ones are ``u_zr`` = [U_z | U_r]
     and ``u_h``, which stays apart because it multiplies r_t * h_{t-1}.
 
-    A packed batch steps one [B x d] state over the longest sequence. The
-    steps past a sequence's end run on zero input, and the gather back to
-    packed rows drops them; the recurrence only runs forward in time, so
-    they never reach a kept state or its gradient.
+    The recurrence is one graph node (``tensor.gru``) on the packed input
+    maps x W + b; it steps one [B x d] state over the longest sequence.
     """
 
     def __init__(self, d_in: int, d_h: int, rng: Prng, dtype=np.float64):
         self.d_in = d_in
         self.d_h = d_h
-        self.dtype = dtype
         self.w = _param(np.concatenate(
             [xavier_uniform(rng.child(i), d_in, d_h, (d_in, d_h), dtype) for i in range(3)], axis=1))
         self.u_zr = _param(np.concatenate(
@@ -187,21 +185,7 @@ class Gru:
     def __call__(self, x: Tensor, seg: Segments | None = None) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.d_in:
             raise ShapeError(f"gru: input {list(x.shape)} does not match d_in={self.d_in}")
-        seg = Segments.of(x, seg)
-        d, b = self.d_h, seg.count
-        # time-major: rows t*B .. (t+1)*B - 1 hold step t of every sequence
-        pre = (x @ self.w).add_row(self.b).take_rows(seg.time_major)
-        pre_zr, pre_h = pre.slice_last(0, 2 * d), pre.slice_last(2 * d, 3 * d)
-        h = Tensor(np.zeros((b, d), dtype=self.dtype))
-        steps = []
-        for t in range(seg.t_max):
-            rows = (t * b, (t + 1) * b)
-            zr = (pre_zr.slice_rows(*rows) + h @ self.u_zr).sigmoid()
-            z, r = zr.slice_last(0, d), zr.slice_last(d, 2 * d)
-            cand = (pre_h.slice_rows(*rows) + (r * h) @ self.u_h).tanh()
-            h = (z.scale(-1.0) + 1.0) * h + z * cand
-            steps.append(h)
-        return T.concat(steps, axis=0).take_rows(seg.from_time_major)
+        return T.gru((x @ self.w).add_row(self.b), self.u_zr, self.u_h, Segments.of(x, seg))
 
     def named_parameters(self, prefix: str):
         return [(f"{prefix}.w", self.w), (f"{prefix}.u_zr", self.u_zr),
@@ -216,11 +200,10 @@ class Attention:
     columns of the first three are head-major: head i owns columns
     [i*d_head, (i+1)*d_head). Heads run as the leading axis of rank-3
     tensors, so one call costs the same number of graph nodes at any head
-    count. In a packed batch the projections run on the packed rows; each
-    sequence and head then gets its own zero-padded block, the padded keys
-    an additive -inf mask, and the result goes back to packed rows before
-    ``wo``. The score tensor is [B*heads x T_max x T_ctx_max], never
-    [sum(T) x sum(T_ctx)].
+    count. The projections run on the packed rows and ``tensor.attention_core``
+    does the rest per sequence and head in one graph node, so a call costs
+    five nodes at any head count. The score tensor is
+    [B*heads x T_max x T_ctx_max], never [sum(T) x sum(T_ctx)].
     """
 
     def __init__(self, d: int, heads: int, rng: Prng, dtype=np.float64):
@@ -237,35 +220,21 @@ class Attention:
             for j in range(3))
         self.wo = _param(xavier_uniform(rng.child(3 * heads), d, d, (d, d), dtype))
 
-    def _split(self, x: Tensor, w: Tensor, seg: Segments) -> Tensor:
-        """x @ w as one zero-padded block per sequence and head:
-        [B*heads x T_max x d_head]."""
-        cut = (x @ w).reshape((seg.total, self.heads, self.d_head))
-        return cut.take_rows(seg.head_blocks(self.heads))
-
-    def _weights(self, x: Tensor, ctx: Tensor, seg: Segments, ctx_seg: Segments) -> Tensor:
-        """Attention weights of every sequence and head: [B*heads x T_max x T_ctx_max]."""
-        if x.ndim != 2 or x.shape[1] != self.d or ctx.ndim != 2 or ctx.shape[1] != self.d:
-            raise ShapeError(f"attention: inputs {list(x.shape)}, {list(ctx.shape)} need width {self.d}")
-        if seg.count != ctx_seg.count:
-            raise ShapeError(f"attention: {seg.count} query sequences, {ctx_seg.count} context ones")
-        scores = self._split(x, self.wq, seg) @ self._split(ctx, self.wk, ctx_seg).transpose()
-        mask = ctx_seg.key_mask(self.heads, scores.data.dtype)
-        return scores.scale(1.0 / math.sqrt(self.d_head)).softmax(axis=-1, mask=mask)
-
     def __call__(self, x: Tensor, ctx: Tensor | None = None, seg: Segments | None = None,
                  ctx_seg: Segments | None = None) -> Tensor:
         seg = Segments.of(x, seg)
         ctx, ctx_seg = (x, seg) if ctx is None else (ctx, Segments.of(ctx, ctx_seg))
-        out = self._weights(x, ctx, seg, ctx_seg) @ self._split(ctx, self.wv, ctx_seg)
-        rows = out.take_rows(seg.from_head_blocks(self.heads)).reshape((seg.total, self.d))
-        return rows @ self.wo
+        if x.ndim != 2 or x.shape[1] != self.d or ctx.ndim != 2 or ctx.shape[1] != self.d:
+            raise ShapeError(f"attention: inputs {list(x.shape)}, {list(ctx.shape)} need width {self.d}")
+        core = T.attention_core(x @ self.wq, ctx @ self.wk, ctx @ self.wv, self.heads, seg, ctx_seg)
+        return core @ self.wo
 
     def attention_weights(self, x: Tensor, ctx: Tensor | None = None) -> list[np.ndarray]:
         """Per-head weight matrices of one sequence's forward pass (values only)."""
         with T.no_grad():
             ctx = x if ctx is None else ctx
-            return list(self._weights(x, ctx, Segments.of(x, None), Segments.of(ctx, None)).data)
+            return list(T.attention_weights((x @ self.wq).data, (ctx @ self.wk).data, self.heads,
+                                            Segments.of(x, None), Segments.of(ctx, None)))
 
     def named_parameters(self, prefix: str):
         return [(f"{prefix}.q", self.wq), (f"{prefix}.k", self.wk), (f"{prefix}.v", self.wv),
@@ -285,12 +254,7 @@ class LayerNorm:
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.d:
             raise ShapeError(f"layer_norm: input {list(x.shape)} needs width {self.d}")
-        n = x.shape[1]
-        mean = x.sum_last_keep().scale(1.0 / n)
-        centered = x.sub_col(mean)
-        var = (centered * centered).sum_last_keep().scale(1.0 / n)
-        std = (var + self.EPS).sqrt()
-        return centered.div_col(std).mul_row(self.gain).add_row(self.bias)
+        return T.layer_norm(x, self.gain, self.bias, self.EPS)
 
     def named_parameters(self, prefix: str):
         return [(f"{prefix}.gain", self.gain), (f"{prefix}.bias", self.bias)]

@@ -32,6 +32,7 @@ thread leaves recording in the others untouched.
 
 from __future__ import annotations
 
+import math
 from contextvars import ContextVar
 
 import numpy as np
@@ -198,12 +199,7 @@ class Tensor:
     # -- pointwise nonlinearities ----------------------------------------------
 
     def sigmoid(self) -> "Tensor":
-        x = self.data
-        val = np.empty_like(x)
-        pos = x >= 0
-        val[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        val[~pos] = ex / (1.0 + ex)
+        val = _sigmoid(self.data)
         out = _result(val, (self,))
         if out._parents:
             out._vjp = lambda g: (g * val * (1.0 - val),)
@@ -245,26 +241,11 @@ class Tensor:
             out._vjp = lambda g: (g * (x > 0),)
         return out
 
-    def softmax(self, axis: int = -1, mask=None) -> "Tensor":
-        """Normalized exponentials along ``axis``, max-subtracted for stability.
-
-        ``mask`` is an optional constant array, broadcast against the input
-        and added to it first: -inf there gives a weight of exactly 0, and
-        no gradient, to that entry.
-        """
-        x = self.data
-        if not -x.ndim <= axis < x.ndim:
+    def softmax(self, axis: int = -1) -> "Tensor":
+        """Normalized exponentials along ``axis``, max-subtracted for stability."""
+        if not -self.data.ndim <= axis < self.data.ndim:
             raise ShapeError(f"softmax: axis {axis} out of bounds for shape {_shape(self)}")
-        if mask is not None:
-            mask = np.asarray(mask, dtype=x.dtype)
-            trailing = x.shape[x.ndim - mask.ndim:]
-            if mask.ndim > x.ndim or any(m not in (1, n) for m, n in zip(mask.shape, trailing)):
-                raise ShapeError(f"softmax: mask {list(mask.shape)} does not broadcast "
-                                 f"to {_shape(self)}")
-            x = x + mask
-        shifted = x - x.max(axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        val = e / e.sum(axis=axis, keepdims=True)
+        val = _softmax(self.data, axis)
         out = _result(val, (self,))
         if out._parents:
             out._vjp = lambda g: (val * (g - (g * val).sum(axis=axis, keepdims=True)),)
@@ -376,20 +357,12 @@ class Tensor:
     def slice_rows(self, start: int, stop: int) -> "Tensor":
         if self.data.ndim < 1 or not 0 <= start < stop <= self.data.shape[0]:
             raise ShapeError(f"slice_rows[{start}:{stop}] invalid for shape {_shape(self)}")
-        return self._slice(slice(start, stop))
-
-    def slice_last(self, start: int, stop: int) -> "Tensor":
-        if self.data.ndim < 1 or not 0 <= start < stop <= self.data.shape[-1]:
-            raise ShapeError(f"slice_last[{start}:{stop}] invalid for shape {_shape(self)}")
-        return self._slice((Ellipsis, slice(start, stop)))
-
-    def _slice(self, index) -> "Tensor":
         x = self.data
-        out = _result(x[index].copy(), (self,))
+        out = _result(x[start:stop].copy(), (self,))
         if out._parents:
             def vjp(g):
                 z = np.zeros_like(x)
-                z[index] = g
+                z[start:stop] = g
                 return (z,)
             out._vjp = vjp
         return out
@@ -408,9 +381,7 @@ class Tensor:
         n, width = rows.shape
         if idx.size and (idx.min() < -1 or idx.max() >= n):
             raise ShapeError(f"take_rows: index out of range for {n} rows of {_shape(self)}")
-        val = rows[idx]
-        val[idx < 0] = 0.0
-        out = _result(val, (self,))
+        out = _result(_take(rows, idx), (self,))
         if out._parents:
             shape, dtype = x.shape, x.dtype
 
@@ -473,6 +444,141 @@ def concat(tensors, axis: int) -> Tensor:
     return out
 
 
+# -- layer primitives: one node each, with a closed-form adjoint --------------------
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
+    """Each row of an [m x n] matrix normalized to zero mean and unit
+    (biased) variance, ``eps`` added under the root, then scaled by ``gain``
+    [n] and shifted by ``bias`` [n].
+
+    The adjoint is the closed form of Ba et al. (arXiv:1607.06450): with
+    x̂ the normalized rows and ĝ = g * gain,
+    dx = (ĝ - mean(ĝ) - x̂ * mean(ĝ * x̂)) / std.
+    """
+    _check_row(x, gain, "layer_norm")
+    _check_row(x, bias, "layer_norm")
+    a = x.data
+    inv_n = 1.0 / a.shape[1]
+    centered = a - a.sum(axis=-1, keepdims=True) * inv_n
+    std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_n + eps)
+    xhat = centered / std
+    w = gain.data
+    out = _result(xhat * w + bias.data, (x, gain, bias))
+    if out._parents:
+        def vjp(g):
+            gh = g * w
+            dx = (gh - gh.mean(axis=-1, keepdims=True)
+                  - xhat * (gh * xhat).mean(axis=-1, keepdims=True)) / std
+            return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+        out._vjp = vjp
+    return out
+
+
+def attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int, seg, ctx_seg) -> Tensor:
+    """Scaled dot-product attention of every head of every sequence, on
+    packed rows: softmax(q kᵀ / sqrt(d_head)) v.
+
+    ``q`` [sum(T) x d] has the layout ``seg``, ``k`` and ``v``
+    [sum(T_ctx) x d] the layout ``ctx_seg`` (both ``layers.Segments``);
+    columns are head-major, head i owning [i*d_head, (i+1)*d_head). The
+    result is [sum(T) x d] in the same column layout. Inside, each sequence
+    and head gets one zero-padded block ([B*heads x T_max x d_head]) and
+    padded keys get a weight of exactly 0. The gathers into the blocks and
+    back are permutations plus padding, so each one's adjoint is the other.
+    """
+    a = q.data
+    if (a.ndim != 2 or k.data.ndim != 2 or k.data.shape != v.data.shape or a.shape[1] % heads
+            or k.data.shape[1] != a.shape[1] or seg.count != ctx_seg.count
+            or (seg.total, ctx_seg.total) != (a.shape[0], k.data.shape[0])):
+        raise ShapeError(f"attention_core: q {_shape(q)}, k {_shape(k)} and v {_shape(v)} do not "
+                         f"fit {heads} heads and sequences of {seg.lengths.tolist()} and "
+                         f"{ctx_seg.lengths.tolist()} rows")
+    d_head = a.shape[1] // heads
+    into_q, back_q, _ = seg.head_blocks(heads)
+    into_k, back_k, _ = ctx_seg.head_blocks(heads)
+    qh, kh, weights = _attend(a, k.data, heads, seg, ctx_seg)
+    vh = _take(v.data.reshape(-1, d_head), into_k)
+    out = _result((weights @ vh).reshape(-1, d_head)[back_q].reshape(a.shape), (q, k, v))
+    if out._parents:
+        q_shape, k_shape, s = a.shape, k.data.shape, 1.0 / math.sqrt(d_head)
+
+        def vjp(g):
+            go = _take(g.reshape(-1, d_head), into_q)
+            gw = go @ _swap(vh)
+            gs = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True)) * s
+            return ((gs @ kh).reshape(-1, d_head)[back_q].reshape(q_shape),
+                    (_swap(gs) @ qh).reshape(-1, d_head)[back_k].reshape(k_shape),
+                    (_swap(weights) @ go).reshape(-1, d_head)[back_k].reshape(k_shape))
+        out._vjp = vjp
+    return out
+
+
+def attention_weights(q: np.ndarray, k: np.ndarray, heads: int, seg, ctx_seg) -> np.ndarray:
+    """Values only: the weights ``attention_core`` gives the keys, from the
+    projected rows ``q`` and ``k``: [B*heads x T_max x T_ctx_max]."""
+    return _attend(q, k, heads, seg, ctx_seg)[2]
+
+
+def gru(pre: Tensor, u_zr: Tensor, u_h: Tensor, seg) -> Tensor:
+    """The GRU recurrence over packed sequences, h_0 = 0, returning every
+    hidden state as packed rows [sum(T) x d].
+
+    ``pre`` [sum(T) x 3d] holds each row's input map x_t W + b with columns
+    [z | r | h]; ``u_zr`` [d x 2d] and ``u_h`` [d x d] are the recurrent
+    weights and ``seg`` (``layers.Segments``) the layout:
+
+        [z_t | r_t] = sigmoid(pre_zr_t + h_{t-1} u_zr)
+        c_t = tanh(pre_h_t + (r_t * h_{t-1}) u_h)
+        h_t = (1 - z_t) * h_{t-1} + z_t * c_t
+
+    One [B x d] state steps time-major over the longest sequence. Steps past
+    a sequence's end run on zero input and are dropped on the way back to
+    packed rows; they come after every kept state, so never reach one. The
+    adjoint is backpropagation through time (Cho et al., arXiv:1406.1078).
+    """
+    d = u_h.data.shape[0]
+    if (pre.data.ndim != 2 or pre.data.shape[1] != 3 * d or u_h.data.shape != (d, d)
+            or u_zr.data.shape != (d, 2 * d) or seg.total != pre.data.shape[0]):
+        raise ShapeError(f"gru: pre {_shape(pre)}, u_zr {_shape(u_zr)}, u_h {_shape(u_h)} and "
+                         f"{seg.total} packed rows do not fit one width d")
+    b, time_major, from_time_major = seg.count, seg.time_major, seg.from_time_major
+    p = _take(pre.data, time_major)
+    w_zr, w_h = u_zr.data, u_h.data
+    hs = np.zeros((p.shape[0] + b, d), dtype=p.dtype)    # h_0, h_1, ..., time-major
+    zr = np.empty((p.shape[0], 2 * d), dtype=p.dtype)
+    c = np.empty((p.shape[0], d), dtype=p.dtype)
+    for t in range(seg.t_max):
+        rows = slice(t * b, (t + 1) * b)
+        h = hs[rows]
+        zr[rows] = _sigmoid(p[rows, :2 * d] + h @ w_zr)
+        z = zr[rows, :d]
+        c[rows] = np.tanh(p[rows, 2 * d:] + (zr[rows, d:] * h) @ w_h)
+        hs[t * b + b:t * b + 2 * b] = (1.0 - z) * h + z * c[rows]
+    out = _result(hs[b:][from_time_major], (pre, u_zr, u_h))
+    if out._parents:
+        def vjp(g):
+            gh = _take(g, time_major)
+            dpre = np.empty((gh.shape[0], 3 * d), dtype=gh.dtype)
+            dh = np.zeros((b, d), dtype=gh.dtype)
+            for t in reversed(range(len(gh) // b)):
+                rows = slice(t * b, (t + 1) * b)
+                dh = dh + gh[rows]
+                h, s, ct = hs[rows], zr[rows], c[rows]
+                z, r = s[:, :d], s[:, d:]
+                da_h = dh * z * (1.0 - ct * ct)
+                d_rh = da_h @ w_h.T
+                da_zr = np.concatenate([dh * (ct - h), d_rh * h], axis=1) * s * (1.0 - s)
+                dpre[rows, :2 * d] = da_zr
+                dpre[rows, 2 * d:] = da_h
+                dh = dh * (1.0 - z) + d_rh * r + da_zr @ w_zr.T
+            h_prev = hs[:-b]
+            return (dpre[from_time_major], h_prev.T @ dpre[:, :2 * d],
+                    (zr[:, d:] * h_prev).T @ dpre[:, 2 * d:])
+        out._vjp = vjp
+    return out
+
+
 # -- internals ---------------------------------------------------------------------
 
 
@@ -487,6 +593,39 @@ def _result(data: np.ndarray, parents: tuple) -> Tensor:
                 out._parents = parents
                 break
     return out
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function that never takes exp of a positive number:
+    1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _attend(q: np.ndarray, k: np.ndarray, heads: int, seg, ctx_seg):
+    """Packed rows ``q`` and ``k`` as zero-padded blocks per sequence and
+    head, and softmax(q kᵀ / sqrt(d_head)) per block with no weight on the
+    padded keys."""
+    d_head = q.shape[1] // heads
+    into_k, _, pad = ctx_seg.head_blocks(heads)
+    qh = _take(q.reshape(-1, d_head), seg.head_blocks(heads)[0])
+    kh = _take(k.reshape(-1, d_head), into_k)
+    scores = (qh @ _swap(kh)) * (1.0 / math.sqrt(d_head))
+    if pad is not None:
+        scores = np.where(pad, -np.inf, scores)
+    return qh, kh, _softmax(scores, -1)
+
+
+def _take(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``rows[index]``, with a zero row where ``index`` is -1."""
+    val = rows.take(index, axis=0)
+    val[index < 0] = 0.0
+    return val
 
 
 def _swap(x: np.ndarray) -> np.ndarray:

@@ -4,8 +4,8 @@ Per batch: one packed forward pass runs every sample (a single graph per
 batch), the per-modality shared embeddings of the whole batch form the
 triplet pool for the margin loss, and the batch objective is task loss plus
 the balance factor times the margin loss. Evaluation packs its samples the
-same way. Deterministic mode is the default: batch order, initialization
-and arithmetic depend only on the config and seed.
+same way, ``EVAL_CHUNK`` at a time. Deterministic mode is the default: batch
+order, initialization and arithmetic depend only on the config and seed.
 """
 
 from __future__ import annotations
@@ -26,6 +26,10 @@ from .model import WavFusionModel
 from .optim import Adam
 from .rng import Prng
 from .tensor import Tensor
+
+# utterances per forward pass in ``evaluate``: a pass holds every activation
+# of its utterances at once, so this bounds evaluation's transient memory
+EVAL_CHUNK = 64
 
 
 def build_model(cfg: ExperimentConfig, dataset: Dataset) -> WavFusionModel:
@@ -70,10 +74,15 @@ def batch_objective(model: WavFusionModel, samples, mask, alpha: float, balance:
 
 
 def evaluate(model: WavFusionModel, samples, mask):
-    """Argmax predictions and (ACC, WF1) over ``samples``, in one packed
-    forward pass."""
+    """Argmax predictions and (ACC, WF1) over ``samples``, in packed forward
+    passes of at most ``EVAL_CHUNK`` utterances."""
+    samples = list(samples)
+    predictions = []
     with T.no_grad():
-        predictions = model.forward_batch(samples, mask).predictions()
+        # an empty list still makes one (failing) pass
+        for start in range(0, len(samples) or 1, EVAL_CHUNK):
+            chunk = samples[start:start + EVAL_CHUNK]
+            predictions += model.forward_batch(chunk, mask).predictions()
     labels = [sample.label for sample in samples]
     acc, wf1 = metrics(predictions, labels, model.num_classes)
     return acc, wf1, predictions, labels

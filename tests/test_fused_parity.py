@@ -19,7 +19,7 @@ import pytest
 from helpers import rand
 from wavfusion import tensor as T
 from wavfusion.gradcheck import synthetic_batch
-from wavfusion.layers import Attention, Conv1d, Gru, _param, xavier_uniform
+from wavfusion.layers import Attention, Conv1d, Gru, LayerNorm, Segments, _param, xavier_uniform
 from wavfusion.model import WavFusionModel
 from wavfusion.rng import Prng
 from wavfusion.tensor import Tensor
@@ -159,22 +159,31 @@ def graph_nodes(loss) -> int:
 
 class TestGraphSize:
     def test_attention_nodes_independent_of_heads(self):
-        # 18 before batches were packed; the gathers into per-sequence,
-        # per-head blocks and back now take the place of the head transposes
+        # three projections, tensor.attention_core and the output map; the
+        # composite core took 17 nodes per call, 18 before batches were packed
         counts = []
         for heads in (1, 2, 4):
             x = Tensor(rand((6, 8), seed=5), requires_grad=True)
             counts.append(graph_nodes(Attention(8, heads, Prng(0))(x, Tensor(rand((4, 8), seed=6)))))
-        assert counts[0] == counts[1] == counts[2] == 17
+        assert counts[0] == counts[1] == counts[2] == 5
+
+    def test_layer_norm_and_gru_nodes(self):
+        # LayerNorm was 11 nodes; the GRU 16 per time step plus 5
+        x = Tensor(rand((6, 8), seed=7), requires_grad=True)
+        assert graph_nodes(LayerNorm(8)(x)) == 1
+        for lengths in ([6], [1, 2, 3]):
+            assert graph_nodes(Gru(8, 4, Prng(0))(x, Segments(lengths))) == 3
 
     @pytest.mark.parametrize("size,bound", [
-        (dict(d=16, heads=2, n_shallow=2, n_deep=1, lvc_centers=4), 710),
-        (dict(d=64, heads=4, n_shallow=9, n_deep=3, lvc_centers=8), 1200),
+        (dict(d=16, heads=2, n_shallow=2, n_deep=1, lvc_centers=4), 172),
+        (dict(d=64, heads=4, n_shallow=9, n_deep=3, lvc_centers=8), 332),
     ])
     def test_nodes_per_batch(self, size, bound):
-        # one graph per batch of 8: 705 and 1,195 nodes. A graph per sample
-        # built 3,932 and 7,940 for the same batch (492 and 993 per sample),
-        # and the per-head, per-gate, per-tap layers 525 and 1,298 per sample
+        # one graph per batch of 8: 171 and 329 nodes, bounded within 1%.
+        # The composite LayerNorm, attention core and GRU built 705 and
+        # 1,195; a graph per sample 3,932 and 7,940 for the same batch (492
+        # and 993 per sample); the per-head, per-gate, per-tap layers 525 and
+        # 1,298 per sample
         dims = {"a": 12, "t": 10, "v": 8}
         model = WavFusionModel(num_classes=4, feature_dims=dims, seed=0, **size)
         samples = synthetic_batch(0, dims, 4, 8, t_max=12)

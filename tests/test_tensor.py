@@ -7,6 +7,7 @@ import pytest
 from helpers import fd_max_rel_error, rand
 from wavfusion import tensor as T
 from wavfusion.errors import GraphError, ShapeError
+from wavfusion.layers import Segments
 from wavfusion.tensor import Tensor
 
 
@@ -176,22 +177,6 @@ class TestSoftmax:
         w = Tensor(rand((3, 4), seed=13))
         assert fd_max_rel_error(lambda: (x.softmax(axis=-1) * w).sum(), [x]) < 1e-6
 
-    def test_mask_excludes_entries(self):
-        x = Tensor(rand((2, 3, 4), seed=14), requires_grad=True)
-        mask = np.array([[[0.0, 0.0, -np.inf, -np.inf]], [[0.0, 0.0, 0.0, -np.inf]]])
-        out = x.softmax(axis=-1, mask=mask)     # [2 x 1 x 4] broadcasts over the rows
-        npt.assert_array_equal(out.data[0, :, 2:], 0.0)
-        npt.assert_array_equal(out.data[1, :, 3], 0.0)
-        npt.assert_allclose(out.data[0, :, :2], Tensor(x.data[0, :, :2]).softmax().data,
-                            rtol=0, atol=1e-15)
-        w = Tensor(rand((2, 3, 4), seed=15))
-        (out * w).sum().backward()
-        assert np.isfinite(x.grad).all()
-        npt.assert_array_equal(x.grad[0, :, 2:], 0.0)
-        npt.assert_array_equal(x.data, rand((2, 3, 4), seed=14))
-        with pytest.raises(ShapeError, match="mask"):
-            x.softmax(axis=-1, mask=np.zeros((3, 1, 4)))
-
 
 class TestConcatSlice:
     def test_shape_arithmetic(self):
@@ -199,11 +184,11 @@ class TestConcatSlice:
         assert out.shape == (4, 8)
 
     def test_concat_then_slice_recovers_inputs(self):
-        a = rand((4, 3), seed=20)
-        b = rand((4, 5), seed=21)
-        joined = T.concat([Tensor(a), Tensor(b)], axis=-1)
-        npt.assert_array_equal(joined.slice_last(0, 3).data, a)
-        npt.assert_array_equal(joined.slice_last(3, 8).data, b)
+        a = rand((3, 4), seed=20)
+        b = rand((5, 4), seed=21)
+        joined = T.concat([Tensor(a), Tensor(b)], axis=0)
+        npt.assert_array_equal(joined.slice_rows(0, 3).data, a)
+        npt.assert_array_equal(joined.slice_rows(3, 8).data, b)
 
     def test_concat_gradient_is_all_ones(self):
         a = Tensor(rand((4, 3), seed=22), requires_grad=True)
@@ -429,6 +414,50 @@ class TestBackwardContract:
         npt.assert_allclose(result["grad"], 2 * w.data, atol=1e-15)
 
 
+class TestLayerPrimitives:
+    """Contracts of the one-node layer ops; their parity with the composite
+    graphs they replace is in ``test_primitive_parity``."""
+
+    def test_attention_core_masks_padded_keys(self):
+        seg, ctx_seg = Segments([2, 3]), Segments([3, 1])
+        q, k, v = (Tensor(rand(s, seed=14 + i), requires_grad=True)
+                   for i, s in enumerate(((5, 4), (4, 4), (4, 4))))
+        weights = T.attention_weights(q.data, k.data, 2, seg, ctx_seg)
+        assert weights.shape == (4, 3, 3)
+        npt.assert_array_equal(weights[2:, :, 1:], 0.0)     # sequence 1 has one key
+        npt.assert_allclose(weights.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
+        probe = rand((5, 4), seed=17)
+        full = T.attention_core(q, k, v, 2, seg, ctx_seg)
+        (full * Tensor(probe)).sum().backward()
+        # each sequence alone, with nothing to pad, gives the same rows and gradients
+        for rows, ctx_rows in ((slice(0, 2), slice(0, 3)), (slice(2, 5), slice(3, 4))):
+            parts = [Tensor(t.data[r], requires_grad=True)
+                     for t, r in ((q, rows), (k, ctx_rows), (v, ctx_rows))]
+            alone = T.attention_core(*parts, 2, Segments([len(parts[0].data)]),
+                                     Segments([len(parts[1].data)]))
+            npt.assert_allclose(alone.data, full.data[rows], rtol=0, atol=1e-15)
+            (alone * Tensor(probe[rows])).sum().backward()
+            for part, whole, r in zip(parts, (q, k, v), (rows, ctx_rows, ctx_rows)):
+                npt.assert_allclose(part.grad, whole.grad[r], rtol=0, atol=1e-14)
+
+    def test_shape_contracts(self):
+        x = Tensor(np.zeros((3, 4)))
+        with pytest.raises(ShapeError, match="layer_norm"):
+            T.layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(4)), 1e-5)
+        with pytest.raises(ShapeError, match="attention_core"):
+            T.attention_core(x, x, x, 3, Segments([3]), Segments([3]))      # 4 % 3 heads
+        with pytest.raises(ShapeError, match="attention_core"):
+            T.attention_core(x, x, Tensor(np.zeros((2, 4))), 2, Segments([3]), Segments([3]))
+        with pytest.raises(ShapeError, match="attention_core"):
+            T.attention_core(x, x, x, 2, Segments([1, 2]), Segments([3]))
+        u_zr, u_h = Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 2)))
+        assert T.gru(Tensor(np.zeros((3, 6))), u_zr, u_h, Segments([3])).shape == (3, 2)
+        with pytest.raises(ShapeError, match="gru"):
+            T.gru(Tensor(np.zeros((3, 5))), u_zr, u_h, Segments([3]))
+        with pytest.raises(ShapeError, match="gru"):
+            T.gru(Tensor(np.zeros((3, 6))), u_zr, u_h, Segments([2]))
+
+
 # every op: name -> (input shapes, op); inputs are positive so log, sqrt and
 # division are defined
 OPS = {
@@ -445,8 +474,6 @@ OPS = {
     "sqrt": ([(3, 4)], lambda a: a.sqrt()),
     "relu": ([(3, 4)], lambda a: a.relu()),
     "softmax": ([(3, 4)], lambda a: a.softmax(axis=0)),
-    "softmax_masked": ([(3, 4)],
-                       lambda a: a.softmax(axis=-1, mask=np.array([0.0, -np.inf, 0.0, 0.0]))),
     "matmul": ([(3, 4), (4, 2)], lambda a, b: a @ b),
     "matmul_batched": ([(2, 3, 4), (2, 4, 5)], lambda a, b: a @ b),
     "transpose": ([(2, 3, 4)], lambda a: a.transpose()),
@@ -460,12 +487,18 @@ OPS = {
     "div_col": ([(3, 4), (3, 1)], lambda a, c: a.div_col(c)),
     "reshape": ([(3, 4)], lambda a: a.reshape((2, 6))),
     "slice_rows": ([(3, 4)], lambda a: a.slice_rows(1, 3)),
-    "slice_last": ([(2, 3, 4)], lambda a: a.slice_last(1, 3)),
     # zero-padding rows, the layout packed sequences use
     "pad_rows": ([(3, 4)], lambda a: a.take_rows([-1, 0, 1, 2, -1, -1])),
     "take_rows": ([(2, 3, 4)], lambda a: a.take_rows([[5, 0, -1], [0, 0, 2]])),
     "gather": ([(3, 4)], lambda a: a.gather([0, 2, 2], [1, 3, 3])),
     "concat": ([(3, 2), (3, 4), (3, 1)], lambda *ts: T.concat(ts, axis=-1)),
+    "layer_norm": ([(3, 4), (4,), (4,)], lambda x, g, b: T.layer_norm(x, g, b, 1e-5)),
+    # two heads; the second sequence's context is padded, so keys are masked
+    "attention_core": ([(5, 4), (4, 4), (4, 4)],
+                       lambda q, k, v: T.attention_core(q, k, v, 2, Segments([2, 3]),
+                                                        Segments([3, 1]))),
+    "gru": ([(5, 9), (3, 6), (3, 3)],
+            lambda pre, u_zr, u_h: T.gru(pre, u_zr, u_h, Segments([1, 4]))),
 }
 
 
@@ -525,7 +558,7 @@ class TestNodeProtocol:
 
         def loss():
             h = (w @ x) * w
-            return (h.log() + h.mul_col(w.slice_last(0, 1)).sqrt() + w.relu()).sum()
+            return (h.log() + h.mul_col(w.sum_last_keep()).sqrt() + w.relu()).sum()
 
         loss().backward()
         expect = w.grad

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -15,8 +16,8 @@ from wavfusion.model import WavFusionModel
 from wavfusion.optim import Adam
 from wavfusion.oracles import margin_loss_reference
 from wavfusion.rng import Prng
-from wavfusion.tensor import Tensor
-from wavfusion.train import (batch_objective, evaluate, evaluate_checkpoint,
+from wavfusion.tensor import Tensor, no_grad
+from wavfusion.train import (EVAL_CHUNK, batch_objective, evaluate, evaluate_checkpoint,
                              read_predictions, train)
 
 
@@ -364,3 +365,46 @@ class TestBatchObjective:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestEvaluate:
+    """``evaluate`` packs at most ``EVAL_CHUNK`` utterances per forward pass."""
+
+    MASK = ("a", "t", "v")
+
+    @staticmethod
+    def model_and_samples(count):
+        dims = {"a": 12, "t": 10, "v": 8}
+        model = WavFusionModel(num_classes=4, feature_dims=dims, d=16, heads=2, n_shallow=2,
+                               n_deep=1, lvc_centers=4, seed=2)
+        return model, synthetic_batch(4, dims, 4, count, t_max=20)
+
+    def test_chunks_match_one_pass(self):
+        model, samples = self.model_and_samples(2 * EVAL_CHUNK + 22)
+        with no_grad():
+            whole = model.forward_batch(samples, self.MASK).logits.data
+            chunked = np.concatenate([
+                model.forward_batch(samples[i:i + EVAL_CHUNK], self.MASK).logits.data
+                for i in range(0, len(samples), EVAL_CHUNK)])
+        assert float(np.max(np.abs(chunked - whole))) <= 1e-12 * max(float(np.max(np.abs(whole))), 1.0)
+        _, _, predictions, labels = evaluate(model, samples, self.MASK)
+        assert predictions == [int(c) for c in np.argmax(whole, axis=-1)]
+        assert labels == [s.label for s in samples]
+
+    def test_transient_memory_is_bounded(self):
+        # one pass over 320 utterances peaked at about 5x one over 64
+        model, samples = self.model_and_samples(320)
+        peaks = []
+        for count in (EVAL_CHUNK, 320):
+            tracemalloc.start()
+            try:
+                evaluate(model, samples[:count], self.MASK)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
+
+    def test_empty_sample_list_rejected(self):
+        model, _ = self.model_and_samples(1)
+        with pytest.raises(DataError, match="empty"):
+            evaluate(model, [], self.MASK)
