@@ -11,7 +11,10 @@ without waiting for the cyclic garbage collector.
 ``backward`` is the only writer of ``grad``. Over an iteratively-built
 topological order (deep graphs never touch the recursion limit) it calls each
 ``_vjp`` once and sums each gradient into its input, in input order, skipping
-inputs that need no gradient.
+inputs that need no gradient. The first gradient an input receives is kept as
+given, cast only where its dtype differs from the input's, so a ``grad`` may
+share memory with an adjoint or another ``grad``, or be a read-only broadcast
+view: nothing writes into a gradient.
 
 Shape discipline is strict. Binary elementwise operations demand equal
 shapes, and the only implicit broadcast is scalar-times-tensor. Row and
@@ -96,8 +99,9 @@ class Tensor:
         """Populate ``grad`` on every reachable leaf (a tensor built from
         data, such as a parameter) that requires it. Interior adjoints are
         dropped once passed on to their inputs, so a pass never holds an
-        adjoint for every node of the graph at once; so is each ``_vjp``,
-        which lets an optimizer step free the parameter arrays it replaces.
+        adjoint for every node of the graph at once; so is each ``_vjp``, so
+        no graph still holds a parameter's array when an optimizer step
+        updates it in place.
 
         The receiver must be a scalar. Each graph supports exactly one
         backward pass; rebuilding via a fresh forward is the reset.
@@ -129,7 +133,7 @@ class Tensor:
             node._spent = True
             for parent, g in zip(node._parents, node._vjp(node.grad)):
                 if parent.requires_grad:
-                    parent.grad = (np.array(g, dtype=parent.data.dtype) if parent.grad is None
+                    parent.grad = (np.asarray(g, dtype=parent.data.dtype) if parent.grad is None
                                    else parent.grad + g)
             node.grad = node._vjp = None
 

@@ -373,6 +373,17 @@ class TestBackwardContract:
         npt.assert_allclose(x.grad, 2 * x.data, atol=1e-15)
         assert mid.grad is None and loss.grad is None
 
+    def test_first_gradient_is_cast_not_copied(self):
+        w = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        x = Tensor(np.array([1.0, 2.0, 3.0]))           # float64: w * x carries float64 adjoints
+        (w * x).sum().backward()
+        assert w.grad.dtype == np.float32
+        npt.assert_array_equal(w.grad, [1.0, 2.0, 3.0])
+        a = Tensor(rand((2, 2), seed=67), requires_grad=True)
+        b = Tensor(rand((2, 2), seed=68), requires_grad=True)
+        (a + b).sum().backward()                       # add hands one adjoint to both inputs
+        assert np.shares_memory(a.grad, b.grad)
+
     def test_grad_accumulates_across_uses_in_one_graph(self):
         x = Tensor(np.array(2.0), requires_grad=True)
         ((x * x) + (x * x)).backward()
@@ -564,7 +575,7 @@ class TestNodeProtocol:
         expect = w.grad
         w.grad = None
         graph = loss()
-        w.data = w.data + 1.0       # rebound after the forward pass, as an optimizer step does
+        w.data = w.data + 1.0       # rebound after the forward pass, as checkpoint.load_model does
         graph.backward()
         npt.assert_array_equal(w.grad, expect)
 
