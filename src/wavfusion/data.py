@@ -18,6 +18,7 @@ absent).
 from __future__ import annotations
 
 import os
+import stat
 import struct
 import uuid
 from dataclasses import dataclass, field
@@ -31,6 +32,9 @@ from .rng import Prng
 
 FEATURE_MAGIC = b"WFTF"
 FEATURE_VERSION = 1
+_HEADER = struct.Struct("<4sIII")    # magic, version, T, D
+# O_NONBLOCK: opening a FIFO must not wait for a writer; fstat then rejects it
+_OPEN_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0) | getattr(os, "O_NONBLOCK", 0)
 
 
 # -- files -----------------------------------------------------------------------
@@ -80,22 +84,31 @@ def write_feature(path, matrix) -> None:
 
 
 def read_feature(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 4 or blob[:4] != FEATURE_MAGIC:
+    """The [T x D] float32 matrix in ``path``: one open, fstat and read. The
+    file size is checked against the header before anything is sized from
+    it; a path that is not a regular file raises ``DataError``."""
+    fd = os.open(path, _OPEN_FLAGS)
+    try:
+        st = os.fstat(fd)
+        if not stat.S_ISREG(st.st_mode):
+            raise DataError(f"{path} is not a regular file")
+        blob = os.read(fd, st.st_size + 1)    # one byte more shows a file that grew
+    finally:
+        os.close(fd)
+    if not blob.startswith(FEATURE_MAGIC):
         raise FormatError(f"bad magic {blob[:4]!r} at offset 0 in {path}; expected {FEATURE_MAGIC!r}")
-    if len(blob) < 16:
+    if len(blob) < _HEADER.size:
         raise FormatError(f"truncated header at offset {len(blob)} in {path}; need 16 bytes")
-    version, rows, cols = struct.unpack_from("<III", blob, 4)
+    _, version, rows, cols = _HEADER.unpack_from(blob)
     if version != FEATURE_VERSION:
         raise FormatError(f"unsupported feature version {version} at offset 4 in {path}")
     if rows < 1 or cols < 1:
         raise FormatError(f"invalid dimensions {rows} x {cols} at offset 8 in {path}")
-    expect = 16 + 4 * rows * cols
+    expect = _HEADER.size + 4 * rows * cols
     if len(blob) != expect:
         raise FormatError(f"payload size mismatch at offset 16 in {path}: "
                           f"expected {expect} bytes total, found {len(blob)}")
-    return np.frombuffer(blob, dtype="<f4", count=rows * cols, offset=16).reshape(rows, cols).copy()
+    return np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).reshape(rows, cols).copy()
 
 
 # -- manifest --------------------------------------------------------------------
@@ -159,20 +172,25 @@ class Dataset:
 
 def load_dataset(root, num_classes: int | None = None) -> Dataset:
     """Load every sample referenced by ``<root>/manifest.tsv``; verifies that
-    referenced files exist and labels fit in [0, num_classes)."""
+    referenced files exist and are regular files, and that labels fit in
+    [0, num_classes)."""
     root = Path(root)
     entries = read_manifest(root / "manifest.tsv")
     if not entries:
         raise DataError(f"{root}: manifest is empty")
+    base = os.fspath(root)
     samples = []
     dims: dict = {}
     for e in entries:
         feats = {}
         for m, rel in e.paths.items():
-            fpath = root / rel
-            if not fpath.exists():
-                raise DataError(f"{root}: sample {e.uid} references missing file {rel}")
-            mat = read_feature(fpath)
+            try:
+                mat = read_feature(os.path.join(base, rel))
+            except FileNotFoundError:
+                raise DataError(f"{root}: sample {e.uid} references missing file {rel}") from None
+            except DataError:
+                raise DataError(f"{root}: sample {e.uid} references {rel}, "
+                                f"which is not a regular file") from None
             if m in dims and dims[m] != mat.shape[1]:
                 raise DataError(f"{root}: modality {m!r} width {mat.shape[1]} of {e.uid} "
                                 f"conflicts with {dims[m]}")

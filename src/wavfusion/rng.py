@@ -99,7 +99,8 @@ class Prng:
     def permutation(self, n: int) -> list[int]:
         """Fisher-Yates permutation of range(n)."""
         order = list(range(n))
-        for i in range(n - 1, 0, -1):
-            j = int(self._raw(1)[0]) % (i + 1)
+        # word k (consecutive counters) picks the swap partner of i = n - 1 - k
+        picks = (self._raw(max(n - 1, 0)) % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
+        for i, j in zip(range(n - 1, 0, -1), picks):
             order[i], order[j] = order[j], order[i]
         return order

@@ -162,6 +162,16 @@ class TestTrainEval:
         assert main(["train", "--data-dir", str(data)] + FAST) == 2
         assert f"{manifest}:1: invalid UTF-8 at byte offset 0" in capsys.readouterr().err
 
+    def test_directory_as_feature_file_is_validation_error(self, dataset_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        feature = data / "features" / "utt00000.a.wftf"
+        feature.unlink()
+        feature.mkdir()
+        assert main(["train", "--data-dir", str(data)] + FAST) == 2
+        err = capsys.readouterr().err
+        assert "sample utt00000" in err and "features/utt00000.a.wftf" in err
+
     def test_bool_flag_parses_like_the_config_file(self):
         args = build_parser().parse_args(["train", "--lvc-enabled", "yes", "--d", "32"])
         expect = parse_config_text("lvc_enabled = yes\nd = 32\n")

@@ -1,4 +1,9 @@
 import os
+import struct
+import threading
+import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -11,6 +16,36 @@ from wavfusion.data import (ManifestEntry, RatioSplit, SynthSpec, generate_synth
                             write_feature, write_manifest)
 from wavfusion.errors import ConfigError, DataError, FormatError
 from wavfusion.train import train
+
+
+def reference_read_feature(path):
+    """The buffered whole-file read that preceded the open/fstat/read path."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if len(blob) < 4 or blob[:4] != b"WFTF":
+        raise FormatError(f"bad magic {blob[:4]!r} at offset 0 in {path}")
+    if len(blob) < 16:
+        raise FormatError(f"truncated header at offset {len(blob)} in {path}")
+    version, rows, cols = struct.unpack_from("<III", blob, 4)
+    if version != 1 or rows < 1 or cols < 1 or len(blob) != 16 + 4 * rows * cols:
+        raise FormatError(f"malformed feature file {path}")
+    return np.frombuffer(blob, dtype="<f4", count=rows * cols, offset=16).reshape(rows, cols).copy()
+
+
+def reference_load_dataset(root):
+    """The pathlib loader with an ``exists()`` check per feature file."""
+    root = Path(root)
+    samples, dims = [], {}
+    for e in read_manifest(root / "manifest.tsv"):
+        feats = {}
+        for m, rel in e.paths.items():
+            fpath = root / rel
+            if not fpath.exists():
+                raise DataError(f"{root}: sample {e.uid} references missing file {rel}")
+            feats[m] = reference_read_feature(fpath)
+            dims[m] = feats[m].shape[1]
+        samples.append((e.uid, e.label, feats))
+    return samples, dims
 
 
 def tree_bytes(root):
@@ -64,6 +99,50 @@ class TestFeatureFiles:
         with pytest.raises(FormatError):
             read_feature(path)
 
+    def test_header_larger_than_file_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "big.wftf"
+        path.write_bytes(b"WFTF" + struct.pack("<III", 1, 2 ** 20, 2 ** 10) + b"\x00" * 4)
+        assert path.stat().st_size == 20
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="offset 16"):
+                read_feature(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_file_grown_after_fstat_rejected(self, tmp_path, monkeypatch):
+        path = tmp_path / "grown.wftf"
+        write_feature(path, np.ones((2, 2), dtype=np.float32))
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        real_fstat = os.fstat
+
+        def fstat_before_growth(fd):    # the size the file had when fstat ran
+            return SimpleNamespace(st_mode=real_fstat(fd).st_mode, st_size=32)
+
+        monkeypatch.setattr(os, "fstat", fstat_before_growth)
+        with pytest.raises(FormatError, match="expected 32 bytes total, found 33"):
+            read_feature(path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+    def test_fifo_rejected_without_waiting_for_a_writer(self, tmp_path):
+        path = tmp_path / "pipe.wftf"
+        os.mkfifo(path)
+        raised = []
+
+        def read():
+            try:
+                read_feature(path)
+            except DataError as exc:
+                raised.append(exc)
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        reader.join(timeout=10)
+        assert not reader.is_alive(), "read_feature blocked opening a FIFO"
+        assert raised and "not a regular file" in str(raised[0])
+
     def test_non_finite_rejected(self, tmp_path):
         with pytest.raises(DataError):
             write_feature(tmp_path / "n.wftf", np.array([[np.inf]], dtype=np.float32))
@@ -101,6 +180,14 @@ class TestManifest:
         with pytest.raises(DataError, match="missing"):
             load_dataset(tmp_path)
 
+    def test_directory_in_place_of_file_rejected_at_load(self, tmp_path):
+        (tmp_path / "features" / "u0.a.wftf").mkdir(parents=True)
+        write_manifest(tmp_path / "manifest.tsv",
+                       [ManifestEntry("u0", 0, {"a": "features/u0.a.wftf"})])
+        with pytest.raises(DataError, match=r"sample u0 references features/u0\.a\.wftf, "
+                                            r"which is not a regular file"):
+            load_dataset(tmp_path)
+
     def test_label_range_checked_at_load(self, tmp_path):
         (tmp_path / "features").mkdir()
         write_feature(tmp_path / "features/u0.a.wftf", np.ones((2, 3), dtype=np.float32))
@@ -108,6 +195,22 @@ class TestManifest:
                        [ManifestEntry("u0", 5, {"a": "features/u0.a.wftf"})])
         with pytest.raises(DataError, match=r"\[0, 3\)"):
             load_dataset(tmp_path, num_classes=3)
+
+
+class TestLoaderParity:
+    def test_matches_reference_loader(self, tmp_path):
+        generate_synthetic(SynthSpec(classes=3, per_class=5, seed=17), tmp_path)
+        ds = load_dataset(str(tmp_path))
+        samples, dims = reference_load_dataset(tmp_path)
+        assert [(s.uid, s.label) for s in ds.samples] == [(uid, label) for uid, label, _ in samples]
+        assert ds.feature_dims == dims
+        for got, (_, _, feats) in zip(ds.samples, samples):
+            assert got.features.keys() == feats.keys()
+            for m, mat in feats.items():
+                arr = got.features[m]
+                npt.assert_array_equal(arr, mat)
+                assert arr.dtype == np.dtype("<f4") and arr.flags.c_contiguous
+                assert arr.flags.writeable and arr.flags.owndata    # no view of the read bytes
 
 
 class TestAtomicWrite:

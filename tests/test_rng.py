@@ -48,6 +48,19 @@ class TestPrng:
         perm = Prng(14).permutation(50)
         assert sorted(perm) == list(range(50))
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 320, 5000])
+    def test_permutation_matches_per_word_loop(self, n):
+        def per_word(rng, n):
+            order = list(range(n))
+            for i in range(n - 1, 0, -1):
+                j = int(rng._raw(1)[0]) % (i + 1)
+                order[i], order[j] = order[j], order[i]
+            return order
+
+        fast, slow = Prng(15, stream=7), Prng(15, stream=7)
+        assert fast.permutation(n) == per_word(slow, n)
+        npt.assert_array_equal(fast.uniform(4), slow.uniform(4))
+
     def test_matches_documented_algorithm(self):
         # independent pure-int reimplementation of the module docstring
         mask = (1 << 64) - 1
