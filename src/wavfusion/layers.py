@@ -118,7 +118,7 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.d_in:
             raise ShapeError(f"linear: input {list(x.shape)} does not end in d_in={self.d_in}")
-        return (x @ self.weight).add_row(self.bias)
+        return T.affine(x, self.weight, self.bias)
 
     def named_parameters(self, prefix: str):
         return [(f"{prefix}.weight", self.weight), (f"{prefix}.bias", self.bias)]
@@ -150,7 +150,7 @@ class Conv1d:
         seg = Segments.of(x, seg)
         # zero padding at each sequence's ends: no window crosses into a neighbour
         cols = x.take_rows(seg.neighbours(self.k)).reshape((seg.total, self.k * self.d_in))
-        return (cols @ self.weight).add_row(self.bias)
+        return T.affine(cols, self.weight, self.bias)
 
     def named_parameters(self, prefix: str):
         return [(f"{prefix}.weight", self.weight), (f"{prefix}.bias", self.bias)]
@@ -169,7 +169,8 @@ class Gru:
     and ``u_h``, which stays apart because it multiplies r_t * h_{t-1}.
 
     The recurrence is one graph node (``tensor.gru``) on the packed input
-    maps x W + b; it steps one [B x d] state over the longest sequence.
+    maps x W + b (one ``tensor.affine`` node); it steps one [B x d] state
+    over the longest sequence.
     """
 
     def __init__(self, d_in: int, d_h: int, rng: Prng, dtype=np.float64):
@@ -185,7 +186,7 @@ class Gru:
     def __call__(self, x: Tensor, seg: Segments | None = None) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.d_in:
             raise ShapeError(f"gru: input {list(x.shape)} does not match d_in={self.d_in}")
-        return T.gru((x @ self.w).add_row(self.b), self.u_zr, self.u_h, Segments.of(x, seg))
+        return T.gru(T.affine(x, self.w, self.b), self.u_zr, self.u_h, Segments.of(x, seg))
 
     def named_parameters(self, prefix: str):
         return [(f"{prefix}.w", self.w), (f"{prefix}.u_zr", self.u_zr),
@@ -242,7 +243,8 @@ class Attention:
 
 
 class LayerNorm:
-    """Per-row normalization over the last dimension with learnable gain/bias."""
+    """Per-row normalization of a residual sum x + y over the last
+    dimension, with learnable gain/bias: one ``tensor.layer_norm`` node."""
 
     EPS = 1e-5
 
@@ -251,10 +253,11 @@ class LayerNorm:
         self.gain = _param(np.ones(d, dtype=dtype))
         self.bias = _param(np.zeros(d, dtype=dtype))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        if x.ndim != 2 or x.shape[1] != self.d:
-            raise ShapeError(f"layer_norm: input {list(x.shape)} needs width {self.d}")
-        return T.layer_norm(x, self.gain, self.bias, self.EPS)
+    def __call__(self, x: Tensor, y: Tensor) -> Tensor:
+        if x.ndim != 2 or x.shape[1] != self.d or y.shape != x.shape:
+            raise ShapeError(f"layer_norm: inputs {list(x.shape)} and {list(y.shape)} need "
+                             f"width {self.d}")
+        return T.layer_norm(x, y, self.gain, self.bias, self.EPS)
 
     def named_parameters(self, prefix: str):
         return [(f"{prefix}.gain", self.gain), (f"{prefix}.bias", self.bias)]

@@ -30,18 +30,36 @@ class Triplet(NamedTuple):
 
 
 class Triplets:
-    """Every (anchor, positive, negative) triple of a batch as one [T x 3]
-    index array ``index``, in lexicographic order. It has a length and a
-    truth value, iterates lazily as ``Triplet``s, and equals a list of the
-    same triples."""
+    """Every (anchor, positive, negative) triple of a batch, kept in the
+    layout of the (modality, label) groups: anchor i belongs to group
+    ``group[i]``, whose positives and negatives are the rows of
+    ``positives`` [G x P] and ``negatives`` [G x Q], increasing and padded
+    with -1. Its length is exact and costs nothing; the [T x 3] index array
+    ``index`` is built, in lexicographic order, only when the triples are
+    iterated (as ``Triplet``s) or compared (equal to a list of the same
+    triples)."""
 
-    __slots__ = ("index",)
+    __slots__ = ("group", "positives", "negatives", "_count", "_index")
 
-    def __init__(self, index: np.ndarray):
-        self.index = index
+    def __init__(self, group: np.ndarray, positives: np.ndarray, negatives: np.ndarray):
+        self.group = group
+        self.positives = positives
+        self.negatives = negatives
+        sizes = (positives >= 0).sum(axis=1) * (negatives >= 0).sum(axis=1)
+        self._count = int(sizes[group].sum())
+        self._index = None
+
+    @property
+    def index(self) -> np.ndarray:
+        if self._index is None:
+            # the valid cells of the [N x P x Q] grid, in C order
+            pos, neg = self.positives[self.group], self.negatives[self.group]
+            a, i, j = np.nonzero((pos >= 0)[:, :, None] & (neg >= 0)[:, None, :])
+            self._index = np.column_stack([a, pos[a, i], neg[a, j]])
+        return self._index
 
     def __len__(self) -> int:
-        return len(self.index)
+        return self._count
 
     def __iter__(self):
         return map(Triplet._make, self.index.tolist())
@@ -53,64 +71,81 @@ class Triplets:
 
 
 def build_triplets(batch) -> Triplets:
-    """Exhaustively enumerate valid (anchor, positive, negative) triples,
-    in lexicographic index order. ``batch`` holds (modality, label) pairs.
-
-    An anchor's positives and negatives depend only on its (modality,
-    label) group, so each group's (positive, negative) pairs are built once,
-    by repeat and tile, and then laid out anchor by anchor.
-    """
+    """Every valid (anchor, positive, negative) triple of ``batch``, a
+    sequence of (modality, label) pairs, as a ``Triplets``. An anchor's
+    positives and negatives depend only on its (modality, label) group, so
+    they are found once per group, from the group's first entry."""
     mod = np.array([entry[0] for entry in batch])
     lab = np.array([entry[1] for entry in batch])
-    pairs = {}
-    blocks = []
-    for m, c in zip(mod.tolist(), lab.tolist()):
-        if (m, c) not in pairs:
-            pos = np.flatnonzero((mod != m) & (lab == c))
-            neg = np.flatnonzero((mod == m) & (lab != c))
-            pairs[m, c] = np.column_stack([np.repeat(pos, len(neg)), np.tile(neg, len(pos))])
-        blocks.append(pairs[m, c])
-    if not blocks:
-        return Triplets(np.zeros((0, 3), dtype=np.intp))
-    anchors = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
-    return Triplets(np.column_stack([anchors, np.concatenate(blocks)]))
+    ids: dict = {}
+    group = np.array([ids.setdefault(key, len(ids)) for key in zip(mod.tolist(), lab.tolist())],
+                     dtype=np.intp)
+    first = np.unique(group, return_index=True)[1]
+    same_mod = mod[first, None] == mod                      # [G x N]
+    same_lab = lab[first, None] == lab
+    return Triplets(group, _columns(~same_mod & same_lab), _columns(same_mod & ~same_lab))
+
+
+def _columns(mask: np.ndarray) -> np.ndarray:
+    """The True columns of each row of a boolean matrix, increasing, as the
+    rows of one index matrix padded with -1."""
+    width = int(mask.sum(axis=1).max(initial=0))
+    cols = np.argsort(~mask, axis=1, kind="stable")[:, :width]
+    return np.where(np.take_along_axis(mask, cols, axis=1), cols, -1)
+
+
+class Embeddings:
+    """The [N x d] embedding matrix of a margin-loss batch, standing in for
+    its list of [1 x d] rows: it has a length and iterates (or indexes) as
+    rows taken with ``slice_rows``, while ``margin_loss`` reads ``matrix``
+    directly."""
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: Tensor):
+        if matrix.ndim != 2:
+            raise DataError(f"embeddings must be an [N x d] matrix; got {list(matrix.shape)}")
+        self.matrix = matrix
+
+    def __len__(self) -> int:
+        return self.matrix.shape[0]
+
+    def __getitem__(self, i: int) -> Tensor:
+        i = range(len(self))[i]
+        return self.matrix.slice_rows(i, i + 1)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
 def margin_loss(embeddings, triplets, alpha: float, strict: bool = False) -> Tensor:
     """Mean hinge over the triplet set:
     max(0, alpha - cos(anchor, positive) + cos(anchor, negative)).
 
-    ``embeddings`` are [1 x d] rows indexed by the triplets (``Triplets``,
-    or any sequence of index triples). Returns a
-    constant 0 (with a logged notice) when the set is empty. Cosine
-    similarity makes the loss invariant to positive rescaling of the
-    embeddings. A zero-norm embedding has cosine 0 with everything and gets
-    a zero gradient (or raises DataError in strict mode).
+    ``embeddings`` is an ``Embeddings`` matrix or a sequence of [1 x d] rows,
+    indexed by ``triplets`` (from ``build_triplets``). Returns a constant 0
+    (with a logged notice) when the set is empty. Cosine similarity makes
+    the loss invariant to positive rescaling of the embeddings. A zero-norm
+    embedding has cosine 0 with everything and gets a zero gradient (or
+    raises DataError in strict mode).
 
-    The graph has a fixed node count: all N x N cosines come from one
-    matmul of the row-normalized [N x d] batch, O(N^2 d + T) work for T
-    triplets.
+    The loss is one graph node (``tensor.cosine_margin``) over the matrix,
+    O(N²·d + T) work for N embeddings and T triplets; a list of rows adds
+    one ``concat``.
     """
     if not triplets:
         log.info("margin loss: empty triplet set; contributing 0")
-        dtype = embeddings[0].data.dtype if embeddings else np.float64
+        dtype = embeddings[0].data.dtype if len(embeddings) else np.float64
         return Tensor(np.zeros((), dtype=dtype))
-    idx = np.asarray(getattr(triplets, "index", triplets), dtype=np.intp).reshape(-1, 3)
-    anchor, positive, negative = idx.T
-    e = T.concat(embeddings, axis=0)                        # [N x d]
-    sq = (e * e).sum_last_keep()                            # [N x 1]
-    zero = sq.data == 0.0
+    e = embeddings.matrix if isinstance(embeddings, Embeddings) else T.concat(embeddings, axis=0)
+    zero = (e.data * e.data).sum(axis=-1) == 0.0
     if zero.any():
         if strict:
             raise DataError(f"zero-norm embedding at index {int(np.argmax(zero))}")
         log.warning("margin loss: %d zero-norm embedding(s); treating their cosines as 0",
                     int(zero.sum()))
-    # zero rows get norm 1 (finite adjoints) and are then masked to exactly 0
-    norm = (sq + Tensor(zero.astype(sq.data.dtype))).sqrt()
-    unit = e.div_col(norm).mul_col(Tensor((~zero).astype(sq.data.dtype)))
-    cos = unit @ unit.transpose()                           # [N x N]
-    hinge = ((cos.gather(anchor, negative) - cos.gather(anchor, positive)) + alpha).relu()
-    return hinge.sum().scale(1.0 / len(idx))
+    group = triplets.group
+    return T.cosine_margin(e, triplets.positives[group], triplets.negatives[group], alpha)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

@@ -43,14 +43,16 @@ def gated_fuse(first: Tensor, second: Tensor, gate: Linear):
 
 
 class FeedForward:
-    """Two linear maps with tanh between, inner width 4d."""
+    """Two linear maps with tanh between, inner width 4d: one
+    ``tensor.feed_forward`` node."""
 
     def __init__(self, d: int, rng: Prng, dtype=np.float64):
         self.inner = Linear(d, 4 * d, rng.child(0), dtype)
         self.outer = Linear(4 * d, d, rng.child(1), dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.outer(self.inner(x).tanh())
+        inner, outer = self.inner, self.outer
+        return T.feed_forward(x, inner.weight, inner.bias, outer.weight, outer.bias)
 
     def named_parameters(self, prefix: str):
         return (self.inner.named_parameters(f"{prefix}.inner")
@@ -67,8 +69,8 @@ class TransformerEncoderLayer:
         self.norm_ff = LayerNorm(d, dtype)
 
     def __call__(self, x: Tensor, seg: Segments | None = None) -> Tensor:
-        h = self.norm_attn(x + self.attn(x, seg=seg))
-        return self.norm_ff(h + self.ff(h))
+        h = self.norm_attn(x, self.attn(x, seg=seg))
+        return self.norm_ff(h, self.ff(h))
 
     def named_parameters(self, prefix: str):
         return (self.attn.named_parameters(f"{prefix}.attn")
@@ -103,10 +105,10 @@ class GatedCrossModalLayer:
         self.norm_ff = LayerNorm(d, dtype)
 
     def cross_text(self, x: Tensor, ctx: Tensor, seg=None, ctx_seg=None) -> Tensor:
-        return self.norm_text(x + self.attn_text(x, ctx, seg, ctx_seg))
+        return self.norm_text(x, self.attn_text(x, ctx, seg, ctx_seg))
 
     def cross_visual(self, x: Tensor, ctx: Tensor, seg=None, ctx_seg=None) -> Tensor:
-        return self.norm_vis(x + self.attn_vis(x, ctx, seg, ctx_seg))
+        return self.norm_vis(x, self.attn_vis(x, ctx, seg, ctx_seg))
 
     def __call__(self, x: Tensor, aux_text: Tensor | None, aux_vis: Tensor | None,
                  seg: Segments | None = None, text_seg: Segments | None = None,
@@ -125,7 +127,7 @@ class GatedCrossModalLayer:
         else:
             # no auxiliaries: degrade to a plain self-attention layer
             fused = self.cross_text(x, x, seg, seg)
-        out = self.norm_ff(fused + self.ff(fused))
+        out = self.norm_ff(fused, self.ff(fused))
         return out, DeepLayerTrace(text_aug, vis_aug, gate_vals, fused, out)
 
     def named_parameters(self, prefix: str):

@@ -25,7 +25,9 @@ No op writes into its inputs' ``data`` or into the adjoint it is given, and
 no caller writes into an activation (an op's output). ``reshape`` returns a
 view and each ``_vjp`` captures its inputs' arrays, so both rely on this. A
 leaf, such as a parameter, may change in place only while no graph over it
-is waiting for ``backward``.
+is waiting for ``backward``. In-place arithmetic (``+=``, ``out=``) is only
+for arrays the op or its ``_vjp`` allocated in the same call, such as a fresh
+matmul result that becomes the output once its bias is added.
 
 ``backward`` may run once per graph; a fresh forward pass rebuilds the graph.
 A graph and its tensors belong to one thread during forward/backward;
@@ -451,30 +453,126 @@ def concat(tensors, axis: int) -> Tensor:
 # -- layer primitives: one node each, with a closed-form adjoint --------------------
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
-    """Each row of an [m x n] matrix normalized to zero mean and unit
-    (biased) variance, ``eps`` added under the root, then scaled by ``gain``
-    [n] and shifted by ``bias`` [n].
+def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """x W + b for x [m x n], ``weight`` [n x k] and ``bias`` [k]; the
+    adjoint is (g Wᵀ, xᵀ g, the column sums of g)."""
+    _check_affine(x.data.shape, weight, bias, "affine")
+    a, w = x.data, weight.data
+    val = a @ w
+    val += bias.data
+    out = _result(val, (x, weight, bias))
+    if out._parents:
+        out._vjp = lambda g: (g @ w.T, a.T @ g, g.sum(axis=0))
+    return out
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """tanh(x W1 + b1) W2 + b2, the position-wise feed-forward block.
+
+    With h the hidden rows and gh = (g W2ᵀ) * (1 - h²), the adjoint is
+    dx = gh W1ᵀ, dW1 = xᵀ gh, db1 and db2 the column sums of gh and g, and
+    dW2 = hᵀ g. Only h is kept for it.
+    """
+    _check_affine(x.data.shape, w1, b1, "feed_forward")
+    _check_affine((x.data.shape[0], w1.data.shape[1]), w2, b2, "feed_forward")
+    a, v1, v2 = x.data, w1.data, w2.data
+    h = a @ v1
+    h += b1.data
+    np.tanh(h, out=h)
+    val = h @ v2
+    val += b2.data
+    out = _result(val, (x, w1, b1, w2, b2))
+    if out._parents:
+        def vjp(g):
+            gh = g @ v2.T
+            gh *= 1.0 - h * h
+            return gh @ v1.T, a.T @ gh, gh.sum(axis=0), h.T @ g, g.sum(axis=0)
+        out._vjp = vjp
+    return out
+
+
+def layer_norm(x: Tensor, residual: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
+    """Each row of the residual sum x + ``residual`` (two [m x n] matrices)
+    normalized to zero mean and unit (biased) variance, ``eps`` added under
+    the root, then scaled by ``gain`` [n] and shifted by ``bias`` [n].
 
     The adjoint is the closed form of Ba et al. (arXiv:1607.06450): with
     x̂ the normalized rows and ĝ = g * gain,
-    dx = (ĝ - mean(ĝ) - x̂ * mean(ĝ * x̂)) / std.
+    dx = (ĝ - mean(ĝ) - x̂ * mean(ĝ * x̂)) / std, the same for both summands.
     """
+    _check_same(x, residual, "layer_norm")
     _check_row(x, gain, "layer_norm")
     _check_row(x, bias, "layer_norm")
-    a = x.data
-    inv_n = 1.0 / a.shape[1]
-    centered = a - a.sum(axis=-1, keepdims=True) * inv_n
-    std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_n + eps)
-    xhat = centered / std
+    xhat = x.data + residual.data
+    inv_n = 1.0 / xhat.shape[1]
+    xhat -= xhat.sum(axis=-1, keepdims=True) * inv_n
+    std = np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) * inv_n + eps)
+    xhat /= std
     w = gain.data
-    out = _result(xhat * w + bias.data, (x, gain, bias))
+    out = _result(xhat * w + bias.data, (x, residual, gain, bias))
     if out._parents:
         def vjp(g):
             gh = g * w
             dx = (gh - gh.mean(axis=-1, keepdims=True)
                   - xhat * (gh * xhat).mean(axis=-1, keepdims=True)) / std
-            return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+            return dx, dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+        out._vjp = vjp
+    return out
+
+
+def cosine_margin(x: Tensor, positives, negatives, alpha: float) -> Tensor:
+    """Mean triplet hinge max(0, alpha - cos(x_a, x_p) + cos(x_a, x_n)) over
+    every row a of x [N x d], every p in ``positives[a]`` and every n in
+    ``negatives[a]`` (integer [N x P] and [N x Q], padded with -1). A zero
+    row has cosine 0 with every row and gets a zero gradient.
+
+    The rows are normalized (zero rows stay 0) into U and C = U Uᵀ; each
+    anchor's hinges are one [P x Q] broadcast of two gathered rows of C, so
+    the work is O(N²·d + N·P·Q) with no per-triplet index. The adjoint puts
+    -(active negatives) / T on C[a, p] and +(active positives) / T on
+    C[a, n] for T triples, then dU = (dC + dCᵀ) U and, per row,
+    dx = (dU - u (u · dU)) / |x|.
+    """
+    a = x.data
+    n = a.shape[0] if a.ndim == 2 else -1
+    pos = np.asarray(positives, dtype=np.intp)
+    neg = np.asarray(negatives, dtype=np.intp)
+    if (n < 0 or pos.ndim != 2 or neg.ndim != 2 or pos.shape[0] != n or neg.shape[0] != n
+            or any(i.size and (i.min() < -1 or i.max() >= n) for i in (pos, neg))):
+        raise ShapeError(f"cosine_margin: indices {list(pos.shape)} and {list(neg.shape)} "
+                         f"do not index the rows of {_shape(x)}")
+    count = int(((pos >= 0).sum(axis=1) * (neg >= 0).sum(axis=1)).sum())
+    if count == 0:
+        raise ShapeError("cosine_margin: no (anchor, positive, negative) triple")
+    sq = (a * a).sum(axis=-1, keepdims=True)
+    keep = sq != 0.0
+    norm = np.sqrt(sq + ~keep)              # 1 on zero rows: finite, and masked below
+    unit = a / norm
+    unit *= keep
+    # C in columns 0..N-1; a padded positive reads +inf and a padded
+    # negative -inf (columns N and N+1), so its hinge is -inf: inactive
+    table = np.empty((n, n + 2), dtype=a.dtype)
+    table[:, :n] = unit @ unit.T.copy()
+    table[:, n] = np.inf
+    table[:, n + 1] = -np.inf
+    rows = np.arange(n)[:, None]
+    pos = np.where(pos < 0, n, pos)
+    neg = np.where(neg < 0, n + 1, neg)
+    hinge = table[rows, neg][:, None, :] - table[rows, pos][:, :, None]     # [N x P x Q]
+    hinge += alpha
+    active = hinge > 0.0
+    out = _result(np.maximum(hinge, 0.0, out=hinge).sum() * (1.0 / count), (x,))
+    if out._parents:
+        dtype, width = a.dtype, n + 2
+        flat = np.concatenate([(rows * width + pos).reshape(-1), (rows * width + neg).reshape(-1)])
+        counts = np.concatenate([-active.sum(axis=2).reshape(-1), active.sum(axis=1).reshape(-1)])
+
+        def vjp(g):
+            weights = counts * (float(g) * (1.0 / count))
+            dc = np.bincount(flat, weights=weights, minlength=n * width).reshape(n, width)[:, :n]
+            du = (dc + dc.T).astype(dtype, copy=False) @ unit
+            du *= keep
+            return ((du - unit * (du * unit).sum(axis=-1, keepdims=True)) / norm,)
         out._vjp = vjp
     return out
 
@@ -645,6 +743,13 @@ def _check_same(a: Tensor, b: Tensor, op: str):
 def _check_row(a: Tensor, v: Tensor, op: str):
     if a.data.ndim != 2 or v.data.ndim != 1 or v.data.shape[0] != a.data.shape[1]:
         raise ShapeError(f"{op}: expected [m x n] with [n]; got {_shape(a)} and {_shape(v)}")
+
+
+def _check_affine(shape: tuple, w: Tensor, b: Tensor, op: str):
+    if (len(shape) != 2 or w.data.ndim != 2 or shape[1] != w.data.shape[0]
+            or b.data.shape != w.data.shape[1:]):
+        raise ShapeError(f"{op}: expected [m x n] @ [n x k] + [k]; got {list(shape)}, "
+                         f"{_shape(w)} and {_shape(b)}")
 
 
 def _check_col(a: Tensor, c: Tensor, op: str):

@@ -21,7 +21,7 @@ from .checkpoint import load_model, save_model
 from .config import ExperimentConfig, save_config
 from .data import Dataset, RatioSplit, load_dataset, split, write_atomic
 from .errors import ConfigError, DataError
-from .losses import build_triplets, cross_entropy, margin_loss, metrics, total_loss
+from .losses import Embeddings, build_triplets, cross_entropy, margin_loss, metrics, total_loss
 from .model import WavFusionModel
 from .optim import Adam
 from .rng import Prng
@@ -63,10 +63,10 @@ def batch_objective(model: WavFusionModel, samples, mask, alpha: float, balance:
     task = cross_entropy(trace.logits, labels)
     if balance != 0.0:
         shared = model.shared_encode(trace)
-        # one [1 x d] row per entry, sample-major, then in mask order
+        # one row per entry, sample-major, then in mask order
         entries = [(m, label) for label in labels for m in mask]
-        embeddings = [shared[m].slice_rows(b, b + 1) for b in range(len(labels)) for m in mask]
-        margin = margin_loss(embeddings, build_triplets(entries), alpha, strict_cosine)
+        rows = T.concat([shared[m] for m in mask], axis=1).reshape((len(entries), model.d))
+        margin = margin_loss(Embeddings(rows), build_triplets(entries), alpha, strict_cosine)
     else:
         margin = Tensor(np.zeros((), dtype=model.dtype))
     total = total_loss(task, margin, balance)

@@ -1,4 +1,5 @@
-"""Shared test utilities: seeded arrays and finite-difference checking."""
+"""Shared test utilities: seeded arrays, graph sizes and finite-difference
+checking."""
 
 import numpy as np
 
@@ -20,6 +21,21 @@ def make_sample(seed, dims, label=0, t_lens=None):
         t_len = (t_lens or {}).get(m) or rng.child(i).randint(2, 7)
         feats[m] = rng.child(10 + i).normal(t_len * d).reshape(t_len, d)
     return UtteranceSample(f"s{seed}", label, feats)
+
+
+def graph_nodes(loss, stop=()) -> int:
+    """Nodes with inputs (leaves excluded) reachable from ``loss`` without
+    passing through a tensor in ``stop``."""
+    seen = {id(t) for t in stop}
+    stack, count = [loss], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        count += bool(node._parents)
+        stack.extend(node._parents)
+    return count
 
 
 def fd_max_rel_error(func, params, eps=1e-4):

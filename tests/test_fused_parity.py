@@ -16,7 +16,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import rand
+from helpers import graph_nodes, rand
 from wavfusion import tensor as T
 from wavfusion.gradcheck import synthetic_batch
 from wavfusion.layers import Attention, Conv1d, Gru, LayerNorm, Segments, _param, xavier_uniform
@@ -144,19 +144,6 @@ class TestFusedParity:
                      [(new.weight, old.taps, 0), (new.bias, [old.bias], 0)])
 
 
-def graph_nodes(loss) -> int:
-    """Nodes with inputs reachable from ``loss`` (leaves excluded)."""
-    seen, stack, count = set(), [loss], 0
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        count += bool(node._parents)
-        stack.extend(node._parents)
-    return count
-
-
 class TestGraphSize:
     def test_attention_nodes_independent_of_heads(self):
         # three projections, tensor.attention_core and the output map; the
@@ -168,19 +155,22 @@ class TestGraphSize:
         assert counts[0] == counts[1] == counts[2] == 5
 
     def test_layer_norm_and_gru_nodes(self):
-        # LayerNorm was 11 nodes; the GRU 16 per time step plus 5
+        # LayerNorm with its residual add was 12 nodes, then 2; the GRU 16
+        # per time step plus 5, then 3 (input matmul, bias and recurrence)
         x = Tensor(rand((6, 8), seed=7), requires_grad=True)
-        assert graph_nodes(LayerNorm(8)(x)) == 1
+        assert graph_nodes(LayerNorm(8)(x, Tensor(rand((6, 8), seed=8)))) == 1
         for lengths in ([6], [1, 2, 3]):
-            assert graph_nodes(Gru(8, 4, Prng(0))(x, Segments(lengths))) == 3
+            assert graph_nodes(Gru(8, 4, Prng(0))(x, Segments(lengths))) == 2
 
     @pytest.mark.parametrize("size,bound", [
-        (dict(d=16, heads=2, n_shallow=2, n_deep=1, lvc_centers=4), 172),
-        (dict(d=64, heads=4, n_shallow=9, n_deep=3, lvc_centers=8), 332),
+        (dict(d=16, heads=2, n_shallow=2, n_deep=1, lvc_centers=4), 104),
+        (dict(d=64, heads=4, n_shallow=9, n_deep=3, lvc_centers=8), 205),
     ])
     def test_nodes_per_batch(self, size, bound):
-        # one graph per batch of 8: 171 and 329 nodes, bounded within 1%.
-        # The composite LayerNorm, attention core and GRU built 705 and
+        # one graph per batch of 8: 103 and 203 nodes, bounded within 1%.
+        # Two-node Linear, five-node FeedForward, the add before each
+        # LayerNorm and the per-row margin loss built 171 and 329; the
+        # composite LayerNorm, attention core and GRU 705 and
         # 1,195; a graph per sample 3,932 and 7,940 for the same batch (492
         # and 993 per sample); the per-head, per-gate, per-tap layers 525 and
         # 1,298 per sample

@@ -227,15 +227,21 @@ class TestLayerNorm:
         ln.gain.data = rand((5,), seed=20) + 2.0
         ln.bias.data = rand((5,), seed=21)
         x = rand((4, 5), seed=22, scale=2.0)
-        mean = x.mean(axis=-1, keepdims=True)
-        var = ((x - mean) ** 2).mean(axis=-1, keepdims=True)
-        expect = (x - mean) / np.sqrt(var + LayerNorm.EPS) * ln.gain.data + ln.bias.data
-        npt.assert_allclose(ln(Tensor(x)).data, expect, atol=1e-12)
+        y = rand((4, 5), seed=24)
+        h = x + y
+        mean = h.mean(axis=-1, keepdims=True)
+        var = ((h - mean) ** 2).mean(axis=-1, keepdims=True)
+        expect = (h - mean) / np.sqrt(var + LayerNorm.EPS) * ln.gain.data + ln.bias.data
+        npt.assert_allclose(ln(Tensor(x), Tensor(y)).data, expect, atol=1e-12)
+        with pytest.raises(ShapeError, match="layer_norm"):
+            ln(Tensor(x), Tensor(y[:3]))
 
     def test_gradients(self):
         ln = LayerNorm(3)
         x = Tensor(rand((4, 3), seed=23), requires_grad=True)
-        assert fd_max_rel_error(lambda: (ln(x) * ln(x)).sum(), [x, ln.gain, ln.bias]) < 1e-5
+        y = Tensor(rand((4, 3), seed=25), requires_grad=True)
+        probe = Tensor(rand((4, 3), seed=26))
+        assert fd_max_rel_error(lambda: (ln(x, y) * probe).sum(), [x, y, ln.gain, ln.bias]) < 1e-5
 
 
 class TestLvcBlock:

@@ -7,10 +7,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import fd_max_rel_error, rand
+from helpers import fd_max_rel_error, graph_nodes, rand
 from wavfusion.errors import DataError
-from wavfusion.losses import (build_triplets, cross_entropy, margin_loss, metrics,
-                              total_loss)
+from wavfusion.losses import (Embeddings, Triplet, build_triplets, cross_entropy, margin_loss,
+                              metrics, total_loss)
 from wavfusion.oracles import cosine_reference, margin_loss_reference
 from wavfusion.rng import Prng
 from wavfusion.tensor import Tensor
@@ -189,20 +189,6 @@ def loss_and_grads(fn, batch, vectors, alpha=0.5):
     return loss, [np.zeros_like(e.data) if e.grad is None else e.grad for e in embeddings]
 
 
-def margin_graph_ops(loss, embeddings) -> int:
-    """Graph nodes between the loss and the embedding leaves."""
-    stop = {id(e) for e in embeddings}
-    seen, stack, ops = set(), [loss], 0
-    while stack:
-        node = stack.pop()
-        if id(node) in seen or id(node) in stop:
-            continue
-        seen.add(id(node))
-        ops += bool(node._parents)
-        stack.extend(node._parents)
-    return ops
-
-
 class TestMarginLossParity:
     """The vectorized loss against the per-pair one, values and gradients."""
 
@@ -238,13 +224,91 @@ class TestMarginLossParity:
         assert all(g.dtype == np.float32 for g in grads)
 
     def test_node_count_is_independent_of_batch_size(self):
+        # one node over an Embeddings matrix, plus the concat of a list of
+        # rows; the gather form took 16
         counts = []
-        for samples in (4, 16):
+        for samples in (4, 16, 64):
             batch, vectors = trimodal_batch(samples, seed=43)
-            embeddings = [Tensor(v[None, :], requires_grad=True) for v in vectors]
-            counts.append(margin_graph_ops(margin_loss(embeddings, build_triplets(batch), 0.5),
-                                           embeddings))
-        assert counts[0] == counts[1] <= 16
+            triplets = build_triplets(batch)
+            rows = [Tensor(v[None, :], requires_grad=True) for v in vectors]
+            matrix = Tensor(np.stack(vectors), requires_grad=True)
+            counts.append((graph_nodes(margin_loss(Embeddings(matrix), triplets, 0.5)),
+                           graph_nodes(margin_loss(rows, triplets, 0.5), stop=rows)))
+        assert counts == [(1, 2)] * 3
+
+
+def build_triplets_index(batch):
+    """The [T x 3] triplet index as built before the group layout was kept:
+    each group's (positive, negative) pairs by repeat and tile, then laid out
+    anchor by anchor. The reference for ``Triplets.index``."""
+    mod = np.array([entry[0] for entry in batch])
+    lab = np.array([entry[1] for entry in batch])
+    pairs, blocks = {}, []
+    for m, c in zip(mod.tolist(), lab.tolist()):
+        if (m, c) not in pairs:
+            pos = np.flatnonzero((mod != m) & (lab == c))
+            neg = np.flatnonzero((mod == m) & (lab != c))
+            pairs[m, c] = np.column_stack([np.repeat(pos, len(neg)), np.tile(neg, len(pos))])
+        blocks.append(pairs[m, c])
+    if not blocks:
+        return np.zeros((0, 3), dtype=np.intp)
+    anchors = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+    return np.column_stack([anchors, np.concatenate(blocks)])
+
+
+BATCHES = [[], [("a", 0)], [("a", 0), ("a", 1)], [("a", 0), ("t", 0), ("a", 1)],
+           trimodal_batch(5, seed=1)[0], [(m, c) for c in (2, 0, 2, 1) for m in "vta"],
+           [("t", 1), ("a", 0), ("t", 0), ("v", 1), ("a", 1), ("a", 1)]]
+
+
+class TestTripletsContract:
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_length_is_exact_without_the_index(self, batch):
+        triplets = build_triplets(batch)
+        count = len(triplets)
+        assert triplets._index is None
+        assert bool(triplets) == (count > 0)
+        assert count == len(triplets.index) == len(enumerate_triplets_oracle(batch))
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_index_order_and_equality_are_unchanged(self, batch):
+        triplets = build_triplets(batch)
+        expect = build_triplets_index(batch)
+        npt.assert_array_equal(triplets.index, expect)
+        assert triplets.index.dtype == expect.dtype and triplets.index.shape == expect.shape
+        listed = [tuple(row) for row in expect.tolist()]
+        assert [tuple(t) for t in triplets] == listed
+        assert all(isinstance(t, Triplet) for t in triplets)
+        assert triplets == listed and triplets == tuple(listed)
+        assert triplets == build_triplets(batch)
+        assert triplets != listed + [(0, 0, 0)]
+        assert (triplets == {1}) is False
+
+    def test_list_of_rows_equals_the_matrix(self):
+        batch, vectors = trimodal_batch(8, seed=44)
+        triplets = build_triplets(batch)
+        losses, grads = [], []
+        for as_list in (False, True):
+            matrix = Tensor(np.stack(vectors), requires_grad=True)
+            rows = Embeddings(matrix)
+            loss = margin_loss(list(rows) if as_list else rows, triplets, 0.5)
+            loss.backward()
+            losses.append(loss.data)
+            grads.append(matrix.grad)
+        npt.assert_array_equal(losses[0], losses[1])
+        npt.assert_array_equal(grads[0], grads[1])
+
+    def test_embeddings_rows(self):
+        matrix = Tensor(rand((4, 3), seed=45))
+        rows = Embeddings(matrix)
+        assert len(rows) == 4
+        for i, row in enumerate(rows):
+            npt.assert_array_equal(row.data, matrix.data[i:i + 1])
+        npt.assert_array_equal(rows[-1].data, matrix.data[3:])
+        with pytest.raises(IndexError):
+            rows[4]
+        with pytest.raises(DataError):
+            Embeddings(Tensor(np.zeros(3)))
 
 
 class TestCrossEntropy:

@@ -11,6 +11,7 @@ padding adds zeros to some float sums and changes their grouping.
 import numpy as np
 import pytest
 
+from helpers import graph_nodes
 from wavfusion import tensor as T
 from wavfusion.data import UtteranceSample
 from wavfusion.errors import DataError
@@ -139,20 +140,13 @@ class TestPackedParity:
         model = tiny_model()
 
         def nodes(samples):
-            loss, _, _, _ = batch_objective(model, samples, ("a", "t", "v"), 0.5, 1.0)
-            seen, stack, count = set(), [loss], 0
-            while stack:
-                node = stack.pop()
-                if id(node) not in seen:
-                    seen.add(id(node))
-                    count += bool(node._parents)
-                    stack.extend(node._parents)
-            return count
+            return graph_nodes(batch_objective(model, samples, ("a", "t", "v"), 0.5, 1.0)[0])
 
         few = make_batch({m: [4, 4] for m in DIMS})
         many = make_batch({m: [4] * 8 for m in DIMS})
-        # only the per-entry embedding rows fed to the margin loss scale with B
-        assert nodes(many) - nodes(few) == 3 * (8 - 2)
+        # the margin loss reads one [3B x d] matrix, so nothing scales with B
+        # (one [1 x d] row per entry did before: 3 * (8 - 2) more nodes)
+        assert nodes(many) == nodes(few)
 
     def test_padding_does_not_leak(self):
         # a sequence's outputs do not depend on its batch-mates

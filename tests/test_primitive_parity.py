@@ -1,13 +1,16 @@
-"""Float64 parity of the one-node layer primitives (``tensor.layer_norm``,
-``tensor.attention_core``, ``tensor.gru``) with the composite graphs they
-replaced, and finite differences on each.
+"""Float64 parity of the one-node primitives (``tensor.affine``,
+``tensor.feed_forward``, ``tensor.layer_norm`` with its residual add,
+``tensor.attention_core``, ``tensor.gru`` and the margin loss's
+``tensor.cosine_margin``) with the composite graphs they replaced, and
+finite differences on each.
 
-The ``composite_*`` functions are the earlier layers, built from the basic
-ops, kept here only as the reference. They run the same arithmetic in the
-same order, so values agree to the last bit or nearly; the closed-form
-adjoints sum in another order, so gradients agree within 1e-12 of their
-largest entry. One change from the earlier code: column cuts, which had
-their own op, are two transposes around a row gather here; both are exact.
+The ``composite_*`` functions are the earlier layers and loss, built from
+the basic ops, kept here only as the reference. They run the same
+arithmetic in the same order, so values agree to the last bit or nearly;
+the closed-form adjoints sum in another order, so gradients agree within
+1e-12 of their largest entry. One change from the earlier code: column
+cuts, which had their own op, are two transposes around a row gather here;
+both are exact.
 """
 
 import math
@@ -17,14 +20,26 @@ import pytest
 
 from helpers import fd_max_rel_error, rand
 from wavfusion import tensor as T
+from wavfusion import train
+from wavfusion.errors import DataError
 from wavfusion.gradcheck import synthetic_batch
-from wavfusion.layers import Attention, Gru, LayerNorm, Segments
+from wavfusion.layers import Segments
+from wavfusion.losses import Embeddings, build_triplets, margin_loss
 from wavfusion.model import WavFusionModel
 from wavfusion.tensor import Tensor
 from wavfusion.train import batch_objective
 
 
-def composite_layer_norm(x, gain, bias, eps):
+def composite_affine(x, weight, bias):
+    return (x @ weight).add_row(bias)
+
+
+def composite_feed_forward(x, w1, b1, w2, b2):
+    return composite_affine(composite_affine(x, w1, b1).tanh(), w2, b2)
+
+
+def composite_layer_norm(x, residual, gain, bias, eps):
+    x = x + residual
     n = x.shape[1]
     mean = x.sum_last_keep().scale(1.0 / n)
     centered = x.sub_col(mean)
@@ -68,6 +83,28 @@ def composite_gru(pre, u_zr, u_h, seg):
         h = (z.scale(-1.0) + 1.0) * h + z * cand
         steps.append(h)
     return T.concat(steps, axis=0).take_rows(seg.from_time_major)
+
+
+def composite_margin_loss(embeddings, triplets, alpha, strict=False):
+    """The margin loss as a 16-node graph over a list of [1 x d] rows: the
+    cosine matrix of the row-normalized batch and two ``gather``s of it at
+    the [T x 3] triplet index."""
+    if not triplets:
+        dtype = embeddings[0].data.dtype if len(embeddings) else np.float64
+        return Tensor(np.zeros((), dtype=dtype))
+    idx = np.asarray(getattr(triplets, "index", triplets), dtype=np.intp).reshape(-1, 3)
+    anchor, positive, negative = idx.T
+    e = T.concat(list(embeddings), axis=0)                  # [N x d]
+    sq = (e * e).sum_last_keep()                            # [N x 1]
+    zero = sq.data == 0.0
+    if zero.any() and strict:
+        raise DataError(f"zero-norm embedding at index {int(np.argmax(zero))}")
+    # zero rows get norm 1 (finite adjoints) and are then masked to exactly 0
+    norm = (sq + Tensor(zero.astype(sq.data.dtype))).sqrt()
+    unit = e.div_col(norm).mul_col(Tensor((~zero).astype(sq.data.dtype)))
+    cos = unit @ unit.transpose()                           # [N x N]
+    hinge = ((cos.gather(anchor, negative) - cos.gather(anchor, positive)) + alpha).relu()
+    return hinge.sum().scale(1.0 / len(idx))
 
 
 # float32 sums round at ~6e-8; the two paths group them differently
@@ -116,21 +153,54 @@ LAYOUTS = [([4], [4]), ([1, 5, 3, 1], [2, 1, 4, 3]), ([2, 3], [6, 5]), ([6, 5], 
 GRU_LAYOUTS = [[1], [5], [1, 4, 1, 3], [1, 1, 1]]     # T_max = 1 in the first and last
 
 
+class TestAffine:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("rows,d_in,d_out", [(1, 3, 4), (6, 8, 5)])
+    def test_parity(self, rows, d_in, d_out, dtype):
+        check_parity(T.affine, composite_affine, [(rows, d_in), (d_in, d_out), (d_out,)], dtype)
+
+    def test_values_are_bit_identical(self):
+        ins = [Tensor(rand(s, seed=i)) for i, s in enumerate(((5, 3), (3, 4), (4,)))]
+        np.testing.assert_array_equal(T.affine(*ins).data, composite_affine(*ins).data)
+
+    def test_finite_differences(self):
+        check_fd(T.affine, [(4, 3), (3, 2), (2,)])
+
+
+class TestFeedForward:
+    SHAPES = [(5, 4), (4, 16), (16,), (16, 4), (4,)]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_parity(self, dtype):
+        check_parity(T.feed_forward, composite_feed_forward, self.SHAPES, dtype)
+
+    def test_values_are_bit_identical(self):
+        ins = [Tensor(rand(s, seed=i)) for i, s in enumerate(self.SHAPES)]
+        np.testing.assert_array_equal(T.feed_forward(*ins).data,
+                                      composite_feed_forward(*ins).data)
+
+    def test_finite_differences(self):
+        check_fd(T.feed_forward, [(3, 2), (2, 5), (5,), (5, 3), (3,)])
+
+
 class TestLayerNorm:
+    """``tensor.layer_norm`` of a residual sum against the add node and the
+    composite LayerNorm after it."""
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("rows,width", [(1, 4), (5, 8)])
     def test_parity(self, rows, width, dtype):
-        shapes = [(rows, width), (width,), (width,)]
-        check_parity(lambda x, g, b: T.layer_norm(x, g, b, 1e-5),
-                     lambda x, g, b: composite_layer_norm(x, g, b, 1e-5), shapes, dtype)
+        shapes = [(rows, width), (rows, width), (width,), (width,)]
+        check_parity(lambda x, y, g, b: T.layer_norm(x, y, g, b, 1e-5),
+                     lambda x, y, g, b: composite_layer_norm(x, y, g, b, 1e-5), shapes, dtype)
 
     def test_values_are_bit_identical(self):
-        x, g, b = (Tensor(rand(s, seed=i)) for i, s in enumerate(((6, 8), (8,), (8,))))
-        np.testing.assert_array_equal(T.layer_norm(x, g, b, 1e-5).data,
-                                      composite_layer_norm(x, g, b, 1e-5).data)
+        ins = [Tensor(rand(s, seed=i)) for i, s in enumerate(((6, 8), (6, 8), (8,), (8,)))]
+        np.testing.assert_array_equal(T.layer_norm(*ins, 1e-5).data,
+                                      composite_layer_norm(*ins, 1e-5).data)
 
     def test_finite_differences(self):
-        check_fd(lambda x, g, b: T.layer_norm(x, g, b, 1e-5), [(4, 5), (5,), (5,)])
+        check_fd(lambda x, y, g, b: T.layer_norm(x, y, g, b, 1e-5), [(4, 5), (4, 5), (5,), (5,)])
 
 
 class TestAttentionCore:
@@ -179,20 +249,79 @@ class TestGru:
         check_fd(fused, shapes)
 
 
-def use_composite_layers(monkeypatch):
-    """Route ``LayerNorm``, ``Attention`` and ``Gru`` through the composite graphs."""
-    def attention(self, x, ctx=None, seg=None, ctx_seg=None):
-        seg = Segments.of(x, seg)
-        ctx, ctx_seg = (x, seg) if ctx is None else (ctx, Segments.of(ctx, ctx_seg))
-        core = composite_attention_core(x @ self.wq, ctx @ self.wk, ctx @ self.wv, self.heads,
-                                        seg, ctx_seg)
-        return core @ self.wo
+def margin_batch(samples, seed, dtype=np.float64, d=5):
+    """(modality, label) entries of ``samples`` utterances over three
+    modalities, labels cycling through 4 classes, and their [3B x d] rows."""
+    entries = [(m, b % 4) for b in range(samples) for m in "atv"]
+    return entries, rand((len(entries), d), seed=seed).astype(dtype)
 
-    monkeypatch.setattr(LayerNorm, "__call__",
-                        lambda self, x: composite_layer_norm(x, self.gain, self.bias, self.EPS))
-    monkeypatch.setattr(Attention, "__call__", attention)
-    monkeypatch.setattr(Gru, "__call__", lambda self, x, seg=None: composite_gru(
-        (x @ self.w).add_row(self.b), self.u_zr, self.u_h, Segments.of(x, seg)))
+
+class TestMarginLoss:
+    """The one-node margin loss over an ``Embeddings`` matrix against the
+    16-node gather form over its list of rows."""
+
+    @staticmethod
+    def both(entries, rows, strict=False):
+        """(value, gradient of the rows) of the fused and the composite loss."""
+        triplets = build_triplets(entries)
+        results = []
+        for fused in (True, False):
+            matrix = Tensor(rows.copy(), requires_grad=True)
+            embeddings = Embeddings(matrix)
+            loss = (margin_loss(embeddings, triplets, 0.5, strict) if fused
+                    else composite_margin_loss(list(embeddings), triplets, 0.5, strict))
+            if loss._parents:
+                loss.backward()
+            results.append((loss.data, np.zeros_like(rows) if matrix.grad is None else matrix.grad))
+        return results
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("samples", [2, 8, 16, 64])
+    def test_parity(self, samples, dtype):
+        entries, rows = margin_batch(samples, seed=samples, dtype=dtype)
+        (value, grad), (ref_value, ref_grad) = self.both(entries, rows)
+        assert value.dtype == grad.dtype == dtype
+        assert_rel_close(value, ref_value, TOL[dtype], "value")
+        assert_rel_close(grad, ref_grad, TOL[dtype], "gradient")
+
+    def test_zero_norm_row(self):
+        entries, rows = margin_batch(8, seed=40)
+        rows[4] = 0.0
+        (value, grad), (ref_value, ref_grad) = self.both(entries, rows)
+        assert_rel_close(value, ref_value, TOL[np.float64], "value")
+        assert_rel_close(grad, ref_grad, TOL[np.float64], "gradient")
+        np.testing.assert_array_equal(grad[4], 0.0)
+        assert np.abs(grad).sum() > 0.0
+
+    def test_strict_mode(self):
+        entries, rows = margin_batch(4, seed=41)
+        rows[7] = 0.0
+        for loss in (margin_loss, composite_margin_loss):
+            with pytest.raises(DataError, match="index 7"):
+                loss(Embeddings(Tensor(rows)), build_triplets(entries), 0.5, strict=True)
+
+    def test_empty_set(self):
+        entries, rows = margin_batch(1, seed=42)
+        assert len(build_triplets(entries)) == 0
+        (value, grad), (ref_value, ref_grad) = self.both(entries, rows)
+        assert value == ref_value == 0.0
+        np.testing.assert_array_equal(grad, ref_grad)
+
+    def test_finite_differences(self):
+        entries, rows = margin_batch(3, seed=43, d=3)
+        triplets = build_triplets(entries)
+        leaf = Tensor(rows, requires_grad=True)
+        assert fd_max_rel_error(lambda: margin_loss(Embeddings(leaf), triplets, 0.5), [leaf]) < 1e-6
+
+
+def use_composite_path(monkeypatch):
+    """Route every fused primitive and the margin loss through the composite
+    graphs: the whole batch objective as it was before they were fused."""
+    for name, composite in (("affine", composite_affine), ("feed_forward", composite_feed_forward),
+                            ("layer_norm", composite_layer_norm),
+                            ("attention_core", composite_attention_core), ("gru", composite_gru)):
+        monkeypatch.setattr(T, name, composite)
+    monkeypatch.setattr(train, "margin_loss", composite_margin_loss)
 
 
 # the benchmark's two model configs, batch sizes and longest sequences
@@ -210,7 +339,7 @@ def test_whole_batch_parity(workload, monkeypatch):
     results = []
     for composite in (False, True):
         if composite:
-            use_composite_layers(monkeypatch)
+            use_composite_path(monkeypatch)
         model = WavFusionModel(num_classes=4, feature_dims=dims, seed=5, **size)
         loss, _, _, _ = batch_objective(model, samples, ("a", "t", "v"), 0.5, 1.0)
         loss.backward()

@@ -451,10 +451,46 @@ class TestLayerPrimitives:
             for part, whole, r in zip(parts, (q, k, v), (rows, ctx_rows, ctx_rows)):
                 npt.assert_allclose(part.grad, whole.grad[r], rtol=0, atol=1e-14)
 
+    def test_cosine_margin_matches_a_loop(self):
+        # padded, repeated and overlapping indices, and a zero row
+        x = rand((5, 3), seed=18)
+        x[3] = 0.0
+        pos = [[1, 1, -1], [2, 3, 4], [-1, -1, -1], [0, -1, -1], [1, 0, -1]]
+        neg = [[2, 4], [3, -1], [0, 1], [1, 2], [-1, -1]]
+        unit = x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-300)
+        terms = [max(0.0, 0.3 - unit[a] @ unit[p] + unit[a] @ unit[n])
+                 for a in range(5) for p in pos[a] if p >= 0 for n in neg[a] if n >= 0]
+        leaf = Tensor(x, requires_grad=True)
+        value = T.cosine_margin(leaf, pos, neg, 0.3)
+        assert abs(float(value.data) - sum(terms) / len(terms)) < 1e-15
+        value.backward()
+        npt.assert_array_equal(leaf.grad[3], 0.0)
+        # a zero row's cosines jump once it moves: differences need nonzero rows
+        leaf = Tensor(rand((5, 3), seed=19), requires_grad=True)
+        assert fd_max_rel_error(lambda: T.cosine_margin(leaf, pos, neg, 0.3), [leaf]) < 1e-6
+
     def test_shape_contracts(self):
         x = Tensor(np.zeros((3, 4)))
         with pytest.raises(ShapeError, match="layer_norm"):
-            T.layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(4)), 1e-5)
+            T.layer_norm(x, x, Tensor(np.ones(3)), Tensor(np.zeros(4)), 1e-5)
+        with pytest.raises(ShapeError, match="layer_norm"):
+            T.layer_norm(x, Tensor(np.zeros((2, 4))), Tensor(np.ones(4)), Tensor(np.zeros(4)), 1e-5)
+        w, b = Tensor(np.zeros((4, 2))), Tensor(np.zeros(2))
+        assert T.affine(x, w, b).shape == (3, 2)
+        with pytest.raises(ShapeError, match="affine"):
+            T.affine(x, w, Tensor(np.zeros(4)))
+        with pytest.raises(ShapeError, match="affine"):
+            T.affine(Tensor(np.zeros((3, 2))), w, b)
+        assert T.feed_forward(x, w, b, Tensor(np.zeros((2, 5))), Tensor(np.zeros(5))).shape == (3, 5)
+        with pytest.raises(ShapeError, match="feed_forward"):
+            T.feed_forward(x, w, b, Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
+        assert T.cosine_margin(x, [[1], [0], [-1]], [[2], [2], [0]], 0.5).shape == ()
+        with pytest.raises(ShapeError, match="cosine_margin"):
+            T.cosine_margin(x, [[1], [0], [3]], [[2], [2], [0]], 0.5)      # row 3 of 3
+        with pytest.raises(ShapeError, match="cosine_margin"):
+            T.cosine_margin(x, [[1], [0]], [[2], [2]], 0.5)
+        with pytest.raises(ShapeError, match="no .anchor, positive, negative. triple"):
+            T.cosine_margin(x, [[1], [0], [-1]], [[-1], [-1], [0]], 0.5)
         with pytest.raises(ShapeError, match="attention_core"):
             T.attention_core(x, x, x, 3, Segments([3]), Segments([3]))      # 4 % 3 heads
         with pytest.raises(ShapeError, match="attention_core"):
@@ -503,7 +539,12 @@ OPS = {
     "take_rows": ([(2, 3, 4)], lambda a: a.take_rows([[5, 0, -1], [0, 0, 2]])),
     "gather": ([(3, 4)], lambda a: a.gather([0, 2, 2], [1, 3, 3])),
     "concat": ([(3, 2), (3, 4), (3, 1)], lambda *ts: T.concat(ts, axis=-1)),
-    "layer_norm": ([(3, 4), (4,), (4,)], lambda x, g, b: T.layer_norm(x, g, b, 1e-5)),
+    "affine": ([(3, 4), (4, 2), (2,)], T.affine),
+    "feed_forward": ([(3, 4), (4, 5), (5,), (5, 2), (2,)], T.feed_forward),
+    "layer_norm": ([(3, 4), (3, 4), (4,), (4,)], lambda x, y, g, b: T.layer_norm(x, y, g, b, 1e-5)),
+    # padded index rows; row 2 is an anchor with no triple
+    "cosine_margin": ([(4, 3)], lambda x: T.cosine_margin(
+        x, [[1, 3], [0, -1], [-1, -1], [2, 1]], [[2, -1], [3, 2], [0, 1], [0, -1]], 1.0)),
     # two heads; the second sequence's context is padded, so keys are masked
     "attention_core": ([(5, 4), (4, 4), (4, 4)],
                        lambda q, k, v: T.attention_core(q, k, v, 2, Segments([2, 3]),
