@@ -83,9 +83,14 @@ class ExperimentConfig:
             raise ConfigError(f"precision must be one of {PRECISIONS}; got {self.precision!r}")
         if self.num_classes < 0:
             raise ConfigError("num_classes must be non-negative (0 = infer)")
-        for name in ("train_frac", "val_frac", "test_frac"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
+        fracs = {name: getattr(self, name) for name in ("train_frac", "val_frac", "test_frac")}
+        for name, value in fracs.items():
+            if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1]")
+        if abs(sum(fracs.values()) - 1.0) > 1e-9:
+            raise ConfigError("train_frac, val_frac and test_frac must sum to 1; got "
+                              + " + ".join(f"{name}={value}" for name, value in fracs.items())
+                              + f" = {sum(fracs.values())}")
         return self
 
     def mask(self) -> tuple:

@@ -241,9 +241,11 @@ class SynthSpec:
             raise ConfigError("scales mu and sigma must be non-negative")
         if self.latent_dim < 1:
             raise ConfigError("latent_dim must be positive")
-        for m in self.dims:
+        for m, dim in self.dims.items():
             if m not in MODALITIES:
                 raise ConfigError(f"unknown modality {m!r}")
+            if dim < 1:
+                raise ConfigError(f"feature width of modality {m!r} must be at least 1; got {dim}")
             lo, hi = self.seq_len[m]
             if lo < 1 or hi < lo:
                 raise ConfigError(f"bad sequence length range {lo}..{hi} for {m!r}")

@@ -271,40 +271,29 @@ class LvcBlock:
     weighted residuals are averaged over time into one descriptor, projected,
     and squashed into a per-channel gate in (0, 1) that scales the stem output
     at every time step. A packed batch gets one descriptor and one gate [B x d]
-    per sequence.
+    per sequence. After the stem this is three graph nodes:
+    ``tensor.codebook_pool``, the projection's ``affine`` and
+    ``tensor.sequence_gate``.
     """
 
     def __init__(self, d_in: int, d: int, k_conv: int, n_centers: int, rng: Prng, dtype=np.float64):
         if n_centers < 1:
             raise ConfigError(f"codebook needs at least one center; got {n_centers}")
         self.d = d
-        self.n_centers = n_centers
         self.stem = Conv1d(d_in, d, k_conv, rng.child(0), dtype)
         self.centers = _param((rng.child(1).normal(n_centers * d) * 0.1).astype(dtype).reshape(n_centers, d))
         self.scales = _param(np.ones(n_centers, dtype=dtype))
         self.proj = Linear(d, d, rng.child(2), dtype)
 
     def __call__(self, x: Tensor, seg: Segments | None = None, return_parts: bool = False):
+        """The gated stem output; with ``return_parts``, also the codeword
+        weights [sum(T) x K] and the gates [B x d] (values only)."""
         seg = Segments.of(x, seg)
         stem_out = self.stem(x, seg)
-        dtype = stem_out.data.dtype
-        x_sq = (stem_out * stem_out).sum_last_keep()                    # [T x 1]
-        c_sq = (self.centers * self.centers).sum_last_keep().reshape((self.n_centers,))
-        cross = stem_out @ self.centers.transpose()                     # [T x K]
-        dist_sq = cross.scale(-2.0).add_col(x_sq).add_row(c_sq)
-        assign = dist_sq.mul_row(self.scales).scale(-1.0).softmax(axis=-1)
-
-        sums = Tensor(seg.pooling(dtype, mean=False))                   # [B x T]
-        weight_per_pos = assign.sum_last_keep()                         # [T x 1], ~1
-        pooled = sums @ stem_out.mul_col(weight_per_pos)                # sum_i sum_k w_ik x_i
-        center_mass = (sums @ assign) @ self.centers                    # sum_i sum_k w_ik b_k
-        inv_len = Tensor((1.0 / seg.lengths)[:, None].astype(dtype))
-        descriptor = (pooled - center_mass).mul_col(inv_len)            # [B x d]
-
-        gate = self.proj(descriptor).sigmoid()                          # [B x d]
-        out = stem_out * gate.take_rows(seg.ids)
+        descriptor, weights = T.codebook_pool(stem_out, self.centers, self.scales, seg)
+        out, gate = T.sequence_gate(stem_out, self.proj(descriptor), seg)
         if return_parts:
-            return out, assign, gate
+            return out, Tensor(weights), Tensor(gate)
         return out
 
     def named_parameters(self, prefix: str):

@@ -133,11 +133,12 @@ def margin_loss(embeddings, triplets, alpha: float, strict: bool = False) -> Ten
     O(N²·d + T) work for N embeddings and T triplets; a list of rows adds
     one ``concat``.
     """
+    is_matrix = isinstance(embeddings, Embeddings)
     if not triplets:
         log.info("margin loss: empty triplet set; contributing 0")
-        dtype = embeddings[0].data.dtype if len(embeddings) else np.float64
-        return Tensor(np.zeros((), dtype=dtype))
-    e = embeddings.matrix if isinstance(embeddings, Embeddings) else T.concat(embeddings, axis=0)
+        first = embeddings.matrix if is_matrix else next(iter(embeddings), None)
+        return Tensor(np.zeros((), dtype=np.float64 if first is None else first.data.dtype))
+    e = embeddings.matrix if is_matrix else T.concat(embeddings, axis=0)
     zero = (e.data * e.data).sum(axis=-1) == 0.0
     if zero.any():
         if strict:
@@ -150,20 +151,15 @@ def margin_loss(embeddings, triplets, alpha: float, strict: bool = False) -> Ten
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean negative log-likelihood over rows of ``logits`` [N x c],
-    stabilized through max-subtracted log-sum-exp."""
+    stabilized through max-subtracted log-sum-exp: one
+    ``tensor.softmax_nll`` node. Each label must be a whole number in
+    [0, c)."""
     labels = list(labels)
     if logits.ndim != 2 or logits.shape[0] != len(labels):
         raise DataError(f"cross_entropy: logits {list(logits.shape)} vs {len(labels)} labels")
-    c = logits.shape[1]
-    for lab in labels:
-        if not 0 <= int(lab) < c:
-            raise DataError(f"label {lab} outside [0, {c})")
-    row_max = Tensor(logits.data.max(axis=-1, keepdims=True))
-    shifted = logits.sub_col(row_max)
-    log_norm = shifted.exp().sum_last_keep().log()          # [N x 1]
-    n = len(labels)
-    picked = shifted.gather(np.arange(n), [int(x) for x in labels]).reshape((n, 1))
-    return (log_norm - picked).sum().scale(1.0 / n)
+    if not labels:
+        raise DataError("cross_entropy needs at least one row")
+    return T.softmax_nll(logits, labels)
 
 
 def total_loss(task: Tensor, margin: Tensor, balance: float) -> Tensor:

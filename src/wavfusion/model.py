@@ -33,13 +33,14 @@ def gated_fuse(first: Tensor, second: Tensor, gate: Linear):
     """Convex per-channel mix of two augmented streams.
 
     Gate values are sigmoid(gate(first (+) second)), so the result lies
-    elementwise between the two inputs. Returns (fused, gate_values).
+    elementwise between the two inputs. Returns (fused, gate_values), the
+    gate values as data only. Three graph nodes: ``concat``, the gate's
+    ``affine`` and ``tensor.gated_mix``.
     """
     if first.shape != second.shape:
         raise ShapeError(f"gated_fuse: shapes {list(first.shape)} and {list(second.shape)} differ")
-    gate_vals = gate(T.concat([first, second], axis=-1)).sigmoid()
-    fused = gate_vals * first + (gate_vals.scale(-1.0) + 1.0) * second
-    return fused, gate_vals
+    fused, gate_vals = T.gated_mix(gate(T.concat([first, second], axis=-1)), first, second)
+    return fused, Tensor(gate_vals)
 
 
 class FeedForward:

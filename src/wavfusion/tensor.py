@@ -16,10 +16,14 @@ given, cast only where its dtype differs from the input's, so a ``grad`` may
 share memory with an adjoint or another ``grad``, or be a read-only broadcast
 view: nothing writes into a gradient.
 
-Shape discipline is strict. Binary elementwise operations demand equal
-shapes, and the only implicit broadcast is scalar-times-tensor. Row and
-column broadcasts exist as separately named operations (``add_row``,
-``sub_col``, ...) so no shape mismatch can slip through silently.
+The ops are a few structural ones (``+``, ``scale``, ``@``, ``reshape``,
+``slice_rows``, ``take_rows``, ``concat``) and one node per layer, each
+with a closed-form adjoint: ``affine``, ``feed_forward``, ``layer_norm``,
+``attention_core``, ``gru``, ``gated_mix``, ``codebook_pool``,
+``sequence_gate`` and the losses ``cosine_margin`` and ``softmax_nll``.
+Shape discipline is strict: ``+`` demands equal shapes, there is no
+implicit broadcast, and each op checks its inputs and names itself in the
+error.
 
 No op writes into its inputs' ``data`` or into the adjoint it is given, and
 no caller writes into an activation (an op's output). ``reshape`` returns a
@@ -42,7 +46,7 @@ from contextvars import ContextVar
 
 import numpy as np
 
-from .errors import GraphError, ShapeError
+from .errors import DataError, GraphError, ShapeError
 
 # per thread (and per asyncio task): one thread's no_grad never reaches another's graph
 _grad_enabled: ContextVar[bool] = ContextVar("grad_enabled", default=True)
@@ -89,12 +93,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def __repr__(self):
-        return f"Tensor(shape={list(self.data.shape)}, requires_grad={self.requires_grad})"
-
     # -- backward ------------------------------------------------------------
 
     def backward(self):
@@ -139,125 +137,20 @@ class Tensor:
                                    else parent.grad + g)
             node.grad = node._vjp = None
 
-    # -- arithmetic (equal shapes; python scalars allowed) ---------------------
+    # -- arithmetic and linear algebra -------------------------------------------
 
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            _check_same(self, other, "add")
-            out = _result(self.data + other.data, (self, other))
-            if out._parents:
-                out._vjp = lambda g: (g, g)
-            return out
-        return self._shift(float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            _check_same(self, other, "sub")
-            out = _result(self.data - other.data, (self, other))
-            if out._parents:
-                out._vjp = lambda g: (g, -g)
-            return out
-        return self._shift(-float(other))
-
-    def __rsub__(self, other):
-        return (-self)._shift(float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            _check_same(self, other, "mul")
-            a, b = self.data, other.data
-            out = _result(a * b, (self, other))
-            if out._parents:
-                out._vjp = lambda g: (g * b, g * a)
-            return out
-        return self.scale(float(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            _check_same(self, other, "div")
-            b = other.data
-            val = self.data / b
-            out = _result(val, (self, other))
-            if out._parents:
-                out._vjp = lambda g: (g / b, -g * val / b)
-            return out
-        return self.scale(1.0 / float(other))
-
-    def __neg__(self):
-        return self.scale(-1.0)
+    def __add__(self, other: "Tensor") -> "Tensor":
+        _check_same(self, other, "add")
+        out = _result(self.data + other.data, (self, other))
+        if out._parents:
+            out._vjp = lambda g: (g, g)
+        return out
 
     def scale(self, s: float) -> "Tensor":
         out = _result(self.data * s, (self,))
         if out._parents:
             out._vjp = lambda g: (g * s,)
         return out
-
-    def _shift(self, c: float) -> "Tensor":
-        out = _result(self.data + c, (self,))
-        if out._parents:
-            out._vjp = lambda g: (g,)
-        return out
-
-    # -- pointwise nonlinearities ----------------------------------------------
-
-    def sigmoid(self) -> "Tensor":
-        val = _sigmoid(self.data)
-        out = _result(val, (self,))
-        if out._parents:
-            out._vjp = lambda g: (g * val * (1.0 - val),)
-        return out
-
-    def tanh(self) -> "Tensor":
-        val = np.tanh(self.data)
-        out = _result(val, (self,))
-        if out._parents:
-            out._vjp = lambda g: (g * (1.0 - val * val),)
-        return out
-
-    def exp(self) -> "Tensor":
-        val = np.exp(self.data)
-        out = _result(val, (self,))
-        if out._parents:
-            out._vjp = lambda g: (g * val,)
-        return out
-
-    def log(self) -> "Tensor":
-        x = self.data
-        out = _result(np.log(x), (self,))
-        if out._parents:
-            out._vjp = lambda g: (g / x,)
-        return out
-
-    def sqrt(self) -> "Tensor":
-        val = np.sqrt(self.data)
-        out = _result(val, (self,))
-        if out._parents:
-            out._vjp = lambda g: (g * 0.5 / val,)
-        return out
-
-    def relu(self) -> "Tensor":
-        # subgradient 0 at the kink
-        x = self.data
-        out = _result(np.maximum(x, 0.0), (self,))
-        if out._parents:
-            out._vjp = lambda g: (g * (x > 0),)
-        return out
-
-    def softmax(self, axis: int = -1) -> "Tensor":
-        """Normalized exponentials along ``axis``, max-subtracted for stability."""
-        if not -self.data.ndim <= axis < self.data.ndim:
-            raise ShapeError(f"softmax: axis {axis} out of bounds for shape {_shape(self)}")
-        val = _softmax(self.data, axis)
-        out = _result(val, (self,))
-        if out._parents:
-            out._vjp = lambda g: (val * (g - (g * val).sum(axis=axis, keepdims=True)),)
-        return out
-
-    # -- linear algebra ---------------------------------------------------------
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         """Matrix product of two matrices, or of two equal-size stacks of
@@ -271,80 +164,6 @@ class Tensor:
         out = _result(a @ b, (self, other))
         if out._parents:
             out._vjp = lambda g: (g @ _swap(b), _swap(a) @ g)
-        return out
-
-    def transpose(self) -> "Tensor":
-        """Swap the last two axes of a matrix or a stack of matrices."""
-        if self.data.ndim not in (2, 3):
-            raise ShapeError(f"transpose needs a rank-2 or rank-3 tensor; got {_shape(self)}")
-        out = _result(_swap(self.data).copy(), (self,))
-        if out._parents:
-            out._vjp = lambda g: (_swap(g),)
-        return out
-
-    # -- reductions ---------------------------------------------------------------
-
-    def sum(self) -> "Tensor":
-        shape = self.data.shape
-        out = _result(self.data.sum(), (self,))
-        if out._parents:
-            out._vjp = lambda g: (np.broadcast_to(g, shape),)
-        return out
-
-    def sum_last_keep(self) -> "Tensor":
-        """Sum over the last axis, keeping it as size 1."""
-        shape = self.data.shape
-        out = _result(self.data.sum(axis=-1, keepdims=True), (self,))
-        if out._parents:
-            out._vjp = lambda g: (np.broadcast_to(g, shape),)
-        return out
-
-    # -- named broadcasts (matrix with row / column vector) -------------------------
-
-    def add_row(self, v: "Tensor") -> "Tensor":
-        _check_row(self, v, "add_row")
-        out = _result(self.data + v.data, (self, v))
-        if out._parents:
-            out._vjp = lambda g: (g, g.sum(axis=0))
-        return out
-
-    def mul_row(self, v: "Tensor") -> "Tensor":
-        _check_row(self, v, "mul_row")
-        x, r = self.data, v.data
-        out = _result(x * r, (self, v))
-        if out._parents:
-            out._vjp = lambda g: (g * r, (g * x).sum(axis=0))
-        return out
-
-    def add_col(self, c: "Tensor") -> "Tensor":
-        _check_col(self, c, "add_col")
-        out = _result(self.data + c.data, (self, c))
-        if out._parents:
-            out._vjp = lambda g: (g, g.sum(axis=1, keepdims=True))
-        return out
-
-    def sub_col(self, c: "Tensor") -> "Tensor":
-        _check_col(self, c, "sub_col")
-        out = _result(self.data - c.data, (self, c))
-        if out._parents:
-            out._vjp = lambda g: (g, -g.sum(axis=1, keepdims=True))
-        return out
-
-    def mul_col(self, c: "Tensor") -> "Tensor":
-        _check_col(self, c, "mul_col")
-        x, col = self.data, c.data
-        out = _result(x * col, (self, c))
-        if out._parents:
-            out._vjp = lambda g: (g * col, (g * x).sum(axis=1, keepdims=True))
-        return out
-
-    def div_col(self, c: "Tensor") -> "Tensor":
-        _check_col(self, c, "div_col")
-        col = c.data
-        val = self.data / col
-        out = _result(val, (self, c))
-        if out._parents:
-            out._vjp = lambda g: (g / col, -(g * val / col).sum(axis=1, keepdims=True))
         return out
 
     # -- structure -------------------------------------------------------------------
@@ -398,25 +217,6 @@ class Tensor:
                                     minlength=(n + 1) * width)
                 return (total[:n * width].reshape(shape).astype(dtype, copy=False),)
             out._vjp = vjp
-        return out
-
-    def gather(self, rows, cols) -> "Tensor":
-        """Gather scattered entries of a matrix: out[t] = self[rows[t], cols[t]]."""
-        if self.data.ndim != 2:
-            raise ShapeError(f"gather needs a rank-2 tensor; got {_shape(self)}")
-        r = np.asarray(rows, dtype=np.intp)
-        c = np.asarray(cols, dtype=np.intp)
-        if r.ndim != 1 or r.shape != c.shape:
-            raise ShapeError(f"gather: row indices {list(r.shape)} and column indices "
-                             f"{list(c.shape)} must be equal-length vectors")
-        m, n = self.data.shape
-        if r.size and (r.min() < 0 or r.max() >= m or c.min() < 0 or c.max() >= n):
-            raise ShapeError(f"gather: index out of range for {_shape(self)}")
-        dtype = self.data.dtype
-        out = _result(self.data[r, c], (self,))
-        if out._parents:
-            out._vjp = lambda g: (
-                np.bincount(r * n + c, weights=g, minlength=m * n).reshape(m, n).astype(dtype),)
         return out
 
 
@@ -577,6 +377,39 @@ def cosine_margin(x: Tensor, positives, negatives, alpha: float) -> Tensor:
     return out
 
 
+def softmax_nll(logits: Tensor, labels) -> Tensor:
+    """Mean negative log-likelihood of the class indices ``labels`` [N]
+    under the row softmax of ``logits`` [N x c], through the max-subtracted
+    log-sum-exp. A label that is not a whole number in [0, c) is a
+    DataError. The adjoint is g (softmax - one-hot) / N.
+    """
+    x = logits.data
+    lab = np.asarray(labels)
+    if x.ndim != 2 or lab.shape != x.shape[:1] or lab.size == 0:
+        raise ShapeError(f"softmax_nll: logits {_shape(logits)} and labels {list(lab.shape)} "
+                         f"need one label per row, and at least one row")
+    n, c = x.shape
+    if lab.dtype.kind not in "iuf":
+        raise DataError(f"labels must be class indices; got {lab.dtype} {lab.tolist()[:3]}")
+    for bad, what in ((lab != np.round(lab), "is not a class index"),
+                      ((lab < 0) | (lab >= c), f"outside [0, {c})")):
+        if bad.any():
+            raise DataError(f"label {lab[bad][0]} {what}")
+    rows, idx = np.arange(n), lab.astype(np.intp)
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=True)
+    out = _result((np.log(total) - shifted[rows, idx][:, None]).sum() * (1.0 / n), (logits,))
+    if out._parents:
+        def vjp(g):
+            dx = e / total
+            dx[rows, idx] -= 1.0
+            dx *= g * (1.0 / n)
+            return (dx,)
+        out._vjp = vjp
+    return out
+
+
 def attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int, seg, ctx_seg) -> Tensor:
     """Scaled dot-product attention of every head of every sequence, on
     packed rows: softmax(q kᵀ / sqrt(d_head)) v.
@@ -681,6 +514,97 @@ def gru(pre: Tensor, u_zr: Tensor, u_h: Tensor, seg) -> Tensor:
     return out
 
 
+def gated_mix(pre: Tensor, a: Tensor, b: Tensor):
+    """s a + (1 - s) b with the gate s = sigmoid(``pre``), all three [m x n]:
+    an entrywise convex mix of two streams. Returns the mix and, as values
+    only, the gate s. The adjoint is (g (a - b) s (1 - s), g s, g (1 - s)).
+    """
+    _check_same(pre, a, "gated_mix")
+    _check_same(a, b, "gated_mix")
+    s = _sigmoid(pre.data)
+    x, y = a.data, b.data
+    out = _result(s * x + (1.0 - s) * y, (pre, a, b))
+    if out._parents:
+        def vjp(g):
+            ds = g * x
+            ds -= g * y
+            ds *= s
+            ds *= 1.0 - s
+            return ds, g * s, g * (1.0 - s)
+        out._vjp = vjp
+    return out, s
+
+
+def codebook_pool(x: Tensor, centers: Tensor, scales: Tensor, seg):
+    """The residual encoding of Zhang et al. (arXiv:1803.08904), one
+    descriptor per sequence of the packed rows ``x`` [sum(T) x d] (layout
+    ``seg``, a ``layers.Segments``). Row i is softly assigned to the K
+    ``centers`` c_k [K x d] with weights w_ik = softmax_k(-s_k |x_i - c_k|²)
+    for ``scales`` s [K], and a sequence's descriptor is the mean over its
+    rows of sum_k w_ik (x_i - c_k): [B x d]. Returns the descriptors and, as
+    values only, the weights [sum(T) x K].
+
+    The squared distance is expanded as |x_i|² - 2 x_i·c_k + |c_k|², and the
+    descriptor sum as sum_i (sum_k w_ik) x_i - sum_i sum_k w_ik c_k, keeping
+    each row's weight sum (1 up to rounding) as computed. With q = s * dy
+    for the adjoint dy of the softmax's input, the adjoint of the distances
+    is -q, so dx gets 2 (q c - x rowsum(q)) and dc 2 (qᵀ x - c colsum(q)).
+    """
+    a, c, s = x.data, centers.data, scales.data
+    if (a.ndim != 2 or c.ndim != 2 or c.shape[1] != a.shape[1] or s.shape != c.shape[:1]
+            or seg.total != a.shape[0]):
+        raise ShapeError(f"codebook_pool: x {_shape(x)}, centers {_shape(centers)}, scales "
+                         f"{_shape(scales)} and {seg.total} packed rows do not fit")
+    dist = (a @ c.T) * -2.0
+    dist += (a * a).sum(axis=-1, keepdims=True)
+    dist += (c * c).sum(axis=-1)
+    weights = _softmax(-(dist * s), -1)
+    sums = seg.pooling(a.dtype, mean=False)                 # [B x sum(T)]
+    row_mass = weights.sum(axis=-1, keepdims=True)          # [sum(T) x 1], 1 up to rounding
+    mass = sums @ weights                                   # [B x K]
+    inv_len = (1.0 / seg.lengths)[:, None].astype(a.dtype)
+    out = _result((sums @ (a * row_mass) - mass @ c) * inv_len, (x, centers, scales))
+    if out._parents:
+        ids = seg.ids
+
+        def vjp(g):
+            gd = g * inv_len
+            gx = gd[ids]
+            dw = (gx * a).sum(axis=-1, keepdims=True) - (gd @ c.T)[ids]
+            dy = weights * (dw - (dw * weights).sum(axis=-1, keepdims=True))
+            q = dy * s
+            dx = gx * row_mass + 2.0 * (q @ c - a * q.sum(axis=-1, keepdims=True))
+            dc = 2.0 * (q.T @ a - c * q.sum(axis=0)[:, None]) - mass.T @ gd
+            return dx, dc, -(dy * dist).sum(axis=0)
+        out._vjp = vjp
+    return out, weights
+
+
+def sequence_gate(x: Tensor, pre: Tensor, seg):
+    """The packed rows ``x`` [sum(T) x d] (layout ``seg``) scaled entrywise
+    by their sequence's gate s = sigmoid(``pre``) ([B x d]). Returns the
+    product and, as values only, s. The adjoint is g s for x and, for
+    ``pre``, each sequence's column sums of g x, times s (1 - s).
+    """
+    a, p = x.data, pre.data
+    if a.ndim != 2 or seg.total != a.shape[0] or p.shape != (seg.count, a.shape[1]):
+        raise ShapeError(f"sequence_gate: x {_shape(x)} and gate {_shape(pre)} do not fit "
+                         f"{seg.count} sequences of {seg.total} rows")
+    s = _sigmoid(p)
+    rows = s[seg.ids]
+    out = _result(a * rows, (x, pre))
+    if out._parents:
+        starts = seg.offsets[:-1]
+
+        def vjp(g):
+            ds = np.add.reduceat(g * a, starts, axis=0)
+            ds *= s
+            ds *= 1.0 - s
+            return g * rows, ds
+        out._vjp = vjp
+    return out, s
+
+
 # -- internals ---------------------------------------------------------------------
 
 
@@ -750,8 +674,3 @@ def _check_affine(shape: tuple, w: Tensor, b: Tensor, op: str):
             or b.data.shape != w.data.shape[1:]):
         raise ShapeError(f"{op}: expected [m x n] @ [n x k] + [k]; got {list(shape)}, "
                          f"{_shape(w)} and {_shape(b)}")
-
-
-def _check_col(a: Tensor, c: Tensor, op: str):
-    if a.data.ndim != 2 or c.data.shape != (a.data.shape[0], 1):
-        raise ShapeError(f"{op}: expected [m x n] with [m x 1]; got {_shape(a)} and {_shape(c)}")

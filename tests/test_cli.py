@@ -55,6 +55,16 @@ class TestGenData:
         assert not (tmp_path / "q").exists()
 
 
+    @pytest.mark.parametrize("flag,value,modality", [("--dim-v", "-1", "v"), ("--dim-a", "0", "a")])
+    def test_width_below_one_is_validation_error(self, tmp_path, capsys, flag, value, modality):
+        out = tmp_path / "w"
+        rc = main(["gen-data", "--out", str(out), "--classes", "2", "--per-class", "2",
+                   flag, value])
+        assert rc == 2
+        assert f"modality {modality!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestMissingInput:
     """A missing input file is a validation error (exit 2) naming its flag."""
 
@@ -107,6 +117,16 @@ class TestTrainEval:
                    "--checkpoint", str(out / "model.wvfn"), "--heads", "4"])
         assert rc == 2
         assert "heads" in capsys.readouterr().err
+
+    def test_split_fractions_must_sum_to_one(self, dataset_dir, tmp_path, capsys):
+        # train_frac is not a remainder: 0.5 beside the default 0.1 and 0.1
+        # would have trained on 80% of the data
+        rc = main(["train", "--data-dir", str(dataset_dir), "--out-dir", str(tmp_path / "run"),
+                   "--train-frac", "0.5"] + FAST)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert all(part in err for part in ("train_frac=0.5", "val_frac=0.1", "test_frac=0.1"))
+        assert not (tmp_path / "run").exists()
 
     def test_flag_overrides_config_file(self, dataset_dir, tmp_path):
         out = tmp_path / "run"

@@ -16,11 +16,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import refops as R
 from helpers import graph_nodes, rand
 from wavfusion import tensor as T
 from wavfusion.gradcheck import synthetic_batch
-from wavfusion.layers import Attention, Conv1d, Gru, LayerNorm, Segments, _param, xavier_uniform
-from wavfusion.model import WavFusionModel
+from wavfusion.layers import (Attention, Conv1d, Gru, LayerNorm, Linear, LvcBlock, Segments,
+                              _param, xavier_uniform)
+from wavfusion.losses import cross_entropy
+from wavfusion.model import WavFusionModel, gated_fuse
 from wavfusion.rng import Prng
 from wavfusion.tensor import Tensor
 from wavfusion.train import batch_objective
@@ -39,7 +42,7 @@ class LegacyConv1d:
         zeros = Tensor(np.zeros((pad, x.shape[1])))
         xp = T.concat([zeros, x, zeros], axis=0)
         terms = [xp.slice_rows(o, o + t_len) @ tap for o, tap in enumerate(self.taps)]
-        return functools.reduce(operator.add, terms).add_row(self.bias)
+        return R.add_row(functools.reduce(operator.add, terms), self.bias)
 
 
 class LegacyGru:
@@ -54,14 +57,14 @@ class LegacyGru:
         self.b = {g: _param(np.zeros(d_h, dtype=dtype)) for g in gates}
 
     def __call__(self, x):
-        pre = {g: (x @ self.w[g]).add_row(self.b[g]) for g in ("z", "r", "h")}
+        pre = {g: R.add_row(x @ self.w[g], self.b[g]) for g in ("z", "r", "h")}
         h = Tensor(np.zeros((1, self.d_h), dtype=self.dtype))
         steps = []
         for t in range(x.shape[0]):
-            z = (pre["z"].slice_rows(t, t + 1) + h @ self.u["z"]).sigmoid()
-            r = (pre["r"].slice_rows(t, t + 1) + h @ self.u["r"]).sigmoid()
-            cand = (pre["h"].slice_rows(t, t + 1) + (r * h) @ self.u["h"]).tanh()
-            h = (z.scale(-1.0) + 1.0) * h + z * cand
+            z = R.sigmoid(pre["z"].slice_rows(t, t + 1) + h @ self.u["z"])
+            r = R.sigmoid(pre["r"].slice_rows(t, t + 1) + h @ self.u["r"])
+            cand = R.tanh(pre["h"].slice_rows(t, t + 1) + R.mul(r, h) @ self.u["h"])
+            h = R.mul(R.shift(z.scale(-1.0), 1.0), h) + R.mul(z, cand)
             steps.append(h)
         return T.concat(steps, axis=0)
 
@@ -86,7 +89,7 @@ class LegacyAttention:
             q = x @ self.wq[i]
             k = ctx @ self.wk[i]
             v = ctx @ self.wv[i]
-            weights = (q @ k.transpose()).scale(inv).softmax(axis=-1)
+            weights = R.softmax((q @ R.transpose(k)).scale(inv), axis=-1)
             outs.append(weights @ v)
         return T.concat(outs, axis=-1) @ self.wo
 
@@ -106,7 +109,7 @@ def check_parity(new, old, inputs, pairs):
         leaves = [Tensor(x.copy(), requires_grad=True) for x in inputs]
         out = layer(*leaves)
         probe = rand(out.shape, seed=99)
-        (out * Tensor(probe)).sum().backward()
+        R.probe(out, probe).backward()
         grads.append((out.data, [leaf.grad for leaf in leaves]))
     (out_new, in_new), (out_old, in_old) = grads
     assert float(np.max(np.abs(out_new - out_old))) <= 1e-12
@@ -162,13 +165,26 @@ class TestGraphSize:
         for lengths in ([6], [1, 2, 3]):
             assert graph_nodes(Gru(8, 4, Prng(0))(x, Segments(lengths))) == 2
 
+    def test_loss_fuse_and_lvc_nodes(self):
+        # cross-entropy was 9 nodes, the gated fuse 8 (with its concat and
+        # affine) and the LVC block after its stem 24
+        for n in (1, 5, 64):
+            logits = Tensor(rand((n, 4), seed=n), requires_grad=True)
+            assert graph_nodes(cross_entropy(logits, [i % 4 for i in range(n)])) == 1
+        a, b = (Tensor(rand((6, 8), seed=s), requires_grad=True) for s in (9, 10))
+        assert graph_nodes(gated_fuse(a, b, Linear(16, 8, Prng(1)))[0]) == 3
+        block, seg = LvcBlock(3, 8, 3, 4, Prng(2)), Segments([1, 4, 2])
+        x = Tensor(rand((7, 3), seed=11), requires_grad=True)
+        assert graph_nodes(block(x, seg)) - graph_nodes(block.stem(x, seg)) == 3
+
     @pytest.mark.parametrize("size,bound", [
-        (dict(d=16, heads=2, n_shallow=2, n_deep=1, lvc_centers=4), 104),
-        (dict(d=64, heads=4, n_shallow=9, n_deep=3, lvc_centers=8), 205),
+        (dict(d=16, heads=2, n_shallow=2, n_deep=1, lvc_centers=4), 69),
+        (dict(d=64, heads=4, n_shallow=9, n_deep=3, lvc_centers=8), 160),
     ])
     def test_nodes_per_batch(self, size, bound):
-        # one graph per batch of 8: 103 and 203 nodes, bounded within 1%.
-        # Two-node Linear, five-node FeedForward, the add before each
+        # one graph per batch of 8: 69 and 159 nodes, bounded within 1%.
+        # The composite cross-entropy, gated fuse and LVC gate built 103
+        # and 203; two-node Linear, five-node FeedForward, the add before each
         # LayerNorm and the per-row margin loss built 171 and 329; the
         # composite LayerNorm, attention core and GRU 705 and
         # 1,195; a graph per sample 3,932 and 7,940 for the same batch (492

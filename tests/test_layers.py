@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import refops as R
 from helpers import fd_max_rel_error, rand
 from wavfusion.errors import ConfigError, ShapeError
 from wavfusion.layers import Attention, Conv1d, Gru, LayerNorm, Linear, LvcBlock
@@ -98,7 +99,7 @@ class TestLinear:
         layer = Linear(3, 2, Prng(4))
         x = Tensor(rand((4, 3), seed=5), requires_grad=True)
         params = [x, layer.weight, layer.bias]
-        assert fd_max_rel_error(lambda: (layer(x) * layer(x)).sum(), params) < 1e-6
+        assert fd_max_rel_error(lambda: R.sum(R.mul(layer(x), layer(x))), params) < 1e-6
 
 
 class TestConv1d:
@@ -129,7 +130,7 @@ class TestConv1d:
         conv = Conv1d(2, 3, 3, Prng(3))
         x = Tensor(rand((4, 2), seed=8), requires_grad=True)
         params = [x, conv.weight, conv.bias]
-        assert fd_max_rel_error(lambda: (conv(x) * conv(x)).sum(), params) < 1e-6
+        assert fd_max_rel_error(lambda: R.sum(R.mul(conv(x), conv(x))), params) < 1e-6
 
 
 class TestGru:
@@ -168,7 +169,7 @@ class TestGru:
         gru = Gru(2, 3, Prng(3))
         x = Tensor(rand((4, 2), seed=11), requires_grad=True)
         params = [x, gru.w, gru.u_zr, gru.u_h, gru.b]
-        assert fd_max_rel_error(lambda: (gru(x) * gru(x)).sum(), params) < 1e-3
+        assert fd_max_rel_error(lambda: R.sum(R.mul(gru(x), gru(x))), params) < 1e-3
 
     def test_wrong_width(self):
         with pytest.raises(ShapeError):
@@ -218,7 +219,7 @@ class TestAttention:
         layer = Attention(4, 2, Prng(5))
         x = Tensor(rand((3, 4), seed=19), requires_grad=True)
         params = [x, layer.wq, layer.wk, layer.wv, layer.wo]
-        assert fd_max_rel_error(lambda: (layer(x) * layer(x)).sum(), params) < 1e-4
+        assert fd_max_rel_error(lambda: R.sum(R.mul(layer(x), layer(x))), params) < 1e-4
 
 
 class TestLayerNorm:
@@ -241,7 +242,7 @@ class TestLayerNorm:
         x = Tensor(rand((4, 3), seed=23), requires_grad=True)
         y = Tensor(rand((4, 3), seed=25), requires_grad=True)
         probe = Tensor(rand((4, 3), seed=26))
-        assert fd_max_rel_error(lambda: (ln(x, y) * probe).sum(), [x, y, ln.gain, ln.bias]) < 1e-5
+        assert fd_max_rel_error(lambda: R.sum(R.mul(ln(x, y), probe)), [x, y, ln.gain, ln.bias]) < 1e-5
 
 
 class TestLvcBlock:
@@ -297,4 +298,4 @@ class TestLvcBlock:
         x = Tensor(rand((3, 2), seed=26), requires_grad=True)
         params = [x, block.centers, block.scales, block.proj.weight, block.proj.bias,
                   block.stem.bias, block.stem.weight]
-        assert fd_max_rel_error(lambda: (block(x) * block(x)).sum(), params) < 1e-4
+        assert fd_max_rel_error(lambda: R.sum(R.mul(block(x), block(x))), params) < 1e-4

@@ -7,6 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import refops as R
 from helpers import fd_max_rel_error, graph_nodes, rand
 from wavfusion.errors import DataError
 from wavfusion.losses import (Embeddings, Triplet, build_triplets, cross_entropy, margin_loss,
@@ -113,6 +114,13 @@ class TestMarginLoss:
         assert float(loss.data) == 0.0
         assert any("empty triplet set" in rec.message for rec in caplog.records)
 
+    def test_empty_set_reads_the_matrix_dtype(self, monkeypatch):
+        # no row of an Embeddings matrix is built just to read its dtype
+        matrix = Tensor(rand((3, 4), seed=5).astype(np.float32))
+        monkeypatch.setattr(Tensor, "slice_rows", lambda *args: pytest.fail("built a row"))
+        loss = margin_loss(Embeddings(matrix), build_triplets([("a", 0), ("t", 1), ("v", 2)]), 0.5)
+        assert loss.data.dtype == np.float32 and float(loss.data) == 0.0
+
     def test_zero_norm_guard_and_strict_mode(self, caplog):
         vecs = [embed([0.0, 0.0]), embed([1.0, 0.0]), embed([0.0, 1.0])]
         batch = [("a", 0), ("t", 0), ("a", 1)]
@@ -146,7 +154,7 @@ class TestMarginLoss:
 def _cosine_per_pair(a, b, na, nb):
     if float(na.data) == 0.0 or float(nb.data) == 0.0:
         return Tensor(np.zeros((), dtype=a.data.dtype))
-    return (a * b).sum() / (na * nb)
+    return R.div(R.sum(R.mul(a, b)), R.mul(na, nb))
 
 
 def margin_loss_per_pair(embeddings, triplets, alpha):
@@ -158,7 +166,7 @@ def margin_loss_per_pair(embeddings, triplets, alpha):
     norms = {}
     for idx in {t.anchor for t in triplets} | {t.positive for t in triplets} | {t.negative for t in triplets}:
         e = embeddings[idx]
-        norms[idx] = (e * e).sum().sqrt()
+        norms[idx] = R.sqrt(R.sum(R.mul(e, e)))
     cos_cache = {}
 
     def cos(i, j):
@@ -168,7 +176,7 @@ def margin_loss_per_pair(embeddings, triplets, alpha):
                                               norms[key[0]], norms[key[1]])
         return cos_cache[key]
 
-    terms = [((cos(t.anchor, t.negative) - cos(t.anchor, t.positive)) + alpha).relu()
+    terms = [R.relu(R.shift(R.sub(cos(t.anchor, t.negative), cos(t.anchor, t.positive)), alpha))
              for t in triplets]
     return functools.reduce(operator.add, terms).scale(1.0 / len(terms))
 
@@ -338,10 +346,19 @@ class TestCrossEntropy:
         assert np.isfinite(value) and value >= 0
 
     def test_out_of_range_label(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=r"label 3 outside \[0, 3\)"):
             cross_entropy(Tensor(np.zeros((2, 3))), [0, 3])
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=r"label -1 outside \[0, 3\)"):
             cross_entropy(Tensor(np.zeros((2, 3))), [-1, 0])
+
+    @pytest.mark.parametrize("label", [1.7, float("nan"), "1"])
+    def test_label_that_is_not_a_class_index(self, label):
+        with pytest.raises(DataError, match="label"):
+            cross_entropy(Tensor(np.zeros((2, 3))), [0, label])
+
+    def test_zero_rows(self):
+        with pytest.raises(DataError, match="at least one row"):
+            cross_entropy(Tensor(np.zeros((0, 3))), [])
 
     def test_non_negative(self):
         for seed in range(5):

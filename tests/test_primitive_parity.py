@@ -1,11 +1,13 @@
 """Float64 parity of the one-node primitives (``tensor.affine``,
 ``tensor.feed_forward``, ``tensor.layer_norm`` with its residual add,
-``tensor.attention_core``, ``tensor.gru`` and the margin loss's
-``tensor.cosine_margin``) with the composite graphs they replaced, and
-finite differences on each.
+``tensor.attention_core``, ``tensor.gru``, the gated fuse's
+``tensor.gated_mix``, the LVC block's ``tensor.codebook_pool`` and
+``tensor.sequence_gate``, the margin loss's ``tensor.cosine_margin`` and
+cross-entropy's ``tensor.softmax_nll``) with the composite graphs they
+replaced, and finite differences on each.
 
-The ``composite_*`` functions are the earlier layers and loss, built from
-the basic ops, kept here only as the reference. They run the same
+The ``composite_*`` functions are the earlier layers and losses, built from
+the reference ops of ``refops``, kept here only as the reference. They run the same
 arithmetic in the same order, so values agree to the last bit or nearly;
 the closed-form adjoints sum in another order, so gradients agree within
 1e-12 of their largest entry. One change from the earlier code: column
@@ -18,6 +20,7 @@ import math
 import numpy as np
 import pytest
 
+import refops as R
 from helpers import fd_max_rel_error, rand
 from wavfusion import tensor as T
 from wavfusion import train
@@ -31,21 +34,21 @@ from wavfusion.train import batch_objective
 
 
 def composite_affine(x, weight, bias):
-    return (x @ weight).add_row(bias)
+    return R.add_row(x @ weight, bias)
 
 
 def composite_feed_forward(x, w1, b1, w2, b2):
-    return composite_affine(composite_affine(x, w1, b1).tanh(), w2, b2)
+    return composite_affine(R.tanh(composite_affine(x, w1, b1)), w2, b2)
 
 
 def composite_layer_norm(x, residual, gain, bias, eps):
     x = x + residual
     n = x.shape[1]
-    mean = x.sum_last_keep().scale(1.0 / n)
-    centered = x.sub_col(mean)
-    var = (centered * centered).sum_last_keep().scale(1.0 / n)
-    std = (var + eps).sqrt()
-    return centered.div_col(std).mul_row(gain).add_row(bias)
+    mean = R.sum_last_keep(x).scale(1.0 / n)
+    centered = R.sub_col(x, mean)
+    var = R.sum_last_keep(R.mul(centered, centered)).scale(1.0 / n)
+    std = R.sqrt(R.shift(var, eps))
+    return R.add_row(R.mul_row(R.div_col(centered, std), gain), bias)
 
 
 def composite_attention_core(q, k, v, heads, seg, ctx_seg):
@@ -57,16 +60,16 @@ def composite_attention_core(q, k, v, heads, seg, ctx_seg):
         index = np.where(s.valid[:, None, :], rows, -1).reshape(s.count * heads, s.t_max)
         return x.reshape((s.total, heads, d_head)).take_rows(index)
 
-    scores = (blocks(q, seg) @ blocks(k, ctx_seg).transpose()).scale(1.0 / math.sqrt(d_head))
+    scores = (blocks(q, seg) @ R.transpose(blocks(k, ctx_seg))).scale(1.0 / math.sqrt(d_head))
     mask = np.repeat(np.where(ctx_seg.valid, 0.0, -np.inf), heads, axis=0)[:, None, :]
     mask = Tensor(np.broadcast_to(mask, scores.shape).astype(scores.data.dtype))
-    out = (scores + mask).softmax(axis=-1) @ blocks(v, ctx_seg)
+    out = R.softmax(scores + mask, axis=-1) @ blocks(v, ctx_seg)
     back = (seg.ids[:, None] * heads + np.arange(heads)) * seg.t_max + seg.positions[:, None]
     return out.take_rows(back).reshape((seg.total, q.shape[1]))
 
 
 def columns(x, start, stop):
-    return x.transpose().take_rows(np.arange(start, stop)).transpose()
+    return R.transpose(R.transpose(x).take_rows(np.arange(start, stop)))
 
 
 def composite_gru(pre, u_zr, u_h, seg):
@@ -77,10 +80,10 @@ def composite_gru(pre, u_zr, u_h, seg):
     steps = []
     for t in range(seg.t_max):
         rows = (t * b, (t + 1) * b)
-        zr = (pre_zr.slice_rows(*rows) + h @ u_zr).sigmoid()
+        zr = R.sigmoid(pre_zr.slice_rows(*rows) + h @ u_zr)
         z, r = columns(zr, 0, d), columns(zr, d, 2 * d)
-        cand = (pre_h.slice_rows(*rows) + (r * h) @ u_h).tanh()
-        h = (z.scale(-1.0) + 1.0) * h + z * cand
+        cand = R.tanh(pre_h.slice_rows(*rows) + R.mul(r, h) @ u_h)
+        h = R.mul(R.shift(z.scale(-1.0), 1.0), h) + R.mul(z, cand)
         steps.append(h)
     return T.concat(steps, axis=0).take_rows(seg.from_time_major)
 
@@ -95,16 +98,55 @@ def composite_margin_loss(embeddings, triplets, alpha, strict=False):
     idx = np.asarray(getattr(triplets, "index", triplets), dtype=np.intp).reshape(-1, 3)
     anchor, positive, negative = idx.T
     e = T.concat(list(embeddings), axis=0)                  # [N x d]
-    sq = (e * e).sum_last_keep()                            # [N x 1]
+    sq = R.sum_last_keep(R.mul(e, e))                       # [N x 1]
     zero = sq.data == 0.0
     if zero.any() and strict:
         raise DataError(f"zero-norm embedding at index {int(np.argmax(zero))}")
     # zero rows get norm 1 (finite adjoints) and are then masked to exactly 0
-    norm = (sq + Tensor(zero.astype(sq.data.dtype))).sqrt()
-    unit = e.div_col(norm).mul_col(Tensor((~zero).astype(sq.data.dtype)))
-    cos = unit @ unit.transpose()                           # [N x N]
-    hinge = ((cos.gather(anchor, negative) - cos.gather(anchor, positive)) + alpha).relu()
-    return hinge.sum().scale(1.0 / len(idx))
+    norm = R.sqrt(sq + Tensor(zero.astype(sq.data.dtype)))
+    unit = R.mul_col(R.div_col(e, norm), Tensor((~zero).astype(sq.data.dtype)))
+    cos = unit @ R.transpose(unit)                          # [N x N]
+    hinge = R.relu(R.shift(R.sub(R.gather(cos, anchor, negative), R.gather(cos, anchor, positive)),
+                           alpha))
+    return R.sum(hinge).scale(1.0 / len(idx))
+
+
+def composite_softmax_nll(logits, labels):
+    """Cross-entropy as 9 nodes: the max-subtracted log-sum-exp of each row
+    minus the ``gather``ed label logit."""
+    n = len(labels)
+    row_max = Tensor(logits.data.max(axis=-1, keepdims=True))
+    shifted = R.sub_col(logits, row_max)
+    log_norm = R.log(R.sum_last_keep(R.exp(shifted)))          # [N x 1]
+    picked = R.gather(shifted, np.arange(n), [int(x) for x in labels]).reshape((n, 1))
+    return R.sum(R.sub(log_norm, picked)).scale(1.0 / n)
+
+
+def composite_gated_mix(pre, a, b):
+    """The gated fuse after its affine: sigmoid, two products, a scale, a
+    shift and an add."""
+    gate = R.sigmoid(pre)
+    return R.mul(gate, a) + R.mul(R.shift(gate.scale(-1.0), 1.0), b), gate.data
+
+
+def composite_codebook_pool(x, centers, scales, seg):
+    """The LVC block's soft assignment and aggregation as 20 nodes."""
+    dtype = x.data.dtype
+    x_sq = R.sum_last_keep(R.mul(x, x))                                 # [T x 1]
+    c_sq = R.sum_last_keep(R.mul(centers, centers)).reshape((centers.shape[0],))
+    cross = x @ R.transpose(centers)                                    # [T x K]
+    dist_sq = R.add_row(R.add_col(cross.scale(-2.0), x_sq), c_sq)
+    assign = R.softmax(R.mul_row(dist_sq, scales).scale(-1.0), axis=-1)
+    sums = Tensor(seg.pooling(dtype, mean=False))                       # [B x T]
+    pooled = sums @ R.mul_col(x, R.sum_last_keep(assign))              # sum_i sum_k w_ik x_i
+    center_mass = (sums @ assign) @ centers                             # sum_i sum_k w_ik c_k
+    inv_len = Tensor((1.0 / seg.lengths)[:, None].astype(dtype))
+    return R.mul_col(R.sub(pooled, center_mass), inv_len), assign.data
+
+
+def composite_sequence_gate(x, pre, seg):
+    gate = R.sigmoid(pre)
+    return R.mul(x, gate.take_rows(seg.ids)), gate.data
 
 
 # float32 sums round at ~6e-8; the two paths group them differently
@@ -125,7 +167,7 @@ def check_parity(fused, composite, shapes, dtype=np.float64, seed=0):
     for op in (fused, composite):
         leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
         out = op(*leaves)
-        (out * Tensor(rand(out.shape, seed=99).astype(dtype))).sum().backward()
+        R.probe(out, rand(out.shape, seed=99)).backward()
         assert out.data.dtype == dtype
         results.append((out.data, [leaf.grad for leaf in leaves]))
     (value, grads), (ref_value, ref_grads) = results
@@ -135,7 +177,7 @@ def check_parity(fused, composite, shapes, dtype=np.float64, seed=0):
         assert_rel_close(g, ref, TOL[dtype], f"gradient of input {i}")
 
 
-def check_fd(op, shapes, seed=0):
+def check_fd(op, shapes, seed=0, eps=1e-4):
     leaves = [Tensor(rand(s, seed=seed + i), requires_grad=True) for i, s in enumerate(shapes)]
     probe = None
 
@@ -143,8 +185,8 @@ def check_fd(op, shapes, seed=0):
         nonlocal probe
         out = op(*leaves)
         probe = rand(out.shape, seed=98) if probe is None else probe
-        return (out * Tensor(probe)).sum()
-    assert fd_max_rel_error(loss, leaves) < 1e-6
+        return R.probe(out, probe)
+    assert fd_max_rel_error(loss, leaves, eps) < 1e-6
 
 
 # (query lengths, context lengths): one sequence; mixed lengths with
@@ -249,6 +291,88 @@ class TestGru:
         check_fd(fused, shapes)
 
 
+class TestSoftmaxNll:
+    @staticmethod
+    def ops(labels):
+        return (lambda x: T.softmax_nll(x, labels), lambda x: composite_softmax_nll(x, labels))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("labels", [[2], [0, 3, 3, 1, 0, 2]])
+    def test_parity(self, labels, dtype):
+        check_parity(*self.ops(labels), [(len(labels), 4)], dtype)
+
+    def test_values_are_bit_identical(self):
+        x = Tensor(rand((6, 5), seed=3, scale=4.0))
+        fused, composite = self.ops([4, 0, 1, 1, 3, 2])
+        np.testing.assert_array_equal(fused(x).data, composite(x).data)
+
+    def test_finite_differences(self):
+        check_fd(self.ops([1, 0, 2, 2])[0], [(4, 3)])
+
+
+class TestGatedMix:
+    @staticmethod
+    def node(op):
+        return lambda pre, a, b: op(pre, a, b)[0]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("rows,width", [(1, 4), (6, 8)])
+    def test_parity(self, rows, width, dtype):
+        check_parity(self.node(T.gated_mix), self.node(composite_gated_mix),
+                     [(rows, width)] * 3, dtype)
+
+    def test_values_and_gate_are_bit_identical(self):
+        ins = [Tensor(rand((6, 8), seed=i, scale=3.0)) for i in range(3)]
+        for got, want in zip(T.gated_mix(*ins), composite_gated_mix(*ins)):
+            np.testing.assert_array_equal(getattr(got, "data", got), getattr(want, "data", want))
+
+    def test_finite_differences(self):
+        check_fd(self.node(T.gated_mix), [(3, 4)] * 3)
+
+
+# packed layouts: one sequence of 1 and of 5 rows, mixed lengths with
+# length-1 sequences
+SEQ_LAYOUTS = [[1], [5], [1, 5, 3, 1], [2, 1]]
+
+
+class TestLvcPrimitives:
+    """``tensor.codebook_pool`` and ``tensor.sequence_gate``, the LVC block
+    after its stem but for the projection's ``affine``."""
+
+    @staticmethod
+    def ops(name, lengths, d=4, centers=3):
+        seg = Segments(lengths)
+        if name == "codebook_pool":
+            return (lambda x, c, s: T.codebook_pool(x, c, s, seg),
+                    lambda x, c, s: composite_codebook_pool(x, c, s, seg),
+                    [(seg.total, d), (centers, d), (centers,)])
+        return (lambda x, p: T.sequence_gate(x, p, seg),
+                lambda x, p: composite_sequence_gate(x, p, seg),
+                [(seg.total, d), (seg.count, d)])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("lengths", SEQ_LAYOUTS)
+    @pytest.mark.parametrize("name", ["codebook_pool", "sequence_gate"])
+    def test_parity(self, name, lengths, dtype):
+        fused, composite, shapes = self.ops(name, lengths)
+        check_parity(lambda *ins: fused(*ins)[0], lambda *ins: composite(*ins)[0], shapes, dtype)
+
+    @pytest.mark.parametrize("name", ["codebook_pool", "sequence_gate"])
+    def test_values_are_bit_identical(self, name):
+        fused, composite, shapes = self.ops(name, [3, 1, 5, 2], d=6, centers=4)
+        ins = [Tensor(rand(s, seed=i)) for i, s in enumerate(shapes)]
+        for got, want in zip(fused(*ins), composite(*ins)):
+            np.testing.assert_array_equal(getattr(got, "data", got), getattr(want, "data", want))
+
+    @pytest.mark.parametrize("lengths", SEQ_LAYOUTS[2:])
+    @pytest.mark.parametrize("name", ["codebook_pool", "sequence_gate"])
+    def test_finite_differences(self, name, lengths):
+        # the soft assignment curves sharply: a smaller step keeps the
+        # central difference's O(eps²) error under the bound
+        fused, _, shapes = self.ops(name, lengths, d=3, centers=2)
+        check_fd(lambda *ins: fused(*ins)[0], shapes, eps=1e-5)
+
+
 def margin_batch(samples, seed, dtype=np.float64, d=5):
     """(modality, label) entries of ``samples`` utterances over three
     modalities, labels cycling through 4 classes, and their [3B x d] rows."""
@@ -319,7 +443,11 @@ def use_composite_path(monkeypatch):
     graphs: the whole batch objective as it was before they were fused."""
     for name, composite in (("affine", composite_affine), ("feed_forward", composite_feed_forward),
                             ("layer_norm", composite_layer_norm),
-                            ("attention_core", composite_attention_core), ("gru", composite_gru)):
+                            ("attention_core", composite_attention_core), ("gru", composite_gru),
+                            ("softmax_nll", composite_softmax_nll),
+                            ("gated_mix", composite_gated_mix),
+                            ("codebook_pool", composite_codebook_pool),
+                            ("sequence_gate", composite_sequence_gate)):
         monkeypatch.setattr(T, name, composite)
     monkeypatch.setattr(train, "margin_loss", composite_margin_loss)
 
