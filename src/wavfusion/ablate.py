@@ -59,7 +59,7 @@ class AblationTable:
 
 
 def _suite_configs(suite: str, base: ExperimentConfig):
-    """Yield (display label cells, config overrides) per fixed row."""
+    """Yield (label cells, config overrides) per fixed row of ``suite``, one of ``SUITES``."""
     if suite == "modality":
         for label, mods in MODALITY_ROWS:
             yield (label,), {"modalities": mods}
@@ -75,8 +75,6 @@ def _suite_configs(suite: str, base: ExperimentConfig):
                          "fusion_mode": "concat" if method == "concat" else "per_layer",
                          "modalities": "avt"}
             yield (method, str(shallow), str(deep)), overrides
-    else:
-        raise ConfigError(f"unknown ablation suite {suite!r}; pick one of {SUITES}")
 
 
 _HEADERS = {

@@ -19,6 +19,7 @@ from .data import SynthSpec, generate_synthetic, read_text
 from .errors import ConfigError, DataError, FormatError, GraphError
 from .gradcheck import run_gradcheck, tiny_config
 from .losses import build_triplets, margin_loss
+from .model import MODALITIES
 from .oracles import margin_loss_reference
 from .tensor import Tensor
 from .train import dump_predictions, evaluate_checkpoint, train
@@ -78,16 +79,18 @@ def _parse_scales(raw_list) -> dict:
     return scales
 
 
+def _synth_scalars() -> dict:
+    """The number-valued ``SynthSpec`` fields and their defaults, one flag each."""
+    defaults = SynthSpec()
+    return {f.name: getattr(defaults, f.name) for f in dataclasses.fields(SynthSpec)
+            if f.type in ("int", "float")}
+
+
 def _cmd_gen_data(args) -> int:
     spec = SynthSpec(
-        classes=args.classes,
-        per_class=args.per_class,
-        dims={"a": args.dim_a, "t": args.dim_t, "v": args.dim_v},
-        seq_len={"a": (args.len_a_min, args.len_a_max),
-                 "t": (args.len_t_min, args.len_t_max),
-                 "v": (args.len_v_min, args.len_v_max)},
-        mu=args.mu, rho=args.rho, sigma=args.sigma, seed=args.seed,
-        latent_dim=args.latent_dim,
+        **{name: getattr(args, name) for name in _synth_scalars()},
+        dims={m: getattr(args, f"dim_{m}") for m in MODALITIES},
+        seq_len={m: (getattr(args, f"len_{m}_min"), getattr(args, f"len_{m}_max")) for m in MODALITIES},
         mean_groups=_parse_groups(args.mean_groups),
         mu_scale=_parse_scales(args.mu_scale),
     )
@@ -142,15 +145,9 @@ def _cmd_ablate(args) -> int:
 def _cmd_gradcheck(args) -> int:
     cfg = (load_config(_input_file(args.config, "--config"), tiny_config()) if args.config
            else tiny_config())
-    if args.modalities:
-        cfg.modalities = args.modalities
-    if args.n_shallow is not None:
-        cfg.n_shallow = args.n_shallow
-    if args.n_deep is not None:
-        cfg.n_deep = args.n_deep
-    if args.batch_size is not None:
-        cfg.batch_size = args.batch_size
-    cfg.validate()
+    for key in ("modalities", "n_shallow", "n_deep", "batch_size"):
+        if getattr(args, key) not in (None, ""):
+            setattr(cfg, key, getattr(args, key))
     report = run_gradcheck(cfg, tolerance=args.tolerance, eps=args.eps, corrupt=args.corrupt)
     print(report.to_text(), end="")
     if not report.passed:
@@ -199,22 +196,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen-data", help="write a seeded synthetic multimodal dataset")
     gen.add_argument("--out", required=True)
-    gen.add_argument("--classes", type=int, default=4)
-    gen.add_argument("--per-class", type=int, default=20)
-    gen.add_argument("--dim-a", type=int, default=12)
-    gen.add_argument("--dim-t", type=int, default=10)
-    gen.add_argument("--dim-v", type=int, default=8)
-    gen.add_argument("--len-a-min", type=int, default=6)
-    gen.add_argument("--len-a-max", type=int, default=10)
-    gen.add_argument("--len-t-min", type=int, default=4)
-    gen.add_argument("--len-t-max", type=int, default=8)
-    gen.add_argument("--len-v-min", type=int, default=3)
-    gen.add_argument("--len-v-max", type=int, default=6)
-    gen.add_argument("--mu", type=float, default=2.0)
-    gen.add_argument("--rho", type=float, default=0.5)
-    gen.add_argument("--sigma", type=float, default=1.0)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--latent-dim", type=int, default=8)
+    defaults = SynthSpec()
+    for name, value in _synth_scalars().items():
+        gen.add_argument(_flag(name), type=type(value), default=value)
+    for m in MODALITIES:
+        gen.add_argument(f"--dim-{m}", type=int, default=defaults.dims[m])
+        gen.add_argument(f"--len-{m}-min", type=int, default=defaults.seq_len[m][0])
+        gen.add_argument(f"--len-{m}-max", type=int, default=defaults.seq_len[m][1])
     gen.add_argument("--mean-groups", action="append",
                      help="share class means within groups, e.g. a=0,1|2,3 (repeatable)")
     gen.add_argument("--mu-scale", action="append",

@@ -8,9 +8,9 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .data import read_text, write_atomic
+from .data import RatioSplit, read_text, write_atomic
 from .errors import ConfigError
-from .model import FUSION_MODES, MODALITIES
+from .model import check_architecture, check_modalities
 
 ENV_OUT_DIR = "WAVFUSION_OUT_DIR"
 
@@ -54,18 +54,8 @@ class ExperimentConfig:
     out_dir: str = ""
 
     def validate(self) -> "ExperimentConfig":
-        if self.d < 1 or self.heads < 1 or self.d % self.heads != 0:
-            raise ConfigError(f"model width {self.d} must be a positive multiple of heads={self.heads}")
-        if self.n_shallow < 0 or self.n_deep < 0 or self.n_shallow + self.n_deep < 1:
-            raise ConfigError("layer counts must be non-negative and sum to at least 1")
-        if self.lvc_centers < 1:
-            raise ConfigError(f"lvc_centers must be positive; got {self.lvc_centers}")
-        if self.conv_kernel < 1 or self.conv_kernel % 2 == 0:
-            raise ConfigError(f"conv_kernel must be odd; got {self.conv_kernel}")
-        if self.fusion_mode not in FUSION_MODES:
-            raise ConfigError(f"fusion_mode must be one of {FUSION_MODES}; got {self.fusion_mode!r}")
-        if self.fusion_mode == "concat" and self.n_deep != 0:
-            raise ConfigError("concat fusion requires n_deep=0")
+        check_architecture(self.modalities, self.d, self.heads, self.n_shallow, self.n_deep,
+                           self.lvc_centers, self.conv_kernel, self.fusion_mode)
         if not 0.0 < self.alpha <= 2.0:
             raise ConfigError(f"alpha must lie in (0, 2]; got {self.alpha}")
         if self.balance < 0.0:
@@ -74,27 +64,18 @@ class ExperimentConfig:
             raise ConfigError(f"batch_size must be at least 1; got {self.batch_size}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be at least 1; got {self.epochs}")
-        mods = set(self.modalities)
-        if not mods or not mods <= set(MODALITIES):
-            raise ConfigError(f"modalities must be a non-empty subset of 'atv'; got {self.modalities!r}")
-        if "a" not in mods and len(mods) > 1:
-            raise ConfigError(f"multimodal mode {self.modalities!r} requires the audio stream")
         if self.precision not in PRECISIONS:
             raise ConfigError(f"precision must be one of {PRECISIONS}; got {self.precision!r}")
         if self.num_classes < 0:
             raise ConfigError("num_classes must be non-negative (0 = infer)")
-        fracs = {name: getattr(self, name) for name in ("train_frac", "val_frac", "test_frac")}
-        for name, value in fracs.items():
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1]")
-        if abs(sum(fracs.values()) - 1.0) > 1e-9:
-            raise ConfigError("train_frac, val_frac and test_frac must sum to 1; got "
-                              + " + ".join(f"{name}={value}" for name, value in fracs.items())
-                              + f" = {sum(fracs.values())}")
+        self.split_policy().check()
         return self
 
     def mask(self) -> tuple:
-        return tuple(m for m in MODALITIES if m in set(self.modalities))
+        return check_modalities(self.modalities)
+
+    def split_policy(self) -> RatioSplit:
+        return RatioSplit(self.train_frac, self.val_frac, self.test_frac, self.seed)
 
     def resolved_out_dir(self) -> Path:
         if self.out_dir:

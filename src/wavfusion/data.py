@@ -241,19 +241,18 @@ class SynthSpec:
             raise ConfigError("scales mu and sigma must be non-negative")
         if self.latent_dim < 1:
             raise ConfigError("latent_dim must be positive")
+        for name, keys in (("dims", self.dims), ("mean_groups", self.mean_groups),
+                           ("mu_scale", self.mu_scale)):
+            unknown = sorted(set(keys) - set(MODALITIES))
+            if unknown:
+                raise ConfigError(f"{name}: unknown modalities {unknown}; "
+                                  f"expected some of {list(MODALITIES)}")
         for m, dim in self.dims.items():
-            if m not in MODALITIES:
-                raise ConfigError(f"unknown modality {m!r}")
             if dim < 1:
                 raise ConfigError(f"feature width of modality {m!r} must be at least 1; got {dim}")
             lo, hi = self.seq_len[m]
             if lo < 1 or hi < lo:
                 raise ConfigError(f"bad sequence length range {lo}..{hi} for {m!r}")
-        for name, keys in (("mean_groups", self.mean_groups), ("mu_scale", self.mu_scale)):
-            unknown = sorted(set(keys) - set(MODALITIES))
-            if unknown:
-                raise ConfigError(f"{name}: unknown modalities {unknown}; "
-                                  f"expected some of {list(MODALITIES)}")
         for m, groups in self.mean_groups.items():
             flat = sorted(c for g in groups for c in g)
             if flat != list(range(self.classes)):
@@ -325,9 +324,19 @@ class RatioSplit:
     test: float = 0.1
     seed: int = 0
 
+    def check(self) -> None:
+        """Raise ``ConfigError`` unless each fraction lies in [0, 1] and the
+        three sum to 1 (within 1e-9)."""
+        fracs = (self.train, self.val, self.test)
+        if not all(0.0 <= f <= 1.0 for f in fracs) or abs(sum(fracs) - 1.0) > 1e-9:
+            raise ConfigError(f"train_frac, val_frac and test_frac must lie in [0, 1] and sum to 1; "
+                              f"got train_frac={self.train} + val_frac={self.val} + "
+                              f"test_frac={self.test} = {sum(fracs)}")
+
 
 def split(items: list, policy: RatioSplit):
     """Partition ``items`` into (train, val, test); deterministic under seed."""
+    policy.check()
     n = len(items)
     order = Prng(policy.seed, stream=7).permutation(n)
     n_val = int(round(policy.val * n))

@@ -4,7 +4,9 @@ on the visual stream.
 
 Layers own their parameters as ``Tensor``s with ``requires_grad=True`` and
 are callable on activation tensors. Parameters are immutable during a
-forward/backward pass; updates happen between steps.
+forward/backward pass; updates happen between steps. Layers always build
+float64 parameters; the model that owns them chooses its precision once and
+casts them (see ``model.WavFusionModel``).
 
 A batch of B sequences travels as one packed [sum(T) x d] matrix, the rows
 of each sequence in turn, with a ``Segments`` layout beside it. Row-wise
@@ -25,11 +27,11 @@ from .rng import Prng
 from .tensor import Tensor
 
 
-def xavier_uniform(rng: Prng, fan_in: int, fan_out: int, shape, dtype) -> np.ndarray:
+def xavier_uniform(rng: Prng, fan_in: int, fan_out: int, shape) -> np.ndarray:
     """Symmetric uniform init with bound sqrt(6 / (fan_in + fan_out))."""
     a = math.sqrt(6.0 / (fan_in + fan_out))
     n = int(np.prod(shape, dtype=np.int64))
-    return ((rng.uniform(n) * 2.0 - 1.0) * a).astype(dtype).reshape(shape)
+    return ((rng.uniform(n) * 2.0 - 1.0) * a).reshape(shape)
 
 
 def _param(arr: np.ndarray) -> Tensor:
@@ -109,11 +111,10 @@ class Segments:
 class Linear:
     """Affine map along the last dimension: y = x W + b."""
 
-    def __init__(self, d_in: int, d_out: int, rng: Prng, dtype=np.float64):
+    def __init__(self, d_in: int, d_out: int, rng: Prng):
         self.d_in = d_in
-        self.d_out = d_out
-        self.weight = _param(xavier_uniform(rng, d_in, d_out, (d_in, d_out), dtype))
-        self.bias = _param(np.zeros(d_out, dtype=dtype))
+        self.weight = _param(xavier_uniform(rng, d_in, d_out, (d_in, d_out)))
+        self.bias = _param(np.zeros(d_out))
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.d_in:
@@ -133,16 +134,19 @@ class Conv1d:
     does one matmul. Each sequence of a packed batch is padded on its own.
     """
 
-    def __init__(self, d_in: int, d_out: int, k: int, rng: Prng, dtype=np.float64):
-        if k < 1 or k % 2 == 0:
-            raise ConfigError(f"conv1d kernel width must be odd and positive; got {k}")
+    def __init__(self, d_in: int, d_out: int, k: int, rng: Prng):
+        self.check(k)
         self.d_in = d_in
-        self.d_out = d_out
         self.k = k
         fan_in = k * d_in
         self.weight = _param(np.concatenate(
-            [xavier_uniform(rng.child(o), fan_in, d_out, (d_in, d_out), dtype) for o in range(k)]))
-        self.bias = _param(np.zeros(d_out, dtype=dtype))
+            [xavier_uniform(rng.child(o), fan_in, d_out, (d_in, d_out)) for o in range(k)]))
+        self.bias = _param(np.zeros(d_out))
+
+    @staticmethod
+    def check(k: int) -> None:
+        if k < 1 or k % 2 == 0:
+            raise ConfigError(f"conv kernel width must be odd and positive; got {k}")
 
     def __call__(self, x: Tensor, seg: Segments | None = None) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.d_in:
@@ -173,15 +177,14 @@ class Gru:
     over the longest sequence.
     """
 
-    def __init__(self, d_in: int, d_h: int, rng: Prng, dtype=np.float64):
+    def __init__(self, d_in: int, d_h: int, rng: Prng):
         self.d_in = d_in
-        self.d_h = d_h
         self.w = _param(np.concatenate(
-            [xavier_uniform(rng.child(i), d_in, d_h, (d_in, d_h), dtype) for i in range(3)], axis=1))
+            [xavier_uniform(rng.child(i), d_in, d_h, (d_in, d_h)) for i in range(3)], axis=1))
         self.u_zr = _param(np.concatenate(
-            [xavier_uniform(rng.child(3 + i), d_h, d_h, (d_h, d_h), dtype) for i in range(2)], axis=1))
-        self.u_h = _param(xavier_uniform(rng.child(5), d_h, d_h, (d_h, d_h), dtype))
-        self.b = _param(np.zeros(3 * d_h, dtype=dtype))
+            [xavier_uniform(rng.child(3 + i), d_h, d_h, (d_h, d_h)) for i in range(2)], axis=1))
+        self.u_h = _param(xavier_uniform(rng.child(5), d_h, d_h, (d_h, d_h)))
+        self.b = _param(np.zeros(3 * d_h))
 
     def __call__(self, x: Tensor, seg: Segments | None = None) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.d_in:
@@ -207,19 +210,23 @@ class Attention:
     [B*heads x T_max x T_ctx_max], never [sum(T) x sum(T_ctx)].
     """
 
-    def __init__(self, d: int, heads: int, rng: Prng, dtype=np.float64):
-        if d % heads != 0:
-            raise ConfigError(f"model width {d} not divisible by {heads} heads")
+    def __init__(self, d: int, heads: int, rng: Prng):
+        self.check(d, heads)
         self.d = d
         self.heads = heads
         self.d_head = d // heads
         # head i of role j (q, k, v) is drawn from rng.child(3i + j)
         self.wq, self.wk, self.wv = (
             _param(np.concatenate([xavier_uniform(rng.child(3 * i + j), d, self.d_head,
-                                                  (d, self.d_head), dtype)
+                                                  (d, self.d_head))
                                    for i in range(heads)], axis=1))
             for j in range(3))
-        self.wo = _param(xavier_uniform(rng.child(3 * heads), d, d, (d, d), dtype))
+        self.wo = _param(xavier_uniform(rng.child(3 * heads), d, d, (d, d)))
+
+    @staticmethod
+    def check(d: int, heads: int) -> None:
+        if d < 1 or heads < 1 or d % heads != 0:
+            raise ConfigError(f"model width {d} must be a positive multiple of heads={heads}")
 
     def __call__(self, x: Tensor, ctx: Tensor | None = None, seg: Segments | None = None,
                  ctx_seg: Segments | None = None) -> Tensor:
@@ -248,10 +255,10 @@ class LayerNorm:
 
     EPS = 1e-5
 
-    def __init__(self, d: int, dtype=np.float64):
+    def __init__(self, d: int):
         self.d = d
-        self.gain = _param(np.ones(d, dtype=dtype))
-        self.bias = _param(np.zeros(d, dtype=dtype))
+        self.gain = _param(np.ones(d))
+        self.bias = _param(np.zeros(d))
 
     def __call__(self, x: Tensor, y: Tensor) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.d or y.shape != x.shape:
@@ -276,14 +283,17 @@ class LvcBlock:
     ``tensor.sequence_gate``.
     """
 
-    def __init__(self, d_in: int, d: int, k_conv: int, n_centers: int, rng: Prng, dtype=np.float64):
+    def __init__(self, d_in: int, d: int, k_conv: int, n_centers: int, rng: Prng):
+        self.check(n_centers)
+        self.stem = Conv1d(d_in, d, k_conv, rng.child(0))
+        self.centers = _param((rng.child(1).normal(n_centers * d) * 0.1).reshape(n_centers, d))
+        self.scales = _param(np.ones(n_centers))
+        self.proj = Linear(d, d, rng.child(2))
+
+    @staticmethod
+    def check(n_centers: int) -> None:
         if n_centers < 1:
             raise ConfigError(f"codebook needs at least one center; got {n_centers}")
-        self.d = d
-        self.stem = Conv1d(d_in, d, k_conv, rng.child(0), dtype)
-        self.centers = _param((rng.child(1).normal(n_centers * d) * 0.1).astype(dtype).reshape(n_centers, d))
-        self.scales = _param(np.ones(n_centers, dtype=dtype))
-        self.proj = Linear(d, d, rng.child(2), dtype)
 
     def __call__(self, x: Tensor, seg: Segments | None = None, return_parts: bool = False):
         """The gated stem output; with ``return_parts``, also the codeword

@@ -10,6 +10,11 @@ One forward pass takes a whole batch. Each modality's sequences are packed
 into one [sum(T) x d] matrix with a ``Segments`` layout (see ``layers``);
 pooling turns each into [B x d] rows, one per utterance. A single utterance
 is the batch of one.
+
+The model decides once. ``WavFusionModel`` chooses the precision: its layers
+build float64 parameters and it casts each of them to its ``dtype``. Its
+architecture rules live in ``check_architecture`` and ``check_modalities``;
+the config, the constructor and ``forward_batch`` all call them.
 """
 
 from __future__ import annotations
@@ -20,13 +25,44 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DataError, ShapeError
-from .layers import Attention, Gru, LayerNorm, Linear, LvcBlock, Segments
+from .layers import Attention, Conv1d, Gru, LayerNorm, Linear, LvcBlock, Segments
 from .rng import Prng
 from .tensor import Tensor
 
 MODALITIES = ("a", "t", "v")
 
 FUSION_MODES = ("per_layer", "concat")
+
+
+def check_modalities(modalities, fusion_mode=None, error=ConfigError) -> tuple:
+    """The modality letters in ``MODALITIES`` order. ``fusion_mode`` is the
+    mode that fuses them (None: nothing is fused). An unknown letter or an
+    empty set raises ``error``; fusing without audio, or concat fusion of
+    fewer than all three, raises ``ConfigError``."""
+    wanted = set(modalities)
+    mask = tuple(m for m in MODALITIES if m in wanted)
+    if not mask or len(mask) != len(wanted):
+        raise error(f"modalities must be a non-empty subset of {MODALITIES}; got {sorted(wanted)}")
+    if len(mask) > 1 and "a" not in mask:
+        raise ConfigError(f"multimodal mode {''.join(mask)!r} requires the audio stream")
+    if fusion_mode == "concat" and mask != MODALITIES:
+        raise ConfigError("concat fusion needs all three modalities")
+    return mask
+
+
+def check_architecture(modalities, d: int, heads: int, n_shallow: int, n_deep: int,
+                       lvc_centers: int, conv_kernel: int, fusion_mode: str) -> None:
+    """Raise ``ConfigError`` unless these settings build a model."""
+    Attention.check(d, heads)
+    if n_shallow < 0 or n_deep < 0 or n_shallow + n_deep < 1:
+        raise ConfigError(f"need layer counts >= 0 and at least one layer; got {n_shallow}+{n_deep}")
+    LvcBlock.check(lvc_centers)
+    Conv1d.check(conv_kernel)
+    if fusion_mode not in FUSION_MODES:
+        raise ConfigError(f"fusion_mode must be one of {FUSION_MODES}; got {fusion_mode!r}")
+    if fusion_mode == "concat" and n_deep != 0:
+        raise ConfigError("concat fusion is the zero-deep-layer baseline; set n_deep=0")
+    check_modalities(modalities, fusion_mode)
 
 
 def gated_fuse(first: Tensor, second: Tensor, gate: Linear):
@@ -47,9 +83,9 @@ class FeedForward:
     """Two linear maps with tanh between, inner width 4d: one
     ``tensor.feed_forward`` node."""
 
-    def __init__(self, d: int, rng: Prng, dtype=np.float64):
-        self.inner = Linear(d, 4 * d, rng.child(0), dtype)
-        self.outer = Linear(4 * d, d, rng.child(1), dtype)
+    def __init__(self, d: int, rng: Prng):
+        self.inner = Linear(d, 4 * d, rng.child(0))
+        self.outer = Linear(4 * d, d, rng.child(1))
 
     def __call__(self, x: Tensor) -> Tensor:
         inner, outer = self.inner, self.outer
@@ -63,11 +99,11 @@ class FeedForward:
 class TransformerEncoderLayer:
     """Self-attention + feed-forward, residuals and layer norm after each."""
 
-    def __init__(self, d: int, heads: int, rng: Prng, dtype=np.float64):
-        self.attn = Attention(d, heads, rng.child(0), dtype)
-        self.norm_attn = LayerNorm(d, dtype)
-        self.ff = FeedForward(d, rng.child(1), dtype)
-        self.norm_ff = LayerNorm(d, dtype)
+    def __init__(self, d: int, heads: int, rng: Prng):
+        self.attn = Attention(d, heads, rng.child(0))
+        self.norm_attn = LayerNorm(d)
+        self.ff = FeedForward(d, rng.child(1))
+        self.norm_ff = LayerNorm(d)
 
     def __call__(self, x: Tensor, seg: Segments | None = None) -> Tensor:
         h = self.norm_attn(x, self.attn(x, seg=seg))
@@ -96,14 +132,14 @@ class GatedCrossModalLayer:
     text and visual respectively) whose results are blended by a learned
     per-channel gate before the usual feed-forward."""
 
-    def __init__(self, d: int, heads: int, rng: Prng, dtype=np.float64):
-        self.attn_text = Attention(d, heads, rng.child(0), dtype)
-        self.norm_text = LayerNorm(d, dtype)
-        self.attn_vis = Attention(d, heads, rng.child(1), dtype)
-        self.norm_vis = LayerNorm(d, dtype)
-        self.gate = Linear(2 * d, d, rng.child(2), dtype)
-        self.ff = FeedForward(d, rng.child(3), dtype)
-        self.norm_ff = LayerNorm(d, dtype)
+    def __init__(self, d: int, heads: int, rng: Prng):
+        self.attn_text = Attention(d, heads, rng.child(0))
+        self.norm_text = LayerNorm(d)
+        self.attn_vis = Attention(d, heads, rng.child(1))
+        self.norm_vis = LayerNorm(d)
+        self.gate = Linear(2 * d, d, rng.child(2))
+        self.ff = FeedForward(d, rng.child(3))
+        self.norm_ff = LayerNorm(d)
 
     def cross_text(self, x: Tensor, ctx: Tensor, seg=None, ctx_seg=None) -> Tensor:
         return self.norm_text(x, self.attn_text(x, ctx, seg, ctx_seg))
@@ -187,7 +223,8 @@ class WavFusionModel:
     """Gated cross-modal fusion network over up to three modalities.
 
     ``feature_dims`` maps each available modality ("a", "t", "v") to its raw
-    feature width; branches are built only for those. A model instance is
+    feature width; branches are built only for those. ``dtype`` is the
+    precision of every parameter and activation. A model instance is
     exclusively owned during a training step; concurrent evaluation requires
     deep-copied parameters.
     """
@@ -198,17 +235,8 @@ class WavFusionModel:
                  seed: int = 0, dtype=np.float64):
         if num_classes < 2:
             raise ConfigError(f"need at least 2 classes; got {num_classes}")
-        if fusion_mode not in FUSION_MODES:
-            raise ConfigError(f"unknown fusion mode {fusion_mode!r}")
-        if fusion_mode == "concat" and n_deep != 0:
-            raise ConfigError("concat fusion is the zero-deep-layer baseline; set n_deep=0")
-        if fusion_mode == "concat" and set(feature_dims) != set(MODALITIES):
-            raise ConfigError("concat fusion needs all three modalities")
-        unknown = set(feature_dims) - set(MODALITIES)
-        if unknown:
-            raise ConfigError(f"unknown modalities {sorted(unknown)}")
-        if n_shallow < 0 or n_deep < 0 or n_shallow + n_deep < 1:
-            raise ConfigError(f"need at least one layer; got shallow={n_shallow} deep={n_deep}")
+        check_architecture(feature_dims, d, heads, n_shallow, n_deep, lvc_centers, conv_kernel,
+                           fusion_mode)
 
         self.num_classes = num_classes
         self.feature_dims = dict(feature_dims)
@@ -222,26 +250,28 @@ class WavFusionModel:
 
         rng = Prng(seed)
         if "a" in feature_dims:
-            self.audio_proj = Linear(feature_dims["a"], d, rng.child(0), dtype)
+            self.audio_proj = Linear(feature_dims["a"], d, rng.child(0))
         if "t" in feature_dims:
             r = rng.child(1)
-            self.text_gru = Gru(feature_dims["t"], d, r.child(0), dtype)
-            self.text_attn = Attention(d, heads, r.child(1), dtype)
-            self.text_proj = Linear(d, d, r.child(2), dtype)
+            self.text_gru = Gru(feature_dims["t"], d, r.child(0))
+            self.text_attn = Attention(d, heads, r.child(1))
+            self.text_proj = Linear(d, d, r.child(2))
         if "v" in feature_dims:
             r = rng.child(2)
-            self.vis_gru = Gru(feature_dims["v"], d, r.child(0), dtype)
-            self.vis_attn = Attention(d, heads, r.child(1), dtype)
-            self.lvc = LvcBlock(feature_dims["v"], d, conv_kernel, lvc_centers, r.child(2), dtype)
-            self.vis_proj = Linear(2 * d if lvc_enabled else d, d, r.child(3), dtype)
-        self.shallow = [TransformerEncoderLayer(d, heads, rng.child(10 + i), dtype)
-                        for i in range(n_shallow)]
-        self.deep = [GatedCrossModalLayer(d, heads, rng.child(100 + i), dtype)
-                     for i in range(n_deep)]
-        self.shared_encoder = Linear(d, d, rng.child(3), dtype)
-        self.classifier = Linear(d, num_classes, rng.child(4), dtype)
+            self.vis_gru = Gru(feature_dims["v"], d, r.child(0))
+            self.vis_attn = Attention(d, heads, r.child(1))
+            self.lvc = LvcBlock(feature_dims["v"], d, conv_kernel, lvc_centers, r.child(2))
+            self.vis_proj = Linear(2 * d if lvc_enabled else d, d, r.child(3))
+        self.shallow = [TransformerEncoderLayer(d, heads, rng.child(10 + i)) for i in range(n_shallow)]
+        self.deep = [GatedCrossModalLayer(d, heads, rng.child(100 + i)) for i in range(n_deep)]
+        self.shared_encoder = Linear(d, d, rng.child(3))
+        self.classifier = Linear(d, num_classes, rng.child(4))
         if fusion_mode == "concat":
-            self.concat_head = Linear(3 * d, d, rng.child(5), dtype)
+            self.concat_head = Linear(3 * d, d, rng.child(5))
+        if dtype != np.float64:
+            # initial values are drawn in float64: each precision starts from the same numbers
+            for _, p in self.named_parameters():
+                p.data = p.data.astype(dtype)
 
     # -- branch encoders ------------------------------------------------------
 
@@ -303,17 +333,10 @@ class WavFusionModel:
         if not samples:
             raise DataError("forward pass over an empty batch")
         wanted = set(self.feature_dims) if mask is None else set(mask)
-        unknown = wanted - set(MODALITIES)
-        if unknown:
-            raise DataError(f"unknown modalities in mask: {sorted(unknown)}")
-        mask = tuple(m for m in MODALITIES if m in wanted)
-        if not mask:
-            raise DataError("modality mask is empty")
-        for m in mask:
-            if m not in self.feature_dims:
-                raise ConfigError(f"model has no branch for modality {m!r}")
-        if "a" not in mask and len(mask) > 1:
-            raise ConfigError(f"multimodal mode {mask} requires the audio stream")
+        # a pass without audio is one branch straight into the classifier: nothing is fused
+        mask = check_modalities(wanted, self.fusion_mode if "a" in wanted else None, DataError)
+        if not wanted <= self.feature_dims.keys():
+            raise ConfigError(f"model has no branch for {sorted(wanted - self.feature_dims.keys())}")
 
         trace = FusionTrace(mask=mask)
         encoders = {"a": self.audio_stack, "t": self.text_branch, "v": self.visual_branch}
@@ -360,24 +383,18 @@ class WavFusionModel:
     # -- parameters ----------------------------------------------------------------
 
     def named_parameters(self) -> list:
-        out = []
+        layers = []
         if "a" in self.feature_dims:
-            out += self.audio_proj.named_parameters("audio_proj")
+            layers += [("audio_proj", self.audio_proj)]
         if "t" in self.feature_dims:
-            out += self.text_gru.named_parameters("text.gru")
-            out += self.text_attn.named_parameters("text.attn")
-            out += self.text_proj.named_parameters("text.proj")
+            layers += [("text.gru", self.text_gru), ("text.attn", self.text_attn),
+                       ("text.proj", self.text_proj)]
         if "v" in self.feature_dims:
-            out += self.vis_gru.named_parameters("visual.gru")
-            out += self.vis_attn.named_parameters("visual.attn")
-            out += self.lvc.named_parameters("visual.lvc")
-            out += self.vis_proj.named_parameters("visual.proj")
-        for i, layer in enumerate(self.shallow):
-            out += layer.named_parameters(f"shallow.{i}")
-        for i, layer in enumerate(self.deep):
-            out += layer.named_parameters(f"deep.{i}")
-        out += self.shared_encoder.named_parameters("shared_encoder")
-        out += self.classifier.named_parameters("classifier")
+            layers += [("visual.gru", self.vis_gru), ("visual.attn", self.vis_attn),
+                       ("visual.lvc", self.lvc), ("visual.proj", self.vis_proj)]
+        layers += [(f"shallow.{i}", layer) for i, layer in enumerate(self.shallow)]
+        layers += [(f"deep.{i}", layer) for i, layer in enumerate(self.deep)]
+        layers += [("shared_encoder", self.shared_encoder), ("classifier", self.classifier)]
         if self.fusion_mode == "concat":
-            out += self.concat_head.named_parameters("concat_head")
-        return out
+            layers += [("concat_head", self.concat_head)]
+        return [named for prefix, layer in layers for named in layer.named_parameters(prefix)]

@@ -11,10 +11,11 @@ without waiting for the cyclic garbage collector.
 ``backward`` is the only writer of ``grad``. Over an iteratively-built
 topological order (deep graphs never touch the recursion limit) it calls each
 ``_vjp`` once and sums each gradient into its input, in input order, skipping
-inputs that need no gradient. The first gradient an input receives is kept as
-given, cast only where its dtype differs from the input's, so a ``grad`` may
-share memory with an adjoint or another ``grad``, or be a read-only broadcast
-view: nothing writes into a gradient.
+inputs that need no gradient; a ``_vjp`` may return None for such an input
+instead of computing a gradient nobody reads. The first gradient an input
+receives is kept as given, cast only where its dtype differs from the
+input's, so a ``grad`` may share memory with an adjoint or another ``grad``,
+or be a read-only broadcast view: nothing writes into a gradient.
 
 The ops are a few structural ones (``+``, ``scale``, ``@``, ``reshape``,
 ``slice_rows``, ``take_rows``, ``concat``) and one node per layer, each
@@ -163,7 +164,8 @@ class Tensor:
             raise ShapeError(f"matmul: inner dimensions of {_shape(self)} and {_shape(other)} disagree")
         out = _result(a @ b, (self, other))
         if out._parents:
-            out._vjp = lambda g: (g @ _swap(b), _swap(a) @ g)
+            need_a, need_b = self.requires_grad, other.requires_grad
+            out._vjp = lambda g: (g @ _swap(b) if need_a else None, _swap(a) @ g if need_b else None)
         return out
 
     # -- structure -------------------------------------------------------------------
@@ -262,7 +264,9 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     val += bias.data
     out = _result(val, (x, weight, bias))
     if out._parents:
-        out._vjp = lambda g: (g @ w.T, a.T @ g, g.sum(axis=0))
+        need_x, need_w = x.requires_grad, weight.requires_grad
+        out._vjp = lambda g: (g @ w.T if need_x else None, a.T @ g if need_w else None,
+                              g.sum(axis=0))
     return out
 
 

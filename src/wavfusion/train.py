@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import load_model, save_model
 from .config import ExperimentConfig, save_config
-from .data import Dataset, RatioSplit, load_dataset, split, write_atomic
+from .data import Dataset, load_dataset, split, write_atomic
 from .errors import ConfigError, DataError
 from .losses import Embeddings, build_triplets, cross_entropy, margin_loss, metrics, total_loss
 from .model import WavFusionModel
@@ -40,19 +40,10 @@ def build_model(cfg: ExperimentConfig, dataset: Dataset) -> WavFusionModel:
             raise DataError(f"dataset provides no {m!r} features but config requests them")
         dims[m] = dataset.feature_dims[m]
     return WavFusionModel(
-        num_classes=dataset.num_classes,
-        feature_dims=dims,
-        d=cfg.d,
-        heads=cfg.heads,
-        n_shallow=cfg.n_shallow,
-        n_deep=cfg.n_deep,
-        lvc_centers=cfg.lvc_centers,
-        conv_kernel=cfg.conv_kernel,
-        lvc_enabled=cfg.lvc_enabled,
-        fusion_mode=cfg.fusion_mode,
-        seed=cfg.seed,
-        dtype=np.float64 if cfg.precision == "float64" else np.float32,
-    )
+        dataset.num_classes, dims, d=cfg.d, heads=cfg.heads, n_shallow=cfg.n_shallow,
+        n_deep=cfg.n_deep, lvc_centers=cfg.lvc_centers, conv_kernel=cfg.conv_kernel,
+        lvc_enabled=cfg.lvc_enabled, fusion_mode=cfg.fusion_mode, seed=cfg.seed,
+        dtype=np.dtype(cfg.precision).type)
 
 
 def batch_objective(model: WavFusionModel, samples, mask, alpha: float, balance: float,
@@ -150,8 +141,7 @@ def train(cfg: ExperimentConfig, dataset: Dataset | None = None,
     if dataset is None:
         dataset = load_dataset(cfg.data_dir, cfg.num_classes or None)
     mask = cfg.mask()
-    train_set, val_set, test_set = split(
-        dataset.samples, RatioSplit(cfg.train_frac, cfg.val_frac, cfg.test_frac, cfg.seed))
+    train_set, val_set, test_set = split(dataset.samples, cfg.split_policy())
     if not train_set:
         raise DataError("empty training split")
 
@@ -238,8 +228,7 @@ def evaluate_checkpoint(checkpoint_path, cfg: ExperimentConfig, mask=None,
         dataset = load_dataset(cfg.data_dir, cfg.num_classes or None)
     model = build_model(cfg, dataset)
     load_model(checkpoint_path, model)
-    train_set, val_set, test_set = split(
-        dataset.samples, RatioSplit(cfg.train_frac, cfg.val_frac, cfg.test_frac, cfg.seed))
+    train_set, val_set, test_set = split(dataset.samples, cfg.split_policy())
     chosen = {"train": train_set, "val": val_set, "test": test_set,
               "all": dataset.samples}.get(which)
     if chosen is None:

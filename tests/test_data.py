@@ -319,6 +319,11 @@ class TestSplit:
         assert one == two
         assert one != other
 
+    def test_fractions_must_sum_to_one(self):
+        # train is no remainder: 0.5 beside 0.1 and 0.1 would train on 80%
+        with pytest.raises(ConfigError, match=r"train_frac=0.5 \+ val_frac=0.1 \+ test_frac=0.1"):
+            split(list(range(100)), RatioSplit(0.5, 0.1, 0.1))
+
     def test_degenerate_fractions_rejected(self):
         with pytest.raises(ConfigError):
             split(list(range(4)), RatioSplit(0.0, 0.5, 0.5, seed=0))

@@ -30,11 +30,11 @@ from wavfusion.train import batch_objective
 
 
 class LegacyConv1d:
-    def __init__(self, d_in, d_out, k, rng, dtype=np.float64):
+    def __init__(self, d_in, d_out, k, rng):
         self.k = k
-        self.taps = [_param(xavier_uniform(rng.child(o), k * d_in, d_out, (d_in, d_out), dtype))
+        self.taps = [_param(xavier_uniform(rng.child(o), k * d_in, d_out, (d_in, d_out)))
                      for o in range(k)]
-        self.bias = _param(np.zeros(d_out, dtype=dtype))
+        self.bias = _param(np.zeros(d_out))
 
     def __call__(self, x):
         t_len = x.shape[0]
@@ -46,19 +46,18 @@ class LegacyConv1d:
 
 
 class LegacyGru:
-    def __init__(self, d_in, d_h, rng, dtype=np.float64):
+    def __init__(self, d_in, d_h, rng):
         self.d_h = d_h
-        self.dtype = dtype
         gates = ("z", "r", "h")
-        self.w = {g: _param(xavier_uniform(rng.child(i), d_in, d_h, (d_in, d_h), dtype))
+        self.w = {g: _param(xavier_uniform(rng.child(i), d_in, d_h, (d_in, d_h)))
                   for i, g in enumerate(gates)}
-        self.u = {g: _param(xavier_uniform(rng.child(3 + i), d_h, d_h, (d_h, d_h), dtype))
+        self.u = {g: _param(xavier_uniform(rng.child(3 + i), d_h, d_h, (d_h, d_h)))
                   for i, g in enumerate(gates)}
-        self.b = {g: _param(np.zeros(d_h, dtype=dtype)) for g in gates}
+        self.b = {g: _param(np.zeros(d_h)) for g in gates}
 
     def __call__(self, x):
         pre = {g: R.add_row(x @ self.w[g], self.b[g]) for g in ("z", "r", "h")}
-        h = Tensor(np.zeros((1, self.d_h), dtype=self.dtype))
+        h = Tensor(np.zeros((1, self.d_h)))
         steps = []
         for t in range(x.shape[0]):
             z = R.sigmoid(pre["z"].slice_rows(t, t + 1) + h @ self.u["z"])
@@ -70,16 +69,16 @@ class LegacyGru:
 
 
 class LegacyAttention:
-    def __init__(self, d, heads, rng, dtype=np.float64):
+    def __init__(self, d, heads, rng):
         self.heads = heads
         self.d_head = d // heads
-        self.wq = [_param(xavier_uniform(rng.child(3 * i), d, self.d_head, (d, self.d_head), dtype))
+        self.wq = [_param(xavier_uniform(rng.child(3 * i), d, self.d_head, (d, self.d_head)))
                    for i in range(heads)]
-        self.wk = [_param(xavier_uniform(rng.child(3 * i + 1), d, self.d_head, (d, self.d_head), dtype))
+        self.wk = [_param(xavier_uniform(rng.child(3 * i + 1), d, self.d_head, (d, self.d_head)))
                    for i in range(heads)]
-        self.wv = [_param(xavier_uniform(rng.child(3 * i + 2), d, self.d_head, (d, self.d_head), dtype))
+        self.wv = [_param(xavier_uniform(rng.child(3 * i + 2), d, self.d_head, (d, self.d_head)))
                    for i in range(heads)]
-        self.wo = _param(xavier_uniform(rng.child(3 * heads), d, d, (d, d), dtype))
+        self.wo = _param(xavier_uniform(rng.child(3 * heads), d, d, (d, d)))
 
     def __call__(self, x, ctx=None):
         ctx = x if ctx is None else ctx

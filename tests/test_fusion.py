@@ -10,6 +10,7 @@ from helpers import make_sample, rand
 from test_layers import attention_oracle
 from wavfusion import tensor as T
 from wavfusion.checkpoint import load_model, read_records, save_model, write_records
+from wavfusion.config import ExperimentConfig
 from wavfusion.errors import CheckpointError, ConfigError, DataError, FormatError, ShapeError
 from wavfusion.layers import LayerNorm, Linear
 from wavfusion.losses import build_triplets, margin_loss
@@ -208,6 +209,14 @@ class TestForward:
         with pytest.raises(ConfigError):
             tiny_model(fusion_mode="concat", n_deep=1)
 
+    def test_concat_pass_fuses_all_three(self):
+        model = tiny_model(n_deep=0, n_shallow=1, fusion_mode="concat")
+        sample = make_sample(7, DIMS)
+        for mask in ("at", "a"):
+            with pytest.raises(ConfigError, match="concat"):
+                model.forward(sample, mask=mask)
+        assert model.forward(sample, mask="t").logits.shape == (1, 3)
+
     def test_audio_length_preserved_through_stack(self):
         model = tiny_model(n_deep=2)
         sample = make_sample(8, DIMS, t_lens={"a": 5, "t": 9, "v": 2})
@@ -267,6 +276,43 @@ class TestForward:
         a = tiny_model().forward(sample).logits.data
         b = tiny_model().forward(sample).logits.data
         npt.assert_array_equal(a, b)
+
+
+class TestArchitecture:
+    ARCH = dict(d=8, heads=2, n_shallow=1, n_deep=1, lvc_centers=3, conv_kernel=3,
+                fusion_mode="per_layer")
+
+    def test_float32_parameters_are_the_float64_ones_cast(self):
+        args = dict(num_classes=3, feature_dims=DIMS, seed=4, **self.ARCH)
+        wide = WavFusionModel(**args).named_parameters()
+        narrow = WavFusionModel(**args, dtype=np.float32).named_parameters()
+        assert [name for name, _ in narrow] == [name for name, _ in wide]
+        for (name, p), (_, q) in zip(narrow, wide):
+            assert p.data.dtype == np.float32, name
+            assert p.data.tobytes() == q.data.astype(np.float32).tobytes(), name
+
+    @pytest.mark.parametrize("modalities,overrides", [
+        ("avt", {"heads": 3}),                             # width divisible by heads
+        ("avt", {"heads": 0}),
+        ("avt", {"n_shallow": 0, "n_deep": 0}),            # at least one layer
+        ("avt", {"n_shallow": -1}),
+        ("avt", {"lvc_centers": 0}),                       # codebook size
+        ("avt", {"conv_kernel": 2}),                       # odd conv kernel
+        ("avt", {"fusion_mode": "final_layer"}),           # fusion mode
+        ("avt", {"fusion_mode": "concat"}),                # concat has no deep layers
+        ("at", {"fusion_mode": "concat", "n_deep": 0}),    # concat fuses all three
+        ("a", {"fusion_mode": "concat", "n_deep": 0}),
+        ("ax", {}),                                        # the modality set
+        ("", {}),
+        ("tv", {}),                                        # fusing needs audio
+    ])
+    def test_config_and_model_share_each_rule(self, modalities, overrides):
+        arch = {**self.ARCH, **overrides}
+        with pytest.raises(ConfigError) as from_config:
+            ExperimentConfig(modalities=modalities, **arch).validate()
+        with pytest.raises(ConfigError) as from_model:
+            WavFusionModel(num_classes=3, feature_dims=dict.fromkeys(modalities, 4), **arch)
+        assert str(from_model.value) == str(from_config.value)
 
 
 class TestSharedEncoder:

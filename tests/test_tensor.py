@@ -613,6 +613,21 @@ class TestNodeProtocol:
         npt.assert_array_equal(out.data, out_before)
         npt.assert_array_equal(g, g_before)
 
+    @pytest.mark.parametrize("name,frozen", [("matmul", 0), ("matmul", 1), ("matmul_batched", 0),
+                                             ("affine", 0), ("affine", 1)])
+    def test_vjp_skips_inputs_without_gradient(self, name, frozen):
+        # raw features into a linear map, or a pooling matrix: the gradient
+        # nobody reads comes back as None, the others bit-identical
+        ins = self.inputs(name, np.float64)
+        g = rand(OPS[name][1](*ins).shape, seed=97)
+        full = OPS[name][1](*ins)._vjp(g)
+        ins[frozen].requires_grad = False
+        part = OPS[name][1](*ins)._vjp(g)
+        assert part[frozen] is None
+        for i, (grad, ref) in enumerate(zip(part, full)):
+            if i != frozen:
+                npt.assert_array_equal(grad, ref)
+
     def test_gradients_use_forward_values(self):
         w = Tensor(np.abs(rand((3, 3), seed=81)) + 0.5, requires_grad=True)
         x = Tensor(np.abs(rand((3, 3), seed=82)) + 0.5)
