@@ -62,6 +62,13 @@ class ExperimentConfig:
             raise ConfigError(f"balance must be non-negative; got {self.balance}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be at least 1; got {self.batch_size}")
+        if not self.lr >= 0.0:
+            raise ConfigError(f"lr must be non-negative; got {self.lr}")
+        for key in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ConfigError(f"{key} must lie in [0, 1); got {getattr(self, key)}")
+        if not self.eps > 0.0:
+            raise ConfigError(f"eps must be positive; got {self.eps}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be at least 1; got {self.epochs}")
         if self.precision not in PRECISIONS:

@@ -54,9 +54,9 @@ class Segments:
             raise ShapeError(f"segments need one or more positive lengths; got {lengths.tolist()}")
         self.lengths = lengths
         self.count = lengths.size
-        self.total = int(lengths.sum())
+        self.offsets = np.concatenate(([0], lengths)).cumsum()
+        self.total = int(self.offsets[-1])
         self.t_max = int(lengths.max())
-        self.offsets = np.concatenate([[0], np.cumsum(lengths)])
         self.ids = np.repeat(np.arange(self.count), lengths)            # sequence of each row
         self.positions = np.arange(self.total) - self.offsets[self.ids]  # time step of each row
         self.valid = np.arange(self.t_max) < lengths[:, None]            # [B x T_max]
@@ -90,21 +90,33 @@ class Segments:
         return out
 
     def head_blocks(self, heads: int):
-        """Index arrays that cut the packed rows into ``heads`` column blocks
-        each (row t*heads + i is block i of packed row t) and lay them out as
-        one zero-padded block per sequence and head; built once per head
-        count. Returns ``(into, back, pad)``: ``into`` [B*heads x T_max]
-        indexes those rows, ``back`` [sum(T)*heads] takes the blocks'
-        [B*heads*T_max] rows back, and ``pad`` [B*heads x 1 x T_max] is True
-        on the padding after each sequence (None if there is none)."""
+        """Index arrays between the packed rows, cut into ``heads`` column
+        blocks each (row t*heads + i is block i of packed row t), and one
+        padded [T_max x d_head] block per sequence and head; built once per
+        head count. Returns ``(into, zero, back, pad)``:
+
+        - ``into`` [B*heads x T_max] indexes those rows. A padding position
+          repeats its sequence's last row, so the block holds finite values;
+          the caller gives them no weight or drops them.
+        - ``zero`` is ``into`` with -1 on the padding, for a gather that
+          needs zero rows there.
+        - ``back`` [sum(T)*heads] takes the blocks' [B*heads*T_max] rows back.
+        - ``pad`` [B*heads x 1 x T_max] is 0 on real rows and -inf on the
+          padding, to add to scores over them (None if there is none).
+        """
         layout = self._head_blocks.get(heads)
         if layout is None:
-            rows = self.padded[:, None, :] * heads + np.arange(heads)[:, None]
-            into = np.where(self.valid[:, None, :], rows, -1).reshape(self.count * heads, self.t_max)
-            block = self.ids[:, None] * heads + np.arange(heads)
-            back = (block * self.t_max + self.positions[:, None]).reshape(-1)
-            pad = None if self.valid.all() else np.repeat(~self.valid, heads, axis=0)[:, None, :]
-            layout = self._head_blocks[heads] = (into, back, pad)
+            head = np.arange(heads)
+            source = np.where(self.valid, self.padded, self.offsets[1:, None] - 1)
+            into = source[:, None, :] * heads + head[:, None]
+            zero = np.where(self.valid[:, None, :], into, -1)
+            back = ((self.ids[:, None] * heads + head) * self.t_max + self.positions[:, None])
+            pad = None
+            if self.t_max * self.count != self.total:
+                pad = np.where(self.valid, 0.0, -np.inf).repeat(heads, axis=0)[:, None, :]
+            shape = (self.count * heads, self.t_max)
+            layout = self._head_blocks[heads] = (into.reshape(shape), zero.reshape(shape),
+                                                 back.reshape(-1), pad)
         return layout
 
 
@@ -202,12 +214,10 @@ class Attention:
 
     Each of ``wq``, ``wk``, ``wv`` and ``wo`` is one [d x d] matrix. The
     columns of the first three are head-major: head i owns columns
-    [i*d_head, (i+1)*d_head). Heads run as the leading axis of rank-3
-    tensors, so one call costs the same number of graph nodes at any head
-    count. The projections run on the packed rows and ``tensor.attention_core``
-    does the rest per sequence and head in one graph node, so a call costs
-    five nodes at any head count. The score tensor is
-    [B*heads x T_max x T_ctx_max], never [sum(T) x sum(T_ctx)].
+    [i*d_head, (i+1)*d_head). A call, projections included, is one
+    ``tensor.attention`` node at any head count; it works per sequence and
+    head, so the score tensor is [B*heads x T_max x T_ctx_max], never
+    [sum(T) x sum(T_ctx)].
     """
 
     def __init__(self, d: int, heads: int, rng: Prng):
@@ -234,8 +244,8 @@ class Attention:
         ctx, ctx_seg = (x, seg) if ctx is None else (ctx, Segments.of(ctx, ctx_seg))
         if x.ndim != 2 or x.shape[1] != self.d or ctx.ndim != 2 or ctx.shape[1] != self.d:
             raise ShapeError(f"attention: inputs {list(x.shape)}, {list(ctx.shape)} need width {self.d}")
-        core = T.attention_core(x @ self.wq, ctx @ self.wk, ctx @ self.wv, self.heads, seg, ctx_seg)
-        return core @ self.wo
+        return T.attention(x, None if ctx is x and ctx_seg is seg else ctx, self.wq, self.wk,
+                           self.wv, self.wo, self.heads, seg, ctx_seg)
 
     def attention_weights(self, x: Tensor, ctx: Tensor | None = None) -> list[np.ndarray]:
         """Per-head weight matrices of one sequence's forward pass (values only)."""

@@ -309,17 +309,17 @@ class WavFusionModel:
 
     def _pack(self, samples, m: str):
         """One modality of a batch: the packed [sum(T) x D] features and their layout."""
-        seqs = []
+        seqs, width = [], self.feature_dims[m]
         for sample in samples:
             if m not in sample.features:
                 raise DataError(f"sample {getattr(sample, 'uid', '?')} lacks modality {m!r}")
-            arr = np.asarray(sample.features[m], dtype=self.dtype)
-            if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] != self.feature_dims[m]:
+            arr = np.asarray(sample.features[m])
+            if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] != width:
                 raise DataError(f"sample {getattr(sample, 'uid', '?')}: {m!r} features must be a "
-                                f"non-empty [T x {self.feature_dims[m]}] matrix; got shape "
-                                f"{list(arr.shape)}")
+                                f"non-empty [T x {width}] matrix; got shape {list(arr.shape)}")
             seqs.append(arr)
-        return np.concatenate(seqs), Segments([len(a) for a in seqs])
+        # one cast, of the packed rows, to the model's precision
+        return np.concatenate(seqs, dtype=self.dtype), Segments([len(a) for a in seqs])
 
     def forward_batch(self, samples, mask=None) -> FusionTrace:
         """Run a batch of utterances through the network as one packed pass.

@@ -20,8 +20,9 @@ or be a read-only broadcast view: nothing writes into a gradient.
 The ops are a few structural ones (``+``, ``scale``, ``@``, ``reshape``,
 ``slice_rows``, ``take_rows``, ``concat``) and one node per layer, each
 with a closed-form adjoint: ``affine``, ``feed_forward``, ``layer_norm``,
-``attention_core``, ``gru``, ``gated_mix``, ``codebook_pool``,
-``sequence_gate`` and the losses ``cosine_margin`` and ``softmax_nll``.
+``attention`` (with its projections), ``gru``, ``gated_mix``,
+``codebook_pool``, ``sequence_gate`` and the losses ``cosine_margin`` and
+``softmax_nll``.
 Shape discipline is strict: ``+`` demands equal shapes, there is no
 implicit broadcast, and each op checks its inputs and names itself in the
 error.
@@ -112,6 +113,7 @@ class Tensor:
         if self._spent:
             raise GraphError("backward already ran on this graph; rerun the forward pass")
 
+        # the interior nodes in topological order; leaves need no visit
         topo = []
         visited = {id(self)}
         stack = [(self, iter(self._parents))]
@@ -123,7 +125,8 @@ class Tensor:
                 stack.pop()
             elif id(child) not in visited:
                 visited.add(id(child))
-                stack.append((child, iter(child._parents)))
+                if child._parents:
+                    stack.append((child, iter(child._parents)))
 
         self.grad = np.ones((), dtype=self.data.dtype)
         for node in reversed(topo):
@@ -134,8 +137,12 @@ class Tensor:
             node._spent = True
             for parent, g in zip(node._parents, node._vjp(node.grad)):
                 if parent.requires_grad:
-                    parent.grad = (np.asarray(g, dtype=parent.data.dtype) if parent.grad is None
-                                   else parent.grad + g)
+                    if parent.grad is not None:
+                        parent.grad = parent.grad + g
+                    elif g.dtype == parent.data.dtype:
+                        parent.grad = g
+                    else:
+                        parent.grad = g.astype(parent.data.dtype)
             node.grad = node._vjp = None
 
     # -- arithmetic and linear algebra -------------------------------------------
@@ -266,7 +273,7 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if out._parents:
         need_x, need_w = x.requires_grad, weight.requires_grad
         out._vjp = lambda g: (g @ w.T if need_x else None, a.T @ g if need_w else None,
-                              g.sum(axis=0))
+                              np.ones(len(g), g.dtype) @ g)
     return out
 
 
@@ -287,10 +294,15 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     val += b2.data
     out = _result(val, (x, w1, b1, w2, b2))
     if out._parents:
+        need_x = x.requires_grad
+
         def vjp(g):
+            ones = np.ones(len(g), g.dtype)
             gh = g @ v2.T
-            gh *= 1.0 - h * h
-            return gh @ v1.T, a.T @ gh, gh.sum(axis=0), h.T @ g, g.sum(axis=0)
+            slope = h * h
+            np.subtract(1.0, slope, out=slope)
+            gh *= slope
+            return gh @ v1.T if need_x else None, a.T @ gh, ones @ gh, h.T @ g, ones @ g
         out._vjp = vjp
     return out
 
@@ -309,17 +321,31 @@ def layer_norm(x: Tensor, residual: Tensor, gain: Tensor, bias: Tensor, eps: flo
     _check_row(x, bias, "layer_norm")
     xhat = x.data + residual.data
     inv_n = 1.0 / xhat.shape[1]
-    xhat -= xhat.sum(axis=-1, keepdims=True) * inv_n
-    std = np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) * inv_n + eps)
+    mean = np.add.reduce(xhat, axis=-1, keepdims=True)
+    mean *= inv_n
+    xhat -= mean
+    std = np.add.reduce(xhat * xhat, axis=-1, keepdims=True)
+    std *= inv_n
+    std += eps
+    np.sqrt(std, out=std)
     xhat /= std
     w = gain.data
-    out = _result(xhat * w + bias.data, (x, residual, gain, bias))
+    val = xhat * w
+    val += bias.data
+    out = _result(val, (x, residual, gain, bias))
     if out._parents:
         def vjp(g):
-            gh = g * w
-            dx = (gh - gh.mean(axis=-1, keepdims=True)
-                  - xhat * (gh * xhat).mean(axis=-1, keepdims=True)) / std
-            return dx, dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+            # row means and column sums as matrix-vector products, which cost
+            # less than .mean and .sum along short rows
+            means, ones = np.full(xhat.shape[1], inv_n, xhat.dtype), np.ones(len(g), g.dtype)
+            dx = g * w
+            part = dx * xhat
+            dx -= (dx @ means)[:, None]
+            np.multiply(xhat, (part @ means)[:, None], out=part)
+            dx -= part
+            dx /= std
+            np.multiply(g, xhat, out=part)
+            return dx, dx, ones @ part, ones @ g
         out._vjp = vjp
     return out
 
@@ -414,49 +440,103 @@ def softmax_nll(logits: Tensor, labels) -> Tensor:
     return out
 
 
-def attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int, seg, ctx_seg) -> Tensor:
-    """Scaled dot-product attention of every head of every sequence, on
-    packed rows: softmax(q kᵀ / sqrt(d_head)) v.
+def attention(x: Tensor, ctx: Tensor | None, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
+              heads: int, seg, ctx_seg) -> Tensor:
+    """Multi-head scaled dot-product attention with its projections, on
+    packed rows: per sequence and head, softmax(q kᵀ / sqrt(d_head)) v, and
+    the packed result times ``wo``.
 
-    ``q`` [sum(T) x d] has the layout ``seg``, ``k`` and ``v``
-    [sum(T_ctx) x d] the layout ``ctx_seg`` (both ``layers.Segments``);
-    columns are head-major, head i owning [i*d_head, (i+1)*d_head). The
-    result is [sum(T) x d] in the same column layout. Inside, each sequence
-    and head gets one zero-padded block ([B*heads x T_max x d_head]) and
-    padded keys get a weight of exactly 0. The gathers into the blocks and
-    back are permutations plus padding, so each one's adjoint is the other.
+    The queries are q = x ``wq`` for ``x`` [sum(T) x d] (layout ``seg``), the
+    keys and values k = c ``wk`` and v = c ``wv`` for the context c = ``ctx``
+    [sum(T_ctx) x d] (layout ``ctx_seg``, both ``layers.Segments``). With
+    ``ctx=None`` the context is ``x`` itself (self-attention): the inputs
+    are then ``(x, wq, wk, wv, wo)``, else ``(x, ctx, wq, wk, wv, wo)``.
+    The weights are [d x d]; the columns of the first three are head-major,
+    head i owning [i*d_head, (i+1)*d_head).
+
+    Each input is multiplied once: x by the stack [wq, wk, wv] for
+    self-attention, else x by wq and ctx by [wk, wv], with wq scaled by
+    1 / sqrt(d_head) on the way. Each sequence and head then gets one padded
+    block ([B*heads x T_max x d_head]). Padding repeats a real row, so its
+    values are finite; padded keys get a weight of exactly 0 and padded
+    query rows are never gathered back. The adjoint gathers the output's
+    adjoint into zero-padded blocks, so padded queries pass nothing to the
+    keys and values; with W the weights and G = dW, the scores get
+    W (G - rowsum(G W)).
     """
-    a = q.data
-    if (a.ndim != 2 or k.data.ndim != 2 or k.data.shape != v.data.shape or a.shape[1] % heads
-            or k.data.shape[1] != a.shape[1] or seg.count != ctx_seg.count
-            or (seg.total, ctx_seg.total) != (a.shape[0], k.data.shape[0])):
-        raise ShapeError(f"attention_core: q {_shape(q)}, k {_shape(k)} and v {_shape(v)} do not "
-                         f"fit {heads} heads and sequences of {seg.lengths.tolist()} and "
+    a = x.data
+    c = a if ctx is None else ctx.data
+    ctx_seg = seg if ctx is None else ctx_seg
+    d = a.shape[1] if a.ndim == 2 else -1
+    if (d < 0 or c.ndim != 2 or c.shape[1] != d or d % heads
+            or not wq.data.shape == wk.data.shape == wv.data.shape == wo.data.shape == (d, d)
+            or seg.count != ctx_seg.count or (seg.total, ctx_seg.total) != (a.shape[0], c.shape[0])):
+        raise ShapeError(f"attention: x {_shape(x)}, context {list(c.shape)} and weights "
+                         f"{[list(w.data.shape) for w in (wq, wk, wv, wo)]} do not fit {heads} "
+                         f"heads and sequences of {seg.lengths.tolist()} and "
                          f"{ctx_seg.lengths.tolist()} rows")
-    d_head = a.shape[1] // heads
-    into_q, back_q, _ = seg.head_blocks(heads)
-    into_k, back_k, _ = ctx_seg.head_blocks(heads)
-    qh, kh, weights = _attend(a, k.data, heads, seg, ctx_seg)
-    vh = _take(v.data.reshape(-1, d_head), into_k)
-    out = _result((weights @ vh).reshape(-1, d_head)[back_q].reshape(a.shape), (q, k, v))
+    d_head, dtype, scale = d // heads, a.dtype, 1.0 / math.sqrt(d // heads)
+    into_q, zero_q, back_q, _ = seg.head_blocks(heads)
+    into_c, _, back_c, pad = ctx_seg.head_blocks(heads)
+    if ctx is None:
+        inputs = (x, wq, wk, wv, wo)
+        w_in = np.concatenate([wq.data, wk.data, wv.data]).reshape(3, d, d)
+        w_q = w_in[0]
+        w_q *= scale
+    else:
+        inputs = (x, ctx, wq, wk, wv, wo)
+        w_in = np.concatenate([wk.data, wv.data]).reshape(2, d, d)
+        w_q = wq.data * scale
+        qh = (a @ w_q).reshape(-1, d_head).take(into_q, axis=0)
+    # the context's projections, role-major: [roles x sum(T_ctx) x d]
+    blocks = np.matmul(c, w_in).reshape(len(w_in), -1, d_head).take(into_c, axis=1)
+    if ctx is None:
+        qh = blocks[0]
+    kh, vh = blocks[-2:]
+    weights = _softmax_blocks(qh, kh, pad)
+    o = (weights @ vh).reshape(-1, d_head).take(back_q, axis=0).reshape(a.shape)
+    w_out = wo.data
+    out = _result(o @ w_out, inputs)
     if out._parents:
-        q_shape, k_shape, s = a.shape, k.data.shape, 1.0 / math.sqrt(d_head)
+        cross, need_x = ctx is not None, x.requires_grad
+        need_c = ctx.requires_grad if cross else need_x
+        ones = np.ones(kh.shape[1], dtype)
 
         def vjp(g):
-            go = _take(g.reshape(-1, d_head), into_q)
-            gw = go @ _swap(vh)
-            gs = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True)) * s
-            return ((gs @ kh).reshape(-1, d_head)[back_q].reshape(q_shape),
-                    (_swap(gs) @ qh).reshape(-1, d_head)[back_k].reshape(k_shape),
-                    (_swap(weights) @ go).reshape(-1, d_head)[back_k].reshape(k_shape))
+            # the output's adjoint as blocks, with a zero row (the last) on the padding
+            go = np.empty((a.shape[0] * heads + 1, d_head), dtype)
+            go[-1] = 0.0
+            np.matmul(g, w_out.T, out=go[:-1].reshape(a.shape))
+            go = go.take(zero_q, axis=0)
+            gs = go @ np.ascontiguousarray(_swap(vh))
+            gs -= ((gs * weights) @ ones)[..., None]
+            gs *= weights
+            grads = np.empty_like(blocks)                       # [q,] k, v
+            np.matmul(_swap(gs), qh, out=grads[-2])
+            np.matmul(_swap(weights), go, out=grads[-1])
+            gq = np.matmul(gs, kh, out=None if cross else grads[0])
+            d_proj = grads.reshape(len(w_in), -1, d_head).take(back_c, axis=1).reshape(
+                len(w_in), -1, d)
+            d_c = np.matmul(d_proj, _swap(w_in)).sum(axis=0) if need_c else None
+            d_w = [*np.matmul(c.T, d_proj), o.T @ g]            # [wq,] wk, wv, wo
+            if not cross:
+                d_w[0] *= scale
+                return (d_c, *d_w)
+            dq = gq.reshape(-1, d_head).take(back_q, axis=0).reshape(a.shape)
+            d_wq = a.T @ dq
+            d_wq *= scale
+            return (dq @ w_q.T if need_x else None, d_c, d_wq, *d_w)
         out._vjp = vjp
     return out
 
 
 def attention_weights(q: np.ndarray, k: np.ndarray, heads: int, seg, ctx_seg) -> np.ndarray:
-    """Values only: the weights ``attention_core`` gives the keys, from the
+    """Values only: the weights ``attention`` gives the keys, from the
     projected rows ``q`` and ``k``: [B*heads x T_max x T_ctx_max]."""
-    return _attend(q, k, heads, seg, ctx_seg)[2]
+    d_head = q.shape[1] // heads
+    into, _, _, pad = ctx_seg.head_blocks(heads)
+    qh = (q * (1.0 / math.sqrt(d_head))).reshape(-1, d_head).take(seg.head_blocks(heads)[0], axis=0)
+    return _softmax_blocks(qh, k.reshape(-1, d_head).take(into, axis=0), pad)
 
 
 def gru(pre: Tensor, u_zr: Tensor, u_h: Tensor, seg) -> Tensor:
@@ -489,31 +569,44 @@ def gru(pre: Tensor, u_zr: Tensor, u_h: Tensor, seg) -> Tensor:
     c = np.empty((p.shape[0], d), dtype=p.dtype)
     for t in range(seg.t_max):
         rows = slice(t * b, (t + 1) * b)
-        h = hs[rows]
-        zr[rows] = _sigmoid(p[rows, :2 * d] + h @ w_zr)
-        z = zr[rows, :d]
-        c[rows] = np.tanh(p[rows, 2 * d:] + (zr[rows, d:] * h) @ w_h)
-        hs[t * b + b:t * b + 2 * b] = (1.0 - z) * h + z * c[rows]
+        h, z, cand = hs[rows], zr[rows, :d], c[rows]
+        gates = h @ w_zr
+        gates += p[rows, :2 * d]
+        _sigmoid(gates, out=zr[rows])
+        cand_pre = (zr[rows, d:] * h) @ w_h
+        cand_pre += p[rows, 2 * d:]
+        np.tanh(cand_pre, out=cand)
+        keep = 1.0 - z
+        keep *= h
+        np.add(keep, z * cand, out=hs[t * b + b:t * b + 2 * b])
     out = _result(hs[b:][from_time_major], (pre, u_zr, u_h))
     if out._parents:
         def vjp(g):
             gh = _take(g, time_major)
-            dpre = np.empty((gh.shape[0], 3 * d), dtype=gh.dtype)
+            h_prev, z, r = hs[:-b], zr[:, :d], zr[:, d:]
+            # the factors that do not depend on the running adjoint dh, for all
+            # steps at once: dh to the adjoints of pre_z + h u_z and of
+            # pre_h + (r h) u_h, and d(r h) to that of pre_r + h u_r
+            to_zh = np.empty((len(gh), 2, d), gh.dtype)
+            np.multiply((c - h_prev) * z, 1.0 - z, out=to_zh[:, 0])
+            np.multiply(z, 1.0 - c * c, out=to_zh[:, 1])
+            to_r = h_prev * r * (1.0 - r)
+            keep = 1.0 - z
+            dpre = np.empty((len(gh), 3, d), dtype=gh.dtype)       # columns z | r | h
             dh = np.zeros((b, d), dtype=gh.dtype)
             for t in reversed(range(len(gh) // b)):
                 rows = slice(t * b, (t + 1) * b)
-                dh = dh + gh[rows]
-                h, s, ct = hs[rows], zr[rows], c[rows]
-                z, r = s[:, :d], s[:, d:]
-                da_h = dh * z * (1.0 - ct * ct)
-                d_rh = da_h @ w_h.T
-                da_zr = np.concatenate([dh * (ct - h), d_rh * h], axis=1) * s * (1.0 - s)
-                dpre[rows, :2 * d] = da_zr
-                dpre[rows, 2 * d:] = da_h
-                dh = dh * (1.0 - z) + d_rh * r + da_zr @ w_zr.T
-            h_prev = hs[:-b]
+                dh += gh[rows]
+                np.multiply(dh[:, None], to_zh[rows], out=dpre[rows, ::2])
+                d_rh = dpre[rows, 2] @ w_h.T
+                np.multiply(d_rh, to_r[rows], out=dpre[rows, 1])
+                dh *= keep[rows]
+                d_rh *= r[rows]
+                dh += d_rh
+                dh += dpre[rows, :2].reshape(b, 2 * d) @ w_zr.T
+            dpre = dpre.reshape(len(gh), 3 * d)
             return (dpre[from_time_major], h_prev.T @ dpre[:, :2 * d],
-                    (zr[:, d:] * h_prev).T @ dpre[:, 2 * d:])
+                    (r * h_prev).T @ dpre[:, 2 * d:])
         out._vjp = vjp
     return out
 
@@ -625,11 +718,13 @@ def _result(data: np.ndarray, parents: tuple) -> Tensor:
     return out
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out=None) -> np.ndarray:
     """Logistic function that never takes exp of a positive number:
     1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    e = np.exp(np.copysign(x, -1.0))        # -|x|, in one pass
+    top = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    return np.divide(top, e, out=out)
 
 
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
@@ -637,18 +732,19 @@ def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def _attend(q: np.ndarray, k: np.ndarray, heads: int, seg, ctx_seg):
-    """Packed rows ``q`` and ``k`` as zero-padded blocks per sequence and
-    head, and softmax(q kᵀ / sqrt(d_head)) per block with no weight on the
-    padded keys."""
-    d_head = q.shape[1] // heads
-    into_k, _, pad = ctx_seg.head_blocks(heads)
-    qh = _take(q.reshape(-1, d_head), seg.head_blocks(heads)[0])
-    kh = _take(k.reshape(-1, d_head), into_k)
-    scores = (qh @ _swap(kh)) * (1.0 / math.sqrt(d_head))
+def _softmax_blocks(qh: np.ndarray, kh: np.ndarray, pad) -> np.ndarray:
+    """softmax(q kᵀ) of each block pair ([n x T x d_head] and [n x T_ctx x
+    d_head]), in place on the scores, with ``pad`` (additive, 0 or -inf;
+    None for no padding) on the keys. The row maxima come from a transposed
+    copy, where they reduce along the long axis."""
+    scores = qh @ np.ascontiguousarray(_swap(kh))
     if pad is not None:
-        scores = np.where(pad, -np.inf, scores)
-    return qh, kh, _softmax(scores, -1)
+        scores += pad
+    rows = scores.reshape(-1, scores.shape[-1])
+    rows -= np.ascontiguousarray(rows.T).max(axis=0)[:, None]
+    np.exp(scores, out=scores)
+    scores /= (scores @ np.ones(scores.shape[-1], scores.dtype))[..., None]
+    return scores
 
 
 def _take(rows: np.ndarray, index: np.ndarray) -> np.ndarray:

@@ -94,6 +94,19 @@ def _dataset_loss(model, samples, mask, cfg) -> float:
     return total / count
 
 
+def _non_finite_origin(model: WavFusionModel, samples, mask) -> str:
+    """Where a batch's non-finite loss starts: the first non-finite
+    intermediate of its forward pass, re-run without a graph, and the first
+    parameter with a non-finite value."""
+    with T.no_grad():
+        trace = model.forward_batch(samples, mask)
+        model.shared_encode(trace)
+    value = next((name for name, v in trace.all_values() if not np.isfinite(v).all()), "none")
+    param = next((name for name, p in model.named_parameters()
+                  if not np.isfinite(p.data).all()), "none")
+    return f"first non-finite value {value}, first non-finite parameter {param}"
+
+
 @dataclass
 class RunReport:
     seed: int
@@ -164,7 +177,8 @@ def train(cfg: ExperimentConfig, dataset: Dataset | None = None,
                                             cfg.strict_cosine)
             value = float(loss.data)
             if not np.isfinite(value):
-                raise RuntimeError(f"non-finite loss in epoch {epoch} batch {bi}")
+                raise RuntimeError(f"non-finite loss in epoch {epoch} batch {bi}; "
+                                   + _non_finite_origin(model, chunk, mask))
             loss.backward()
             opt.step()
             opt.zero_grad()

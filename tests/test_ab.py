@@ -1,0 +1,33 @@
+"""The A/B step tool (``tools/ab.py``) against itself: one tree imported
+twice computes the same numbers in about the same time."""
+
+import importlib.util
+import subprocess
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_ab():
+    spec = importlib.util.spec_from_file_location("ab_tool", ROOT / "tools" / "ab.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_same_tree_is_exact_and_as_fast():
+    ab = load_ab()
+    result = ab.compare(ROOT / "src", ROOT / "src", "margin-b16", steps=8, seed=3)
+    assert len(result["parent"]) == len(result["change"]) == 8
+    assert result["loss_diff"] == 0.0 and result["grad_diff"] == 0.0
+    assert 0.5 < result["ratio"] < 2.0
+
+
+def test_extracts_a_revision(tmp_path):
+    if subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"],
+                      capture_output=True).returncode != 0:
+        pytest.skip("not a git checkout")
+    src = load_ab().extract_src("HEAD", tmp_path)
+    assert (src / "wavfusion" / "tensor.py").is_file()

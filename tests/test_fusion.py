@@ -291,6 +291,19 @@ class TestArchitecture:
             assert p.data.dtype == np.float32, name
             assert p.data.tobytes() == q.data.astype(np.float32).tobytes(), name
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_packed_features_are_each_sample_cast(self, dtype):
+        # float32 features, as stored, and a float64 and a list sample
+        samples = [make_sample(i, DIMS) for i in range(3)]
+        for sample in samples[:2]:
+            sample.features["a"] = sample.features["a"].astype(np.float32)
+        samples[2].features["a"] = samples[2].features["a"].tolist()
+        model = WavFusionModel(num_classes=3, feature_dims=DIMS, dtype=dtype, **self.ARCH)
+        packed, seg = model._pack(samples, "a")
+        expect = np.concatenate([np.asarray(s.features["a"], dtype=dtype) for s in samples])
+        assert packed.dtype == dtype and packed.tobytes() == expect.tobytes()
+        assert seg.lengths.tolist() == [len(s.features["a"]) for s in samples]
+
     @pytest.mark.parametrize("modalities,overrides", [
         ("avt", {"heads": 3}),                             # width divisible by heads
         ("avt", {"heads": 0}),

@@ -1,6 +1,6 @@
 """Float64 parity of the one-node primitives (``tensor.affine``,
 ``tensor.feed_forward``, ``tensor.layer_norm`` with its residual add,
-``tensor.attention_core``, ``tensor.gru``, the gated fuse's
+``tensor.attention`` with its projections, ``tensor.gru``, the gated fuse's
 ``tensor.gated_mix``, the LVC block's ``tensor.codebook_pool`` and
 ``tensor.sequence_gate``, the margin loss's ``tensor.cosine_margin`` and
 cross-entropy's ``tensor.softmax_nll``) with the composite graphs they
@@ -66,6 +66,13 @@ def composite_attention_core(q, k, v, heads, seg, ctx_seg):
     out = R.softmax(scores + mask, axis=-1) @ blocks(v, ctx_seg)
     back = (seg.ids[:, None] * heads + np.arange(heads)) * seg.t_max + seg.positions[:, None]
     return out.take_rows(back).reshape((seg.total, q.shape[1]))
+
+
+def composite_attention(x, ctx, wq, wk, wv, wo, heads, seg, ctx_seg):
+    """Attention as five nodes before it was one: the three projections,
+    the core (here its composite) and the output map."""
+    ctx, ctx_seg = (x, seg) if ctx is None else (ctx, ctx_seg)
+    return composite_attention_core(x @ wq, ctx @ wk, ctx @ wv, heads, seg, ctx_seg) @ wo
 
 
 def columns(x, start, stop):
@@ -177,8 +184,9 @@ def check_parity(fused, composite, shapes, dtype=np.float64, seed=0):
         assert_rel_close(g, ref, TOL[dtype], f"gradient of input {i}")
 
 
-def check_fd(op, shapes, seed=0, eps=1e-4):
-    leaves = [Tensor(rand(s, seed=seed + i), requires_grad=True) for i, s in enumerate(shapes)]
+def check_fd(op, shapes, seed=0, eps=1e-4, scale=1.0):
+    leaves = [Tensor(rand(s, seed=seed + i, scale=scale), requires_grad=True)
+              for i, s in enumerate(shapes)]
     probe = None
 
     def loss():
@@ -246,12 +254,20 @@ class TestLayerNorm:
 
 
 class TestAttentionCore:
+    """``tensor.attention``, projections and core in one node, against the
+    five-node path: across contexts (``test_parity``) and on itself."""
+
     @staticmethod
     def ops(heads, lengths, ctx_lengths):
-        seg, ctx_seg = Segments(lengths), Segments(ctx_lengths)
-        return (lambda q, k, v: T.attention_core(q, k, v, heads, seg, ctx_seg),
-                lambda q, k, v: composite_attention_core(q, k, v, heads, seg, ctx_seg),
-                [(seg.total, 8), (ctx_seg.total, 8), (ctx_seg.total, 8)])
+        seg = Segments(lengths)
+        if ctx_lengths is None:
+            return (lambda x, *ws: T.attention(x, None, *ws, heads, seg, None),
+                    lambda x, *ws: composite_attention(x, None, *ws, heads, seg, None),
+                    [(seg.total, 8)] + [(8, 8)] * 4)
+        ctx_seg = Segments(ctx_lengths)
+        return (lambda x, c, *ws: T.attention(x, c, *ws, heads, seg, ctx_seg),
+                lambda x, c, *ws: composite_attention(x, c, *ws, heads, seg, ctx_seg),
+                [(seg.total, 8), (ctx_seg.total, 8)] + [(8, 8)] * 4)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("lengths,ctx_lengths", LAYOUTS)
@@ -260,10 +276,24 @@ class TestAttentionCore:
         fused, composite, shapes = self.ops(heads, lengths, ctx_lengths)
         check_parity(fused, composite, shapes, dtype, seed=heads)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("lengths", [lengths for lengths, _ in LAYOUTS])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_self_parity(self, heads, lengths, dtype):
+        fused, composite, shapes = self.ops(heads, lengths, None)
+        check_parity(fused, composite, shapes, dtype, seed=heads)
+
+    # half-scale inputs: at unit scale the scores make near one-hot
+    # softmaxes, too curved for differences of 1e-4
     @pytest.mark.parametrize("lengths,ctx_lengths", LAYOUTS[1:])
     def test_finite_differences(self, lengths, ctx_lengths):
         fused, _, shapes = self.ops(2, lengths, ctx_lengths)
-        check_fd(fused, shapes)
+        check_fd(fused, shapes, scale=0.5)
+
+    @pytest.mark.parametrize("lengths", [[1, 5, 3, 1], [2, 3]])
+    def test_self_finite_differences(self, lengths):
+        fused, _, shapes = self.ops(2, lengths, None)
+        check_fd(fused, shapes, scale=0.5)
 
 
 class TestGru:
@@ -443,7 +473,7 @@ def use_composite_path(monkeypatch):
     graphs: the whole batch objective as it was before they were fused."""
     for name, composite in (("affine", composite_affine), ("feed_forward", composite_feed_forward),
                             ("layer_norm", composite_layer_norm),
-                            ("attention_core", composite_attention_core), ("gru", composite_gru),
+                            ("attention", composite_attention), ("gru", composite_gru),
                             ("softmax_nll", composite_softmax_nll),
                             ("gated_mix", composite_gated_mix),
                             ("codebook_pool", composite_codebook_pool),

@@ -437,25 +437,29 @@ class TestLayerPrimitives:
 
     def test_attention_core_masks_padded_keys(self):
         seg, ctx_seg = Segments([2, 3]), Segments([3, 1])
-        q, k, v = (Tensor(rand(s, seed=14 + i), requires_grad=True)
-                   for i, s in enumerate(((5, 4), (4, 4), (4, 4))))
-        weights = T.attention_weights(q.data, k.data, 2, seg, ctx_seg)
+        x, ctx, *ws = (Tensor(rand(s, seed=14 + i), requires_grad=True)
+                       for i, s in enumerate([(5, 4), (4, 4)] + [(4, 4)] * 4))
+        weights = T.attention_weights(x.data @ ws[0].data, ctx.data @ ws[1].data, 2, seg, ctx_seg)
         assert weights.shape == (4, 3, 3)
         npt.assert_array_equal(weights[2:, :, 1:], 0.0)     # sequence 1 has one key
         npt.assert_allclose(weights.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
         probe = rand((5, 4), seed=17)
-        full = T.attention_core(q, k, v, 2, seg, ctx_seg)
+        full = T.attention(x, ctx, *ws, 2, seg, ctx_seg)
         R.probe(full, probe).backward()
-        # each sequence alone, with nothing to pad, gives the same rows and gradients
+        # each sequence alone, with nothing to pad, gives the same rows and
+        # gradients, and the weights' gradients add up over the sequences
+        weight_grads = np.zeros((4, 4, 4))
         for rows, ctx_rows in ((slice(0, 2), slice(0, 3)), (slice(2, 5), slice(3, 4))):
-            parts = [Tensor(t.data[r], requires_grad=True)
-                     for t, r in ((q, rows), (k, ctx_rows), (v, ctx_rows))]
-            alone = T.attention_core(*parts, 2, Segments([len(parts[0].data)]),
-                                     Segments([len(parts[1].data)]))
+            parts = [Tensor(t.data[r], requires_grad=True) for t, r in ((x, rows), (ctx, ctx_rows))]
+            alone_ws = [Tensor(w.data, requires_grad=True) for w in ws]
+            alone = T.attention(*parts, *alone_ws, 2, Segments([len(parts[0].data)]),
+                                Segments([len(parts[1].data)]))
             npt.assert_allclose(alone.data, full.data[rows], rtol=0, atol=1e-15)
             R.probe(alone, probe[rows]).backward()
-            for part, whole, r in zip(parts, (q, k, v), (rows, ctx_rows, ctx_rows)):
+            for part, whole, r in zip(parts, (x, ctx), (rows, ctx_rows)):
                 npt.assert_allclose(part.grad, whole.grad[r], rtol=0, atol=1e-14)
+            weight_grads += [w.grad for w in alone_ws]
+        npt.assert_allclose(weight_grads, [w.grad for w in ws], rtol=0, atol=1e-14)
 
     def test_cosine_margin_matches_a_loop(self):
         # padded, repeated and overlapping indices, and a zero row
@@ -497,12 +501,15 @@ class TestLayerPrimitives:
             T.cosine_margin(x, [[1], [0]], [[2], [2]], 0.5)
         with pytest.raises(ShapeError, match="no .anchor, positive, negative. triple"):
             T.cosine_margin(x, [[1], [0], [-1]], [[-1], [-1], [0]], 0.5)
-        with pytest.raises(ShapeError, match="attention_core"):
-            T.attention_core(x, x, x, 3, Segments([3]), Segments([3]))      # 4 % 3 heads
-        with pytest.raises(ShapeError, match="attention_core"):
-            T.attention_core(x, x, Tensor(np.zeros((2, 4))), 2, Segments([3]), Segments([3]))
-        with pytest.raises(ShapeError, match="attention_core"):
-            T.attention_core(x, x, x, 2, Segments([1, 2]), Segments([3]))
+        w = Tensor(np.zeros((4, 4)))
+        assert T.attention(x, None, w, w, w, w, 2, Segments([1, 2]), None).shape == (3, 4)
+        for bad in ((x, None, w, w, w, w, 3, Segments([3]), None),         # 4 % 3 heads
+                    (x, Tensor(np.zeros((2, 3))), w, w, w, w, 2, Segments([3]), Segments([2])),
+                    (x, x, w, w, Tensor(np.zeros((4, 3))), w, 2, Segments([3]), Segments([3])),
+                    (x, x, w, w, w, w, 2, Segments([1, 2]), Segments([3])),
+                    (Tensor(np.zeros(4)), None, w, w, w, w, 2, Segments([4]), None)):
+            with pytest.raises(ShapeError, match="attention"):
+                T.attention(*bad)
         u_zr, u_h = Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 2)))
         assert T.gru(Tensor(np.zeros((3, 6))), u_zr, u_h, Segments([3])).shape == (3, 2)
         with pytest.raises(ShapeError, match="gru"):
@@ -549,10 +556,13 @@ OPS = {
     "cosine_margin": ([(4, 3)], lambda x: T.cosine_margin(
         x, [[1, 3], [0, -1], [-1, -1], [2, 1]], [[2, -1], [3, 2], [0, 1], [0, -1]], 1.0)),
     "softmax_nll": ([(3, 4)], lambda x: T.softmax_nll(x, [1, 0, 3])),
-    # two heads; the second sequence's context is padded, so keys are masked
-    "attention_core": ([(5, 4), (4, 4), (4, 4)],
-                       lambda q, k, v: T.attention_core(q, k, v, 2, Segments([2, 3]),
-                                                        Segments([3, 1]))),
+    # attention with its projections, two heads: across contexts, where the
+    # second sequence's context is padded, so its core masks keys; and self
+    "attention_core": ([(5, 4), (4, 4)] + [(4, 4)] * 4,
+                       lambda x, c, *ws: T.attention(x, c, *ws, 2, Segments([2, 3]),
+                                                     Segments([3, 1]))),
+    "attention_self": ([(5, 4)] + [(4, 4)] * 4,
+                       lambda x, *ws: T.attention(x, None, *ws, 2, Segments([2, 3]), None)),
     "gru": ([(5, 9), (3, 6), (3, 3)],
             lambda pre, u_zr, u_h: T.gru(pre, u_zr, u_h, Segments([1, 4]))),
     "gated_mix": ([(3, 4), (3, 4), (3, 4)], lambda p, a, b: T.gated_mix(p, a, b)[0]),
@@ -614,10 +624,12 @@ class TestNodeProtocol:
         npt.assert_array_equal(g, g_before)
 
     @pytest.mark.parametrize("name,frozen", [("matmul", 0), ("matmul", 1), ("matmul_batched", 0),
-                                             ("affine", 0), ("affine", 1)])
+                                             ("affine", 0), ("affine", 1), ("attention_core", 0),
+                                             ("attention_core", 1), ("attention_self", 0)])
     def test_vjp_skips_inputs_without_gradient(self, name, frozen):
-        # raw features into a linear map, or a pooling matrix: the gradient
-        # nobody reads comes back as None, the others bit-identical
+        # raw features into a linear map, a pooling matrix, or an attention
+        # input: the gradient nobody reads comes back as None, the others
+        # bit-identical
         ins = self.inputs(name, np.float64)
         g = rand(OPS[name][1](*ins).shape, seed=97)
         full = OPS[name][1](*ins)._vjp(g)

@@ -17,8 +17,9 @@ from wavfusion.optim import Adam
 from wavfusion.oracles import margin_loss_reference
 from wavfusion.rng import Prng
 from wavfusion.tensor import Tensor, no_grad
-from wavfusion.train import (EVAL_CHUNK, batch_objective, evaluate, evaluate_checkpoint,
-                             read_predictions, train)
+from wavfusion import train as train_module
+from wavfusion.train import (EVAL_CHUNK, batch_objective, build_model, evaluate,
+                             evaluate_checkpoint, read_predictions, train)
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +64,23 @@ class TestTrainingLoop:
         cfg = fast_config(small_dataset, epochs=1)
         with pytest.raises(RuntimeError, match=r"epoch 1 batch \d+"):
             train(cfg, dataset=dataset, write_artifacts=False)
+
+    def test_non_finite_loss_names_where_it_starts(self, small_dataset, monkeypatch):
+        dataset = load_dataset(str(small_dataset))
+        dataset.samples[0].features["a"][0, 0] = np.nan
+        cfg = fast_config(small_dataset, epochs=1)
+        with pytest.raises(RuntimeError, match="value branch.a, first non-finite parameter none"):
+            train(cfg, dataset=dataset, write_artifacts=False)
+
+        def broken_model(cfg, dataset):
+            model = build_model(cfg, dataset)
+            model.deep[0].gate.weight.data[0, 0] = np.nan
+            return model
+        monkeypatch.setattr(train_module, "build_model", broken_model)
+        with pytest.raises(RuntimeError, match=r"epoch 1 batch 0; first non-finite value "
+                                               r"deep.0.gate, first non-finite parameter "
+                                               r"deep.0.gate.weight"):
+            train(cfg, write_artifacts=False)
 
     def test_run_artifacts_and_report(self, small_dataset, tmp_path):
         out = tmp_path / "run"
@@ -298,6 +316,17 @@ class TestConfig:
         cfg = ExperimentConfig(**{field: value})
         with pytest.raises(ConfigError):
             cfg.validate()
+
+    @pytest.mark.parametrize("field,value", [
+        ("lr", -1e-3), ("beta1", -0.1), ("beta1", 1.0), ("beta2", 1.0), ("beta2", float("nan")),
+        ("eps", 0.0), ("eps", -1e-8),
+    ])
+    def test_adam_settings_validated(self, field, value):
+        # lr < 0 trains as gradient ascent, beta2 = 1 makes the bias
+        # correction 0 and eps = 0 divides 0 by 0 for a zero gradient
+        with pytest.raises(ConfigError, match=f"^{field} "):
+            ExperimentConfig(**{field: value}).validate()
+        ExperimentConfig(lr=0.0, beta1=0.0, beta2=0.0, eps=1e-300).validate()
 
     def test_env_var_out_dir(self, monkeypatch):
         monkeypatch.setenv("WAVFUSION_OUT_DIR", "/tmp/elsewhere")
