@@ -4,6 +4,7 @@ format for persistence, and validation."""
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,17 +59,19 @@ class ExperimentConfig:
                            self.lvc_centers, self.conv_kernel, self.fusion_mode)
         if not 0.0 < self.alpha <= 2.0:
             raise ConfigError(f"alpha must lie in (0, 2]; got {self.alpha}")
-        if self.balance < 0.0:
-            raise ConfigError(f"balance must be non-negative; got {self.balance}")
+        if not 0.0 <= self.balance < math.inf:
+            raise ConfigError(f"balance must be finite and non-negative; got {self.balance}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be at least 1; got {self.batch_size}")
-        if not self.lr >= 0.0:
-            raise ConfigError(f"lr must be non-negative; got {self.lr}")
+        if not 0.0 <= self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and non-negative; got {self.lr}")
         for key in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, key) < 1.0:
                 raise ConfigError(f"{key} must lie in [0, 1); got {getattr(self, key)}")
-        if not self.eps > 0.0:
-            raise ConfigError(f"eps must be positive; got {self.eps}")
+        if not 0.0 < self.eps < math.inf:
+            raise ConfigError(f"eps must be finite and positive; got {self.eps}")
+        if not 0.0 <= self.stop_train_acc <= 1.0:
+            raise ConfigError(f"stop_train_acc must lie in [0, 1]; got {self.stop_train_acc}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be at least 1; got {self.epochs}")
         if self.precision not in PRECISIONS:

@@ -3,6 +3,7 @@ training objective on a tiny in-memory configuration."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,6 +66,10 @@ def run_gradcheck(cfg: ExperimentConfig, tolerance: float = 1e-3, eps: float = 1
     ``corrupt`` names a parameter whose analytic gradient is perturbed after
     backward; the report must then fail and point at it (harness self-test).
     """
+    for key, value in (("tolerance", tolerance), ("eps", eps)):
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"gradcheck {key} (--{key}) must be finite and positive; "
+                              f"got {value}")
     cfg.validate()
     if cfg.precision != "float64":
         raise ConfigError("gradcheck requires precision=float64")

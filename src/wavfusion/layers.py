@@ -3,7 +3,8 @@ attention, layer normalization, and the learnable-center gating block used
 on the visual stream.
 
 Layers own their parameters as ``Tensor``s with ``requires_grad=True`` and
-are callable on activation tensors. Parameters are immutable during a
+are callable on activation tensors; ``Module.named_parameters`` finds those
+parameters in a layer's attributes. Parameters are immutable during a
 forward/backward pass; updates happen between steps. Layers always build
 float64 parameters; the model that owns them chooses its precision once and
 casts them (see ``model.WavFusionModel``).
@@ -38,6 +39,34 @@ def _param(arr: np.ndarray) -> Tensor:
     return Tensor(arr, requires_grad=True)
 
 
+def _named(value, name: str) -> list:
+    if isinstance(value, Tensor):
+        return [(name, value)] if value.requires_grad else []
+    if isinstance(value, Module):
+        return value.named_parameters(name + ".")
+    if isinstance(value, list):
+        return [p for i, item in enumerate(value) for p in _named(item, f"{name}.{i}")]
+    return []
+
+
+class Module:
+    """A layer or model whose parameters are its attributes.
+
+    ``named_parameters`` walks the attributes in assignment order and yields
+    each trainable ``Tensor``, the parameters of each ``Module`` attribute,
+    and those of each ``Module`` in a list attribute, named by position. An
+    attribute's part of a name is the attribute's own, or its entry in
+    ``NAMES`` where the two differ.
+    """
+
+    NAMES: dict = {}
+
+    def named_parameters(self, prefix: str = "") -> list:
+        """``(name, tensor)`` per parameter, each name behind ``prefix``."""
+        return [p for attr, value in vars(self).items()
+                for p in _named(value, prefix + self.NAMES.get(attr, attr))]
+
+
 class Segments:
     """Row layout of B sequences packed into one [sum(T) x d] matrix:
     sequence b owns rows ``offsets[b]:offsets[b + 1]``.
@@ -67,7 +96,10 @@ class Segments:
 
     @staticmethod
     def of(x: Tensor, seg: Segments | None) -> Segments:
-        """``seg``, checked against the rows of ``x``; None is one sequence."""
+        """``seg``, checked against the rows of the matrix ``x``; None is one
+        sequence."""
+        if x.ndim != 2:
+            raise ShapeError(f"packed sequences need a [rows x width] matrix; got {list(x.shape)}")
         if seg is None:
             return Segments([x.shape[0]])
         if seg.total != x.shape[0]:
@@ -120,24 +152,18 @@ class Segments:
         return layout
 
 
-class Linear:
+class Linear(Module):
     """Affine map along the last dimension: y = x W + b."""
 
     def __init__(self, d_in: int, d_out: int, rng: Prng):
-        self.d_in = d_in
         self.weight = _param(xavier_uniform(rng, d_in, d_out, (d_in, d_out)))
         self.bias = _param(np.zeros(d_out))
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.ndim != 2 or x.shape[1] != self.d_in:
-            raise ShapeError(f"linear: input {list(x.shape)} does not end in d_in={self.d_in}")
         return T.affine(x, self.weight, self.bias)
 
-    def named_parameters(self, prefix: str):
-        return [(f"{prefix}.weight", self.weight), (f"{prefix}.bias", self.bias)]
 
-
-class Conv1d:
+class Conv1d(Module):
     """Same-length 1-D convolution over time (cross-correlation, zero pad).
 
     The kernel is one [(k*d_in) x d_out] matrix: row block o is the tap that
@@ -148,7 +174,6 @@ class Conv1d:
 
     def __init__(self, d_in: int, d_out: int, k: int, rng: Prng):
         self.check(k)
-        self.d_in = d_in
         self.k = k
         fan_in = k * d_in
         self.weight = _param(np.concatenate(
@@ -161,18 +186,13 @@ class Conv1d:
             raise ConfigError(f"conv kernel width must be odd and positive; got {k}")
 
     def __call__(self, x: Tensor, seg: Segments | None = None) -> Tensor:
-        if x.ndim != 2 or x.shape[1] != self.d_in:
-            raise ShapeError(f"conv1d: input {list(x.shape)} does not match d_in={self.d_in}")
         seg = Segments.of(x, seg)
         # zero padding at each sequence's ends: no window crosses into a neighbour
-        cols = x.take_rows(seg.neighbours(self.k)).reshape((seg.total, self.k * self.d_in))
+        cols = x.take_rows(seg.neighbours(self.k)).reshape((seg.total, self.k * x.shape[-1]))
         return T.affine(cols, self.weight, self.bias)
 
-    def named_parameters(self, prefix: str):
-        return [(f"{prefix}.weight", self.weight), (f"{prefix}.bias", self.bias)]
 
-
-class Gru:
+class Gru(Module):
     """Unidirectional single-layer GRU, h_0 = 0, returning every hidden state.
 
     z_t = sigmoid(x_t W_z + h_{t-1} U_z + b_z)
@@ -190,7 +210,6 @@ class Gru:
     """
 
     def __init__(self, d_in: int, d_h: int, rng: Prng):
-        self.d_in = d_in
         self.w = _param(np.concatenate(
             [xavier_uniform(rng.child(i), d_in, d_h, (d_in, d_h)) for i in range(3)], axis=1))
         self.u_zr = _param(np.concatenate(
@@ -199,18 +218,12 @@ class Gru:
         self.b = _param(np.zeros(3 * d_h))
 
     def __call__(self, x: Tensor, seg: Segments | None = None) -> Tensor:
-        if x.ndim != 2 or x.shape[1] != self.d_in:
-            raise ShapeError(f"gru: input {list(x.shape)} does not match d_in={self.d_in}")
         return T.gru(T.affine(x, self.w, self.b), self.u_zr, self.u_h, Segments.of(x, seg))
 
-    def named_parameters(self, prefix: str):
-        return [(f"{prefix}.w", self.w), (f"{prefix}.u_zr", self.u_zr),
-                (f"{prefix}.u_h", self.u_h), (f"{prefix}.b", self.b)]
 
-
-class Attention:
+class Attention(Module):
     """Scaled dot-product multi-head attention with separate query and
-    context inputs; self-attention is the ``ctx is x`` case.
+    context inputs; with no context given it attends over ``x`` itself.
 
     Each of ``wq``, ``wk``, ``wv`` and ``wo`` is one [d x d] matrix. The
     columns of the first three are head-major: head i owns columns
@@ -220,9 +233,10 @@ class Attention:
     [sum(T) x sum(T_ctx)].
     """
 
+    NAMES = {"wq": "q", "wk": "k", "wv": "v", "wo": "out"}
+
     def __init__(self, d: int, heads: int, rng: Prng):
         self.check(d, heads)
-        self.d = d
         self.heads = heads
         self.d_head = d // heads
         # head i of role j (q, k, v) is drawn from rng.child(3i + j)
@@ -242,10 +256,7 @@ class Attention:
                  ctx_seg: Segments | None = None) -> Tensor:
         seg = Segments.of(x, seg)
         ctx, ctx_seg = (x, seg) if ctx is None else (ctx, Segments.of(ctx, ctx_seg))
-        if x.ndim != 2 or x.shape[1] != self.d or ctx.ndim != 2 or ctx.shape[1] != self.d:
-            raise ShapeError(f"attention: inputs {list(x.shape)}, {list(ctx.shape)} need width {self.d}")
-        return T.attention(x, None if ctx is x and ctx_seg is seg else ctx, self.wq, self.wk,
-                           self.wv, self.wo, self.heads, seg, ctx_seg)
+        return T.attention(x, ctx, self.wq, self.wk, self.wv, self.wo, self.heads, seg, ctx_seg)
 
     def attention_weights(self, x: Tensor, ctx: Tensor | None = None) -> list[np.ndarray]:
         """Per-head weight matrices of one sequence's forward pass (values only)."""
@@ -254,33 +265,22 @@ class Attention:
             return list(T.attention_weights((x @ self.wq).data, (ctx @ self.wk).data, self.heads,
                                             Segments.of(x, None), Segments.of(ctx, None)))
 
-    def named_parameters(self, prefix: str):
-        return [(f"{prefix}.q", self.wq), (f"{prefix}.k", self.wk), (f"{prefix}.v", self.wv),
-                (f"{prefix}.out", self.wo)]
 
-
-class LayerNorm:
+class LayerNorm(Module):
     """Per-row normalization of a residual sum x + y over the last
     dimension, with learnable gain/bias: one ``tensor.layer_norm`` node."""
 
     EPS = 1e-5
 
     def __init__(self, d: int):
-        self.d = d
         self.gain = _param(np.ones(d))
         self.bias = _param(np.zeros(d))
 
     def __call__(self, x: Tensor, y: Tensor) -> Tensor:
-        if x.ndim != 2 or x.shape[1] != self.d or y.shape != x.shape:
-            raise ShapeError(f"layer_norm: inputs {list(x.shape)} and {list(y.shape)} need "
-                             f"width {self.d}")
         return T.layer_norm(x, y, self.gain, self.bias, self.EPS)
 
-    def named_parameters(self, prefix: str):
-        return [(f"{prefix}.gain", self.gain), (f"{prefix}.bias", self.bias)]
 
-
-class LvcBlock:
+class LvcBlock(Module):
     """Local feature gate built on a learnable codebook.
 
     A conv1d stem maps the input to [T x d]. Each position is softly assigned
@@ -314,10 +314,4 @@ class LvcBlock:
         out, gate = T.sequence_gate(stem_out, self.proj(descriptor), seg)
         if return_parts:
             return out, Tensor(weights), Tensor(gate)
-        return out
-
-    def named_parameters(self, prefix: str):
-        out = self.stem.named_parameters(f"{prefix}.stem")
-        out += [(f"{prefix}.centers", self.centers), (f"{prefix}.scales", self.scales)]
-        out += self.proj.named_parameters(f"{prefix}.proj")
         return out

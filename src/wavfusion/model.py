@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DataError, ShapeError
-from .layers import Attention, Conv1d, Gru, LayerNorm, Linear, LvcBlock, Segments
+from .errors import ConfigError, DataError
+from .layers import Attention, Conv1d, Gru, LayerNorm, Linear, LvcBlock, Module, Segments
 from .rng import Prng
 from .tensor import Tensor
 
@@ -73,13 +73,11 @@ def gated_fuse(first: Tensor, second: Tensor, gate: Linear):
     gate values as data only. Three graph nodes: ``concat``, the gate's
     ``affine`` and ``tensor.gated_mix``.
     """
-    if first.shape != second.shape:
-        raise ShapeError(f"gated_fuse: shapes {list(first.shape)} and {list(second.shape)} differ")
     fused, gate_vals = T.gated_mix(gate(T.concat([first, second], axis=-1)), first, second)
     return fused, Tensor(gate_vals)
 
 
-class FeedForward:
+class FeedForward(Module):
     """Two linear maps with tanh between, inner width 4d: one
     ``tensor.feed_forward`` node."""
 
@@ -91,12 +89,8 @@ class FeedForward:
         inner, outer = self.inner, self.outer
         return T.feed_forward(x, inner.weight, inner.bias, outer.weight, outer.bias)
 
-    def named_parameters(self, prefix: str):
-        return (self.inner.named_parameters(f"{prefix}.inner")
-                + self.outer.named_parameters(f"{prefix}.outer"))
 
-
-class TransformerEncoderLayer:
+class TransformerEncoderLayer(Module):
     """Self-attention + feed-forward, residuals and layer norm after each."""
 
     def __init__(self, d: int, heads: int, rng: Prng):
@@ -109,12 +103,6 @@ class TransformerEncoderLayer:
         h = self.norm_attn(x, self.attn(x, seg=seg))
         return self.norm_ff(h, self.ff(h))
 
-    def named_parameters(self, prefix: str):
-        return (self.attn.named_parameters(f"{prefix}.attn")
-                + self.norm_attn.named_parameters(f"{prefix}.norm_attn")
-                + self.ff.named_parameters(f"{prefix}.ff")
-                + self.norm_ff.named_parameters(f"{prefix}.norm_ff"))
-
 
 @dataclass
 class DeepLayerTrace:
@@ -126,7 +114,7 @@ class DeepLayerTrace:
     output: Tensor
 
 
-class GatedCrossModalLayer:
+class GatedCrossModalLayer(Module):
     """Modified transformer layer: the self-attention is replaced by two
     cross-modal attentions (queries from the primary stream, keys/values from
     text and visual respectively) whose results are blended by a learned
@@ -166,15 +154,6 @@ class GatedCrossModalLayer:
             fused = self.cross_text(x, x, seg, seg)
         out = self.norm_ff(fused, self.ff(fused))
         return out, DeepLayerTrace(text_aug, vis_aug, gate_vals, fused, out)
-
-    def named_parameters(self, prefix: str):
-        return (self.attn_text.named_parameters(f"{prefix}.attn_text")
-                + self.norm_text.named_parameters(f"{prefix}.norm_text")
-                + self.attn_vis.named_parameters(f"{prefix}.attn_vis")
-                + self.norm_vis.named_parameters(f"{prefix}.norm_vis")
-                + self.gate.named_parameters(f"{prefix}.gate")
-                + self.ff.named_parameters(f"{prefix}.ff")
-                + self.norm_ff.named_parameters(f"{prefix}.norm_ff"))
 
 
 @dataclass
@@ -219,15 +198,20 @@ def _mean_pool(x: Tensor, seg: Segments | None) -> Tensor:
     return Tensor(Segments.of(x, seg).pooling(x.data.dtype, mean=True)) @ x
 
 
-class WavFusionModel:
+class WavFusionModel(Module):
     """Gated cross-modal fusion network over up to three modalities.
 
     ``feature_dims`` maps each available modality ("a", "t", "v") to its raw
     feature width; branches are built only for those. ``dtype`` is the
     precision of every parameter and activation. A model instance is
     exclusively owned during a training step; concurrent evaluation requires
-    deep-copied parameters.
+    deep-copied parameters. Parameter names group each branch's layers under
+    ``text.`` and ``visual.``.
     """
+
+    NAMES = {"text_gru": "text.gru", "text_attn": "text.attn", "text_proj": "text.proj",
+             "vis_gru": "visual.gru", "vis_attn": "visual.attn", "lvc": "visual.lvc",
+             "vis_proj": "visual.proj"}
 
     def __init__(self, num_classes: int, feature_dims: dict, d: int = 64, heads: int = 4,
                  n_shallow: int = 9, n_deep: int = 3, lvc_centers: int = 8,
@@ -379,22 +363,3 @@ class WavFusionModel:
             trace.pooled[m] = pooled
             trace.shared[m] = self.shared_encoder(pooled)
         return trace.shared
-
-    # -- parameters ----------------------------------------------------------------
-
-    def named_parameters(self) -> list:
-        layers = []
-        if "a" in self.feature_dims:
-            layers += [("audio_proj", self.audio_proj)]
-        if "t" in self.feature_dims:
-            layers += [("text.gru", self.text_gru), ("text.attn", self.text_attn),
-                       ("text.proj", self.text_proj)]
-        if "v" in self.feature_dims:
-            layers += [("visual.gru", self.vis_gru), ("visual.attn", self.vis_attn),
-                       ("visual.lvc", self.lvc), ("visual.proj", self.vis_proj)]
-        layers += [(f"shallow.{i}", layer) for i, layer in enumerate(self.shallow)]
-        layers += [(f"deep.{i}", layer) for i, layer in enumerate(self.deep)]
-        layers += [("shared_encoder", self.shared_encoder), ("classifier", self.classifier)]
-        if self.fusion_mode == "concat":
-            layers += [("concat_head", self.concat_head)]
-        return [named for prefix, layer in layers for named in layer.named_parameters(prefix)]

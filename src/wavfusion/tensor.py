@@ -440,7 +440,7 @@ def softmax_nll(logits: Tensor, labels) -> Tensor:
     return out
 
 
-def attention(x: Tensor, ctx: Tensor | None, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
+def attention(x: Tensor, ctx: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
               heads: int, seg, ctx_seg) -> Tensor:
     """Multi-head scaled dot-product attention with its projections, on
     packed rows: per sequence and head, softmax(q kᵀ / sqrt(d_head)) v, and
@@ -448,15 +448,13 @@ def attention(x: Tensor, ctx: Tensor | None, wq: Tensor, wk: Tensor, wv: Tensor,
 
     The queries are q = x ``wq`` for ``x`` [sum(T) x d] (layout ``seg``), the
     keys and values k = c ``wk`` and v = c ``wv`` for the context c = ``ctx``
-    [sum(T_ctx) x d] (layout ``ctx_seg``, both ``layers.Segments``). With
-    ``ctx=None`` the context is ``x`` itself (self-attention): the inputs
-    are then ``(x, wq, wk, wv, wo)``, else ``(x, ctx, wq, wk, wv, wo)``.
+    [sum(T_ctx) x d] (layout ``ctx_seg``, both ``layers.Segments``); for
+    self-attention ``ctx`` is ``x``, and ``backward`` sums its two gradients.
     The weights are [d x d]; the columns of the first three are head-major,
     head i owning [i*d_head, (i+1)*d_head).
 
-    Each input is multiplied once: x by the stack [wq, wk, wv] for
-    self-attention, else x by wq and ctx by [wk, wv], with wq scaled by
-    1 / sqrt(d_head) on the way. Each sequence and head then gets one padded
+    x is multiplied by wq, scaled by 1 / sqrt(d_head) on the way, and ctx
+    once by the stack [wk, wv]. Each sequence and head then gets one padded
     block ([B*heads x T_max x d_head]). Padding repeats a real row, so its
     values are finite; padded keys get a weight of exactly 0 and padded
     query rows are never gathered back. The adjoint gathers the output's
@@ -464,42 +462,29 @@ def attention(x: Tensor, ctx: Tensor | None, wq: Tensor, wk: Tensor, wv: Tensor,
     keys and values; with W the weights and G = dW, the scores get
     W (G - rowsum(G W)).
     """
-    a = x.data
-    c = a if ctx is None else ctx.data
-    ctx_seg = seg if ctx is None else ctx_seg
+    a, c = x.data, ctx.data
     d = a.shape[1] if a.ndim == 2 else -1
     if (d < 0 or c.ndim != 2 or c.shape[1] != d or d % heads
             or not wq.data.shape == wk.data.shape == wv.data.shape == wo.data.shape == (d, d)
             or seg.count != ctx_seg.count or (seg.total, ctx_seg.total) != (a.shape[0], c.shape[0])):
-        raise ShapeError(f"attention: x {_shape(x)}, context {list(c.shape)} and weights "
+        raise ShapeError(f"attention: x {_shape(x)}, context {_shape(ctx)} and weights "
                          f"{[list(w.data.shape) for w in (wq, wk, wv, wo)]} do not fit {heads} "
                          f"heads and sequences of {seg.lengths.tolist()} and "
                          f"{ctx_seg.lengths.tolist()} rows")
     d_head, dtype, scale = d // heads, a.dtype, 1.0 / math.sqrt(d // heads)
     into_q, zero_q, back_q, _ = seg.head_blocks(heads)
     into_c, _, back_c, pad = ctx_seg.head_blocks(heads)
-    if ctx is None:
-        inputs = (x, wq, wk, wv, wo)
-        w_in = np.concatenate([wq.data, wk.data, wv.data]).reshape(3, d, d)
-        w_q = w_in[0]
-        w_q *= scale
-    else:
-        inputs = (x, ctx, wq, wk, wv, wo)
-        w_in = np.concatenate([wk.data, wv.data]).reshape(2, d, d)
-        w_q = wq.data * scale
-        qh = (a @ w_q).reshape(-1, d_head).take(into_q, axis=0)
-    # the context's projections, role-major: [roles x sum(T_ctx) x d]
-    blocks = np.matmul(c, w_in).reshape(len(w_in), -1, d_head).take(into_c, axis=1)
-    if ctx is None:
-        qh = blocks[0]
-    kh, vh = blocks[-2:]
+    w_q = wq.data * scale
+    qh = (a @ w_q).reshape(-1, d_head).take(into_q, axis=0)
+    # the context's keys and values, role-major: [2 x sum(T_ctx) x d]
+    w_kv = np.concatenate([wk.data, wv.data]).reshape(2, d, d)
+    kh, vh = np.matmul(c, w_kv).reshape(2, -1, d_head).take(into_c, axis=1)
     weights = _softmax_blocks(qh, kh, pad)
     o = (weights @ vh).reshape(-1, d_head).take(back_q, axis=0).reshape(a.shape)
     w_out = wo.data
-    out = _result(o @ w_out, inputs)
+    out = _result(o @ w_out, (x, ctx, wq, wk, wv, wo))
     if out._parents:
-        cross, need_x = ctx is not None, x.requires_grad
-        need_c = ctx.requires_grad if cross else need_x
+        need_x, need_c = x.requires_grad, ctx.requires_grad
         ones = np.ones(kh.shape[1], dtype)
 
         def vjp(g):
@@ -511,21 +496,15 @@ def attention(x: Tensor, ctx: Tensor | None, wq: Tensor, wk: Tensor, wv: Tensor,
             gs = go @ np.ascontiguousarray(_swap(vh))
             gs -= ((gs * weights) @ ones)[..., None]
             gs *= weights
-            grads = np.empty_like(blocks)                       # [q,] k, v
-            np.matmul(_swap(gs), qh, out=grads[-2])
-            np.matmul(_swap(weights), go, out=grads[-1])
-            gq = np.matmul(gs, kh, out=None if cross else grads[0])
-            d_proj = grads.reshape(len(w_in), -1, d_head).take(back_c, axis=1).reshape(
-                len(w_in), -1, d)
-            d_c = np.matmul(d_proj, _swap(w_in)).sum(axis=0) if need_c else None
-            d_w = [*np.matmul(c.T, d_proj), o.T @ g]            # [wq,] wk, wv, wo
-            if not cross:
-                d_w[0] *= scale
-                return (d_c, *d_w)
-            dq = gq.reshape(-1, d_head).take(back_q, axis=0).reshape(a.shape)
+            d_kv = np.empty((2, *kh.shape), dtype)
+            np.matmul(_swap(gs), qh, out=d_kv[0])
+            np.matmul(_swap(weights), go, out=d_kv[1])
+            d_kv = d_kv.reshape(2, -1, d_head).take(back_c, axis=1).reshape(2, -1, d)
+            d_c = np.matmul(d_kv, _swap(w_kv)).sum(axis=0) if need_c else None
+            dq = (gs @ kh).reshape(-1, d_head).take(back_q, axis=0).reshape(a.shape)
             d_wq = a.T @ dq
             d_wq *= scale
-            return (dq @ w_q.T if need_x else None, d_c, d_wq, *d_w)
+            return (dq @ w_q.T if need_x else None, d_c, d_wq, *np.matmul(c.T, d_kv), o.T @ g)
         out._vjp = vjp
     return out
 

@@ -2,6 +2,7 @@ import shutil
 
 import pytest
 
+import wavfusion.gradcheck as gradcheck
 from wavfusion.cli import _config_from_args, build_parser, main
 from wavfusion.config import load_config, parse_config_text
 from wavfusion.data import SynthSpec, generate_synthetic
@@ -236,6 +237,17 @@ class TestGradcheckCli:
         assert rc == 1
         captured = capsys.readouterr()
         assert "classifier.bias" in captured.err
+
+    @pytest.mark.parametrize("flag,value", [("--eps", "0"), ("--eps", "nan"), ("--eps", "-1e-4"),
+                                            ("--tolerance", "0"), ("--tolerance", "inf")])
+    def test_bad_step_or_tolerance_names_the_flag(self, flag, value, capsys, monkeypatch):
+        # rejected before the model is built, so before any gradient pass
+        monkeypatch.setattr(gradcheck, "build_model", None)
+        rc = main(["gradcheck", "--modalities", "a", "--n-shallow", "1", "--n-deep", "0",
+                   f"{flag}={value}"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
 
 
 class TestOracleMarginCli:

@@ -8,6 +8,7 @@ import pytest
 import refops as R
 from helpers import make_sample, rand
 from test_layers import attention_oracle
+from wavfusion.ablate import LAYER_ROWS, LVC_ROWS, MODALITY_ROWS
 from wavfusion import tensor as T
 from wavfusion.checkpoint import load_model, read_records, save_model, write_records
 from wavfusion.config import ExperimentConfig
@@ -38,7 +39,7 @@ class TestBranches:
 
     def test_visual_branch_without_lvc(self):
         model = tiny_model(lvc_enabled=False)
-        assert model.vis_proj.d_in == 8  # reduced input width: global path only
+        assert model.vis_proj.weight.shape[0] == 8  # reduced input width: global path only
         x = rand((4, 4), seed=1)
         expect = model.vis_proj(model.vis_attn(model.vis_gru(Tensor(x))))
         npt.assert_allclose(model.visual_branch(x).data, expect.data, atol=1e-12)
@@ -326,6 +327,83 @@ class TestArchitecture:
         with pytest.raises(ConfigError) as from_model:
             WavFusionModel(num_classes=3, feature_dims=dict.fromkeys(modalities, 4), **arch)
         assert str(from_model.value) == str(from_config.value)
+
+
+def listed_parameters(model):
+    """The parameters as the model once listed them by hand, layer by layer:
+    the reference for the names and order ``named_parameters`` finds."""
+    def affine(prefix, layer):
+        return [(f"{prefix}.weight", layer.weight), (f"{prefix}.bias", layer.bias)]
+
+    def gru(prefix, g):
+        return [(f"{prefix}.w", g.w), (f"{prefix}.u_zr", g.u_zr), (f"{prefix}.u_h", g.u_h),
+                (f"{prefix}.b", g.b)]
+
+    def attn(prefix, a):
+        return [(f"{prefix}.q", a.wq), (f"{prefix}.k", a.wk), (f"{prefix}.v", a.wv),
+                (f"{prefix}.out", a.wo)]
+
+    def norm(prefix, n):
+        return [(f"{prefix}.gain", n.gain), (f"{prefix}.bias", n.bias)]
+
+    def ff(prefix, f):
+        return affine(f"{prefix}.inner", f.inner) + affine(f"{prefix}.outer", f.outer)
+
+    out = []
+    if "a" in model.feature_dims:
+        out += affine("audio_proj", model.audio_proj)
+    if "t" in model.feature_dims:
+        out += (gru("text.gru", model.text_gru) + attn("text.attn", model.text_attn)
+                + affine("text.proj", model.text_proj))
+    if "v" in model.feature_dims:
+        lvc = model.lvc
+        out += (gru("visual.gru", model.vis_gru) + attn("visual.attn", model.vis_attn)
+                + affine("visual.lvc.stem", lvc.stem)
+                + [("visual.lvc.centers", lvc.centers), ("visual.lvc.scales", lvc.scales)]
+                + affine("visual.lvc.proj", lvc.proj) + affine("visual.proj", model.vis_proj))
+    for i, layer in enumerate(model.shallow):
+        p = f"shallow.{i}"
+        out += (attn(f"{p}.attn", layer.attn) + norm(f"{p}.norm_attn", layer.norm_attn)
+                + ff(f"{p}.ff", layer.ff) + norm(f"{p}.norm_ff", layer.norm_ff))
+    for i, layer in enumerate(model.deep):
+        p = f"deep.{i}"
+        out += (attn(f"{p}.attn_text", layer.attn_text) + norm(f"{p}.norm_text", layer.norm_text)
+                + attn(f"{p}.attn_vis", layer.attn_vis) + norm(f"{p}.norm_vis", layer.norm_vis)
+                + affine(f"{p}.gate", layer.gate) + ff(f"{p}.ff", layer.ff)
+                + norm(f"{p}.norm_ff", layer.norm_ff))
+    out += affine("shared_encoder", model.shared_encoder) + affine("classifier", model.classifier)
+    if model.fusion_mode == "concat":
+        out += affine("concat_head", model.concat_head)
+    return out
+
+
+# the model of every ablation row: each modality set, LVC on and off, and
+# each shallow/deep split, concat included
+ABLATION_MODELS = ([dict(feature_dims={m: DIMS[m] for m in mods}) for _, mods in MODALITY_ROWS]
+                   + [dict(lvc_enabled=enabled) for _, enabled in LVC_ROWS]
+                   + [dict(n_shallow=shallow, n_deep=deep,
+                           fusion_mode="concat" if method == "concat" else "per_layer")
+                      for method, shallow, deep in LAYER_ROWS])
+
+
+class TestParameterNames:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("overrides", ABLATION_MODELS)
+    def test_names_and_order_are_the_listed_ones(self, overrides, dtype):
+        model = tiny_model(**overrides, dtype=dtype)
+        found, listed = model.named_parameters(), listed_parameters(model)
+        assert [name for name, _ in found] == [name for name, _ in listed]
+        assert all(p is q for (_, p), (_, q) in zip(found, listed))
+
+    def test_sizes(self):
+        # the count and some shapes of the full three-modality model
+        shapes = {name: p.shape for name, p in tiny_model().named_parameters()}
+        assert len(shapes) == 76
+        assert shapes["visual.lvc.stem.weight"] == (12, 8)
+        assert shapes["visual.proj.weight"] == (16, 8)
+        assert shapes["deep.0.gate.weight"] == (16, 8)
+        assert shapes["shallow.1.ff.inner.weight"] == (8, 32)
+        assert shapes["text.gru.u_zr"] == (8, 16)
 
 
 class TestSharedEncoder:

@@ -7,7 +7,7 @@ import pytest
 import refops as R
 from helpers import fd_max_rel_error, rand
 from wavfusion.errors import ConfigError, ShapeError
-from wavfusion.layers import Attention, Conv1d, Gru, LayerNorm, Linear, LvcBlock
+from wavfusion.layers import Attention, Conv1d, Gru, LayerNorm, Linear, LvcBlock, Module
 from wavfusion.rng import Prng
 from wavfusion.tensor import Tensor
 
@@ -299,3 +299,45 @@ class TestLvcBlock:
         params = [x, block.centers, block.scales, block.proj.weight, block.proj.bias,
                   block.stem.bias, block.stem.weight]
         assert fd_max_rel_error(lambda: R.sum(R.mul(block(x), block(x))), params) < 1e-4
+
+
+class TestInputShapes:
+    """Each layer leaves its input checks to the primitive it calls, which
+    names itself in the error; a packed layout needs a matrix."""
+
+    @pytest.mark.parametrize("layer,shapes,where", [
+        (Linear(5, 4, Prng(0)), [(2, 1, 5)], "affine"),
+        (Conv1d(3, 4, 3, Prng(0)), [(6, 2)], "affine"),
+        (Conv1d(3, 4, 3, Prng(0)), [(6, 1, 3)], "matrix"),
+        (Gru(3, 4, Prng(0)), [(2, 1, 3)], "affine"),
+        (Attention(4, 2, Prng(0)), [(3, 6)], "attention"),
+        (Attention(4, 2, Prng(0)), [(3, 4), (2, 6)], "attention"),
+        (LayerNorm(5), [(4, 3), (4, 3)], "layer_norm"),
+        (LvcBlock(3, 4, 3, 2, Prng(0)), [(5, 2)], "affine"),
+    ])
+    def test_mismatch_raises(self, layer, shapes, where):
+        with pytest.raises(ShapeError, match=where):
+            layer(*(Tensor(np.zeros(s)) for s in shapes))
+
+
+class TestModule:
+    def test_parameters_found_in_attributes(self):
+        class Net(Module):
+            NAMES = {"first": "one"}
+
+            def __init__(self):
+                self.width = 3
+                self.first = Linear(2, 3, Prng(0))
+                self.frozen = Tensor(np.ones(3))
+                self.scale = Tensor(np.ones(3), requires_grad=True)
+                self.blocks = [LayerNorm(3), LayerNorm(3)]
+
+        net = Net()
+        named = net.named_parameters("net.")
+        assert [name for name, _ in named] == [
+            "net.one.weight", "net.one.bias", "net.scale", "net.blocks.0.gain",
+            "net.blocks.0.bias", "net.blocks.1.gain", "net.blocks.1.bias"]
+        assert [p for _, p in named] == [net.first.weight, net.first.bias, net.scale,
+                                         net.blocks[0].gain, net.blocks[0].bias,
+                                         net.blocks[1].gain, net.blocks[1].bias]
+        assert [name for name, _ in net.named_parameters()][:1] == ["one.weight"]

@@ -71,7 +71,6 @@ def composite_attention_core(q, k, v, heads, seg, ctx_seg):
 def composite_attention(x, ctx, wq, wk, wv, wo, heads, seg, ctx_seg):
     """Attention as five nodes before it was one: the three projections,
     the core (here its composite) and the output map."""
-    ctx, ctx_seg = (x, seg) if ctx is None else (ctx, ctx_seg)
     return composite_attention_core(x @ wq, ctx @ wk, ctx @ wv, heads, seg, ctx_seg) @ wo
 
 
@@ -261,8 +260,8 @@ class TestAttentionCore:
     def ops(heads, lengths, ctx_lengths):
         seg = Segments(lengths)
         if ctx_lengths is None:
-            return (lambda x, *ws: T.attention(x, None, *ws, heads, seg, None),
-                    lambda x, *ws: composite_attention(x, None, *ws, heads, seg, None),
+            return (lambda x, *ws: T.attention(x, x, *ws, heads, seg, seg),
+                    lambda x, *ws: composite_attention(x, x, *ws, heads, seg, seg),
                     [(seg.total, 8)] + [(8, 8)] * 4)
         ctx_seg = Segments(ctx_lengths)
         return (lambda x, c, *ws: T.attention(x, c, *ws, heads, seg, ctx_seg),

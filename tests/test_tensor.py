@@ -502,12 +502,14 @@ class TestLayerPrimitives:
         with pytest.raises(ShapeError, match="no .anchor, positive, negative. triple"):
             T.cosine_margin(x, [[1], [0], [-1]], [[-1], [-1], [0]], 0.5)
         w = Tensor(np.zeros((4, 4)))
-        assert T.attention(x, None, w, w, w, w, 2, Segments([1, 2]), None).shape == (3, 4)
-        for bad in ((x, None, w, w, w, w, 3, Segments([3]), None),         # 4 % 3 heads
+        seg = Segments([1, 2])
+        assert T.attention(x, x, w, w, w, w, 2, seg, seg).shape == (3, 4)
+        for bad in ((x, x, w, w, w, w, 3, Segments([3]), Segments([3])),  # 4 % 3 heads
                     (x, Tensor(np.zeros((2, 3))), w, w, w, w, 2, Segments([3]), Segments([2])),
                     (x, x, w, w, Tensor(np.zeros((4, 3))), w, 2, Segments([3]), Segments([3])),
                     (x, x, w, w, w, w, 2, Segments([1, 2]), Segments([3])),
-                    (Tensor(np.zeros(4)), None, w, w, w, w, 2, Segments([4]), None)):
+                    (Tensor(np.zeros(4)), Tensor(np.zeros(4)), w, w, w, w, 2, Segments([4]),
+                     Segments([4]))):
             with pytest.raises(ShapeError, match="attention"):
                 T.attention(*bad)
         u_zr, u_h = Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 2)))
@@ -557,12 +559,14 @@ OPS = {
         x, [[1, 3], [0, -1], [-1, -1], [2, 1]], [[2, -1], [3, 2], [0, 1], [0, -1]], 1.0)),
     "softmax_nll": ([(3, 4)], lambda x: T.softmax_nll(x, [1, 0, 3])),
     # attention with its projections, two heads: across contexts, where the
-    # second sequence's context is padded, so its core masks keys; and self
+    # second sequence's context is padded, so its core masks keys; and self,
+    # where x is also the context
     "attention_core": ([(5, 4), (4, 4)] + [(4, 4)] * 4,
                        lambda x, c, *ws: T.attention(x, c, *ws, 2, Segments([2, 3]),
                                                      Segments([3, 1]))),
     "attention_self": ([(5, 4)] + [(4, 4)] * 4,
-                       lambda x, *ws: T.attention(x, None, *ws, 2, Segments([2, 3]), None)),
+                       lambda x, *ws: T.attention(x, x, *ws, 2, Segments([2, 3]),
+                                                  Segments([2, 3]))),
     "gru": ([(5, 9), (3, 6), (3, 3)],
             lambda pre, u_zr, u_h: T.gru(pre, u_zr, u_h, Segments([1, 4]))),
     "gated_mix": ([(3, 4), (3, 4), (3, 4)], lambda p, a, b: T.gated_mix(p, a, b)[0]),
@@ -580,17 +584,24 @@ class TestNodeProtocol:
         return [Tensor((np.abs(rand(s, seed=90 + i)) + 0.5).astype(dtype), requires_grad=True)
                 for i, s in enumerate(shapes)]
 
+    @staticmethod
+    def parents(name, ins):
+        """The inputs as the op's node records them: self-attention passes
+        x twice, as the queries' input and as the context."""
+        return [ins[0], *ins] if name == "attention_self" else ins
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("name", sorted(OPS))
     def test_vjp_returns_one_gradient_per_input(self, name, dtype):
         ins = self.inputs(name, dtype)
         out = OPS[name][1](*ins)
-        assert len(out._parents) == len(ins)
-        assert all(p is t for p, t in zip(out._parents, ins))
+        parents = self.parents(name, ins)
+        assert len(out._parents) == len(parents)
+        assert all(p is t for p, t in zip(out._parents, parents))
         g = rand(out.shape, seed=99).astype(dtype)
         grads = out._vjp(g)
-        assert isinstance(grads, tuple) and len(grads) == len(ins)
-        for grad, t in zip(grads, ins):
+        assert isinstance(grads, tuple) and len(grads) == len(parents)
+        for grad, t in zip(grads, parents):
             assert grad.shape == t.shape and grad.dtype == t.data.dtype
 
     @pytest.mark.parametrize("name", sorted(OPS))
@@ -635,9 +646,10 @@ class TestNodeProtocol:
         full = OPS[name][1](*ins)._vjp(g)
         ins[frozen].requires_grad = False
         part = OPS[name][1](*ins)._vjp(g)
-        assert part[frozen] is None
-        for i, (grad, ref) in enumerate(zip(part, full)):
-            if i != frozen:
+        for i, (parent, grad, ref) in enumerate(zip(self.parents(name, ins), part, full)):
+            if parent is ins[frozen]:
+                assert grad is None
+            else:
                 npt.assert_array_equal(grad, ref)
 
     def test_gradients_use_forward_values(self):

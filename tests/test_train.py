@@ -318,15 +318,29 @@ class TestConfig:
             cfg.validate()
 
     @pytest.mark.parametrize("field,value", [
-        ("lr", -1e-3), ("beta1", -0.1), ("beta1", 1.0), ("beta2", 1.0), ("beta2", float("nan")),
-        ("eps", 0.0), ("eps", -1e-8),
+        ("lr", -1e-3), ("lr", float("inf")), ("beta1", -0.1), ("beta1", 1.0), ("beta2", 1.0),
+        ("beta2", float("nan")), ("eps", 0.0), ("eps", -1e-8), ("eps", float("inf")),
     ])
     def test_adam_settings_validated(self, field, value):
         # lr < 0 trains as gradient ascent, beta2 = 1 makes the bias
-        # correction 0 and eps = 0 divides 0 by 0 for a zero gradient
+        # correction 0, eps = 0 divides 0 by 0 for a zero gradient and
+        # eps = inf makes every update 0
         with pytest.raises(ConfigError, match=f"^{field} "):
             ExperimentConfig(**{field: value}).validate()
         ExperimentConfig(lr=0.0, beta1=0.0, beta2=0.0, eps=1e-300).validate()
+
+    @pytest.mark.parametrize("field,value", [
+        ("balance", float("nan")), ("balance", float("inf")), ("stop_train_acc", float("nan")),
+        ("stop_train_acc", -0.1), ("stop_train_acc", 1.5),
+    ])
+    def test_objective_and_stop_settings_validated(self, field, value):
+        # a non-finite balance makes every loss non-finite; a stop_train_acc
+        # outside [0, 1] (or nan) silently disables early stopping or never
+        # reaches it
+        with pytest.raises(ConfigError, match=f"^{field} "):
+            ExperimentConfig(**{field: value}).validate()
+        for ok in (0.0, 1.0):
+            ExperimentConfig(balance=0.0, stop_train_acc=ok).validate()
 
     def test_env_var_out_dir(self, monkeypatch):
         monkeypatch.setenv("WAVFUSION_OUT_DIR", "/tmp/elsewhere")
