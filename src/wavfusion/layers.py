@@ -11,9 +11,9 @@ casts them (see ``model.WavFusionModel``).
 
 A batch of B sequences travels as one packed [sum(T) x d] matrix, the rows
 of each sequence in turn, with a ``Segments`` layout beside it. Row-wise
-layers (linear, layer norm) ignore the layout; the convolution, the GRU,
-attention and the codebook pooling take it as ``seg``, and ``seg=None``
-makes the whole input one sequence.
+layers (linear, layer norm) ignore the layout; every sequence layer (the
+convolution, the GRU, attention, the codebook block) requires it as ``seg``,
+and the primitive that reads it checks it against its input's rows.
 """
 
 from __future__ import annotations
@@ -94,18 +94,6 @@ class Segments:
         self.from_time_major = self.positions * self.count + self.ids
         self._head_blocks: dict = {}
 
-    @staticmethod
-    def of(x: Tensor, seg: Segments | None) -> Segments:
-        """``seg``, checked against the rows of the matrix ``x``; None is one
-        sequence."""
-        if x.ndim != 2:
-            raise ShapeError(f"packed sequences need a [rows x width] matrix; got {list(x.shape)}")
-        if seg is None:
-            return Segments([x.shape[0]])
-        if seg.total != x.shape[0]:
-            raise ShapeError(f"segments cover {seg.total} rows; input has {x.shape[0]}")
-        return seg
-
     def neighbours(self, k: int) -> np.ndarray:
         """[sum(T) x k] index of rows i - (k-1)/2 ... i + (k-1)/2, each kept
         only inside row i's own sequence (-1 outside it)."""
@@ -185,10 +173,10 @@ class Conv1d(Module):
         if k < 1 or k % 2 == 0:
             raise ConfigError(f"conv kernel width must be odd and positive; got {k}")
 
-    def __call__(self, x: Tensor, seg: Segments | None = None) -> Tensor:
-        seg = Segments.of(x, seg)
-        # zero padding at each sequence's ends: no window crosses into a neighbour
-        cols = x.take_rows(seg.neighbours(self.k)).reshape((seg.total, self.k * x.shape[-1]))
+    def __call__(self, x: Tensor, seg: Segments) -> Tensor:
+        # zero padding at each sequence's ends: no window crosses into a neighbour.
+        # A layout of too many rows fails in take_rows, one of too few in reshape.
+        cols = x.take_rows(seg.neighbours(self.k)).reshape((*x.shape[:-1], self.k * x.shape[-1]))
         return T.affine(cols, self.weight, self.bias)
 
 
@@ -217,13 +205,14 @@ class Gru(Module):
         self.u_h = _param(xavier_uniform(rng.child(5), d_h, d_h, (d_h, d_h)))
         self.b = _param(np.zeros(3 * d_h))
 
-    def __call__(self, x: Tensor, seg: Segments | None = None) -> Tensor:
-        return T.gru(T.affine(x, self.w, self.b), self.u_zr, self.u_h, Segments.of(x, seg))
+    def __call__(self, x: Tensor, seg: Segments) -> Tensor:
+        return T.gru(T.affine(x, self.w, self.b), self.u_zr, self.u_h, seg)
 
 
 class Attention(Module):
-    """Scaled dot-product multi-head attention with separate query and
-    context inputs; with no context given it attends over ``x`` itself.
+    """Scaled dot-product multi-head attention from the query rows ``x``
+    (layout ``seg``) into the context rows ``ctx`` (layout ``ctx_seg``);
+    self-attention passes ``x`` and its layout twice.
 
     Each of ``wq``, ``wk``, ``wv`` and ``wo`` is one [d x d] matrix. The
     columns of the first three are head-major: head i owns columns
@@ -252,10 +241,7 @@ class Attention(Module):
         if d < 1 or heads < 1 or d % heads != 0:
             raise ConfigError(f"model width {d} must be a positive multiple of heads={heads}")
 
-    def __call__(self, x: Tensor, ctx: Tensor | None = None, seg: Segments | None = None,
-                 ctx_seg: Segments | None = None) -> Tensor:
-        seg = Segments.of(x, seg)
-        ctx, ctx_seg = (x, seg) if ctx is None else (ctx, Segments.of(ctx, ctx_seg))
+    def __call__(self, x: Tensor, ctx: Tensor, seg: Segments, ctx_seg: Segments) -> Tensor:
         return T.attention(x, ctx, self.wq, self.wk, self.wv, self.wo, self.heads, seg, ctx_seg)
 
     def attention_weights(self, x: Tensor, ctx: Tensor | None = None) -> list[np.ndarray]:
@@ -263,7 +249,7 @@ class Attention(Module):
         with T.no_grad():
             ctx = x if ctx is None else ctx
             return list(T.attention_weights((x @ self.wq).data, (ctx @ self.wk).data, self.heads,
-                                            Segments.of(x, None), Segments.of(ctx, None)))
+                                            Segments([x.shape[0]]), Segments([ctx.shape[0]])))
 
 
 class LayerNorm(Module):
@@ -305,10 +291,9 @@ class LvcBlock(Module):
         if n_centers < 1:
             raise ConfigError(f"codebook needs at least one center; got {n_centers}")
 
-    def __call__(self, x: Tensor, seg: Segments | None = None, return_parts: bool = False):
+    def __call__(self, x: Tensor, seg: Segments, return_parts: bool = False):
         """The gated stem output; with ``return_parts``, also the codeword
         weights [sum(T) x K] and the gates [B x d] (values only)."""
-        seg = Segments.of(x, seg)
         stem_out = self.stem(x, seg)
         descriptor, weights = T.codebook_pool(stem_out, self.centers, self.scales, seg)
         out, gate = T.sequence_gate(stem_out, self.proj(descriptor), seg)

@@ -36,8 +36,7 @@ class Triplets:
     ``positives`` [G x P] and ``negatives`` [G x Q], increasing and padded
     with -1. Its length is exact and costs nothing; the [T x 3] index array
     ``index`` is built, in lexicographic order, only when the triples are
-    iterated (as ``Triplet``s) or compared (equal to a list of the same
-    triples)."""
+    iterated (as ``Triplet``s)."""
 
     __slots__ = ("group", "positives", "negatives", "_count", "_index")
 
@@ -63,11 +62,6 @@ class Triplets:
 
     def __iter__(self):
         return map(Triplet._make, self.index.tolist())
-
-    def __eq__(self, other):
-        if isinstance(other, (Triplets, list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
 
 
 def build_triplets(batch) -> Triplets:
@@ -125,9 +119,10 @@ def margin_loss(embeddings, triplets, alpha: float, strict: bool = False) -> Ten
     ``embeddings`` is an ``Embeddings`` matrix or a sequence of [1 x d] rows,
     indexed by ``triplets`` (from ``build_triplets``). Returns a constant 0
     (with a logged notice) when the set is empty. Cosine similarity makes
-    the loss invariant to positive rescaling of the embeddings. A zero-norm
-    embedding has cosine 0 with everything and gets a zero gradient (or
-    raises DataError in strict mode).
+    the loss invariant to positive rescaling of the embeddings (in float64,
+    down to entries of about 1e-154, where squares turn subnormal; see
+    ``tensor.cosine_margin``). An all-zero embedding has cosine 0 with
+    everything and gets a zero gradient (or raises DataError in strict mode).
 
     The loss is one graph node (``tensor.cosine_margin``) over the matrix,
     O(N²·d + T) work for N embeddings and T triplets; a list of rows adds
@@ -139,7 +134,7 @@ def margin_loss(embeddings, triplets, alpha: float, strict: bool = False) -> Ten
         first = embeddings.matrix if is_matrix else next(iter(embeddings), None)
         return Tensor(np.zeros((), dtype=np.float64 if first is None else first.data.dtype))
     e = embeddings.matrix if is_matrix else T.concat(embeddings, axis=0)
-    zero = (e.data * e.data).sum(axis=-1) == 0.0
+    zero = ~e.data.any(axis=-1)
     if zero.any():
         if strict:
             raise DataError(f"zero-norm embedding at index {int(np.argmax(zero))}")

@@ -99,8 +99,8 @@ class TransformerEncoderLayer(Module):
         self.ff = FeedForward(d, rng.child(1))
         self.norm_ff = LayerNorm(d)
 
-    def __call__(self, x: Tensor, seg: Segments | None = None) -> Tensor:
-        h = self.norm_attn(x, self.attn(x, seg=seg))
+    def __call__(self, x: Tensor, seg: Segments) -> Tensor:
+        h = self.norm_attn(x, self.attn(x, x, seg, seg))
         return self.norm_ff(h, self.ff(h))
 
 
@@ -118,7 +118,8 @@ class GatedCrossModalLayer(Module):
     """Modified transformer layer: the self-attention is replaced by two
     cross-modal attentions (queries from the primary stream, keys/values from
     text and visual respectively) whose results are blended by a learned
-    per-channel gate before the usual feed-forward."""
+    per-channel gate before the usual feed-forward. The packed layouts of
+    ``x`` and of the auxiliaries are required (None only for an absent one)."""
 
     def __init__(self, d: int, heads: int, rng: Prng):
         self.attn_text = Attention(d, heads, rng.child(0))
@@ -129,17 +130,14 @@ class GatedCrossModalLayer(Module):
         self.ff = FeedForward(d, rng.child(3))
         self.norm_ff = LayerNorm(d)
 
-    def cross_text(self, x: Tensor, ctx: Tensor, seg=None, ctx_seg=None) -> Tensor:
+    def cross_text(self, x: Tensor, ctx: Tensor, seg: Segments, ctx_seg: Segments) -> Tensor:
         return self.norm_text(x, self.attn_text(x, ctx, seg, ctx_seg))
 
-    def cross_visual(self, x: Tensor, ctx: Tensor, seg=None, ctx_seg=None) -> Tensor:
+    def cross_visual(self, x: Tensor, ctx: Tensor, seg: Segments, ctx_seg: Segments) -> Tensor:
         return self.norm_vis(x, self.attn_vis(x, ctx, seg, ctx_seg))
 
     def __call__(self, x: Tensor, aux_text: Tensor | None, aux_vis: Tensor | None,
-                 seg: Segments | None = None, text_seg: Segments | None = None,
-                 vis_seg: Segments | None = None):
-        """``seg``, ``text_seg`` and ``vis_seg`` are the packed layouts of
-        ``x`` and the two auxiliaries (None: one sequence each)."""
+                 seg: Segments, text_seg: Segments | None, vis_seg: Segments | None):
         text_aug = self.cross_text(x, aux_text, seg, text_seg) if aux_text is not None else None
         vis_aug = self.cross_visual(x, aux_vis, seg, vis_seg) if aux_vis is not None else None
         gate_vals = None
@@ -193,9 +191,9 @@ class FusionTrace:
             yield f"shared.{m}", t.data
 
 
-def _mean_pool(x: Tensor, seg: Segments | None) -> Tensor:
+def _mean_pool(x: Tensor, seg: Segments) -> Tensor:
     """Mean over each sequence's time steps: [sum(T) x d] -> [B x d]."""
-    return Tensor(Segments.of(x, seg).pooling(x.data.dtype, mean=True)) @ x
+    return Tensor(seg.pooling(x.data.dtype, mean=True)) @ x
 
 
 class WavFusionModel(Module):
@@ -259,40 +257,32 @@ class WavFusionModel(Module):
 
     # -- branch encoders ------------------------------------------------------
 
-    def _as_tensor(self, feats) -> Tensor:
-        arr = np.asarray(feats, dtype=self.dtype)
-        if arr.ndim != 2 or arr.shape[0] < 1:
-            raise DataError(f"feature sequence must be a non-empty [T x D] matrix; got shape {list(arr.shape)}")
-        return Tensor(arr)
+    def text_branch(self, x: Tensor, seg: Segments) -> Tensor:
+        """Packed text features [sum(T) x D] with their required layout
+        ``seg`` (see ``_pack``) to [sum(T) x d]; likewise the other branches."""
+        h = self.text_gru(x, seg)
+        return self.text_proj(self.text_attn(h, h, seg, seg))
 
-    def text_branch(self, feats, seg: Segments | None = None) -> Tensor:
-        """Text features, packed [sum(T) x D] with layout ``seg`` or one
-        [T x D] sequence, to [sum(T) x d]; likewise the other two branches."""
-        x = self._as_tensor(feats)
-        seg = Segments.of(x, seg)
-        return self.text_proj(self.text_attn(self.text_gru(x, seg), seg=seg))
-
-    def visual_branch(self, feats, seg: Segments | None = None) -> Tensor:
-        x = self._as_tensor(feats)
-        seg = Segments.of(x, seg)
-        global_path = self.vis_attn(self.vis_gru(x, seg), seg=seg)
+    def visual_branch(self, x: Tensor, seg: Segments) -> Tensor:
+        h = self.vis_gru(x, seg)
+        global_path = self.vis_attn(h, h, seg, seg)
         if self.lvc_enabled:
             h = T.concat([global_path, self.lvc(x, seg)], axis=-1)
         else:
             h = global_path
         return self.vis_proj(h)
 
-    def audio_stack(self, feats, seg: Segments | None = None) -> Tensor:
-        x = self.audio_proj(self._as_tensor(feats))
-        seg = Segments.of(x, seg)
+    def audio_stack(self, x: Tensor, seg: Segments) -> Tensor:
+        x = self.audio_proj(x)
         for layer in self.shallow:
             x = layer(x, seg)
         return x
 
     # -- full forward -----------------------------------------------------------
 
-    def _pack(self, samples, m: str):
-        """One modality of a batch: the packed [sum(T) x D] features and their layout."""
+    def _pack(self, samples, m: str) -> tuple[Tensor, Segments]:
+        """One modality of a batch: the packed [sum(T) x D] features, in the
+        model's precision, and their layout."""
         seqs, width = [], self.feature_dims[m]
         for sample in samples:
             if m not in sample.features:
@@ -303,7 +293,7 @@ class WavFusionModel(Module):
                                 f"non-empty [T x {width}] matrix; got shape {list(arr.shape)}")
             seqs.append(arr)
         # one cast, of the packed rows, to the model's precision
-        return np.concatenate(seqs, dtype=self.dtype), Segments([len(a) for a in seqs])
+        return Tensor(np.concatenate(seqs, dtype=self.dtype)), Segments([len(a) for a in seqs])
 
     def forward_batch(self, samples, mask=None) -> FusionTrace:
         """Run a batch of utterances through the network as one packed pass.
@@ -325,9 +315,9 @@ class WavFusionModel(Module):
         trace = FusionTrace(mask=mask)
         encoders = {"a": self.audio_stack, "t": self.text_branch, "v": self.visual_branch}
         for m in mask:
-            feats, seg = self._pack(samples, m)
+            x, seg = self._pack(samples, m)
             trace.segments[m] = seg
-            trace.branch[m] = encoders[m](feats, seg)
+            trace.branch[m] = encoders[m](x, seg)
 
         segs = trace.segments
         if "a" in mask:
@@ -359,7 +349,7 @@ class WavFusionModel(Module):
         """Mean-pool each unfused branch per utterance and push it through the
         one shared linear encoder (same parameters for every modality)."""
         for m, seq in trace.branch.items():
-            pooled = _mean_pool(seq, trace.segments.get(m))
+            pooled = _mean_pool(seq, trace.segments[m])
             trace.pooled[m] = pooled
             trace.shared[m] = self.shared_encoder(pooled)
         return trace.shared

@@ -354,7 +354,9 @@ def cosine_margin(x: Tensor, positives, negatives, alpha: float) -> Tensor:
     """Mean triplet hinge max(0, alpha - cos(x_a, x_p) + cos(x_a, x_n)) over
     every row a of x [N x d], every p in ``positives[a]`` and every n in
     ``negatives[a]`` (integer [N x P] and [N x Q], padded with -1). A zero
-    row has cosine 0 with every row and gets a zero gradient.
+    row has cosine 0 with every row and gets a zero gradient. Squared norms
+    are summed in float64, where no float32 square underflows; a float64 row
+    whose entries all lie below about 1e-162 squares to 0 and counts as zero.
 
     The rows are normalized (zero rows stay 0) into U and C = U Uᵀ; each
     anchor's hinges are one [P x Q] broadcast of two gathered rows of C, so
@@ -374,9 +376,9 @@ def cosine_margin(x: Tensor, positives, negatives, alpha: float) -> Tensor:
     count = int(((pos >= 0).sum(axis=1) * (neg >= 0).sum(axis=1)).sum())
     if count == 0:
         raise ShapeError("cosine_margin: no (anchor, positive, negative) triple")
-    sq = (a * a).sum(axis=-1, keepdims=True)
+    sq = np.square(a, dtype=np.float64).sum(axis=-1, keepdims=True)
     keep = sq != 0.0
-    norm = np.sqrt(sq + ~keep)              # 1 on zero rows: finite, and masked below
+    norm = np.sqrt(sq + ~keep).astype(a.dtype, copy=False)   # 1 on zero rows, masked below
     unit = a / norm
     unit *= keep
     # C in columns 0..N-1; a padded positive reads +inf and a padded

@@ -1,15 +1,21 @@
-"""Shared test utilities: seeded arrays, graph sizes and finite-difference
-checking."""
+"""Shared test utilities: seeded arrays, one-sequence layouts, graph sizes
+and finite-difference checking."""
 
 import numpy as np
 
 from wavfusion import tensor as T
+from wavfusion.layers import Segments
 from wavfusion.rng import Prng
 
 
 def rand(shape, seed, scale=1.0):
     n = int(np.prod(shape))
     return (Prng(seed).normal(n) * scale).reshape(shape)
+
+
+def whole(x) -> Segments:
+    """The layout that makes all rows of the matrix ``x`` one sequence."""
+    return Segments([x.shape[0]])
 
 
 def make_sample(seed, dims, label=0, t_lens=None):

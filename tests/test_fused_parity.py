@@ -17,7 +17,7 @@ import numpy.testing as npt
 import pytest
 
 import refops as R
-from helpers import graph_nodes, rand
+from helpers import graph_nodes, rand, whole
 from wavfusion import tensor as T
 from wavfusion.gradcheck import synthetic_batch
 from wavfusion.layers import (Attention, Conv1d, Gru, LayerNorm, Linear, LvcBlock, Segments,
@@ -100,7 +100,8 @@ def assert_rel_close(actual, expected, tol=1e-12):
 
 def check_parity(new, old, inputs, pairs):
     """Same output within 1e-12, and the same gradient for every input and
-    every (fused parameter, legacy blocks, concatenation axis) pair."""
+    every (fused parameter, legacy blocks, concatenation axis) pair. ``new``
+    calls the fused layer on the inputs, each one sequence."""
     for fused, blocks, axis in pairs:
         npt.assert_array_equal(fused.data, np.concatenate([b.data for b in blocks], axis=axis))
     grads = []
@@ -124,7 +125,11 @@ class TestFusedParity:
     def test_attention(self, d, heads, cross):
         new, old = Attention(d, heads, Prng(d + heads)), LegacyAttention(d, heads, Prng(d + heads))
         inputs = [rand((7, d), seed=1)] + ([rand((5, d), seed=2)] if cross else [])
-        check_parity(new, old, inputs,
+
+        def run(x, ctx=None):
+            ctx = x if ctx is None else ctx
+            return new(x, ctx, whole(x), whole(ctx))
+        check_parity(run, old, inputs,
                      [(new.wq, old.wq, 1), (new.wk, old.wk, 1), (new.wv, old.wv, 1),
                       (new.wo, [old.wo], 1)])
 
@@ -134,7 +139,7 @@ class TestFusedParity:
         new.b.data = rand((3 * d_h,), seed=8, scale=0.5)   # nonzero biases
         for i, g in enumerate("zrh"):
             old.b[g].data = new.b.data[i * d_h:(i + 1) * d_h].copy()
-        check_parity(new, old, [rand((t_len, d_in), seed=3)],
+        check_parity(lambda x: new(x, whole(x)), old, [rand((t_len, d_in), seed=3)],
                      [(new.w, [old.w[g] for g in "zrh"], 1),
                       (new.b, [old.b[g] for g in "zrh"], 0),
                       (new.u_zr, [old.u["z"], old.u["r"]], 1), (new.u_h, [old.u["h"]], 1)])
@@ -142,7 +147,7 @@ class TestFusedParity:
     @pytest.mark.parametrize("d_in,d_out,k,t_len", [(8, 64, 3, 6), (3, 4, 5, 7), (2, 3, 1, 4)])
     def test_conv1d(self, d_in, d_out, k, t_len):
         new, old = Conv1d(d_in, d_out, k, Prng(11)), LegacyConv1d(d_in, d_out, k, Prng(11))
-        check_parity(new, old, [rand((t_len, d_in), seed=4)],
+        check_parity(lambda x: new(x, whole(x)), old, [rand((t_len, d_in), seed=4)],
                      [(new.weight, old.taps, 0), (new.bias, [old.bias], 0)])
 
 
@@ -154,8 +159,9 @@ class TestGraphSize:
         counts = []
         for heads in (1, 2, 4):
             x = Tensor(rand((6, 8), seed=5), requires_grad=True)
-            counts.append(graph_nodes(Attention(8, heads, Prng(0))(x, Tensor(rand((4, 8), seed=6)))))
-            counts.append(graph_nodes(Attention(8, heads, Prng(0))(x)))
+            ctx = Tensor(rand((4, 8), seed=6))
+            counts.append(graph_nodes(Attention(8, heads, Prng(0))(x, ctx, whole(x), whole(ctx))))
+            counts.append(graph_nodes(Attention(8, heads, Prng(0))(x, x, whole(x), whole(x))))
         assert counts == [1] * 6
 
     def test_layer_norm_and_gru_nodes(self):

@@ -6,17 +6,17 @@ import numpy.testing as npt
 import pytest
 
 import refops as R
-from helpers import make_sample, rand
-from test_layers import attention_oracle
+from helpers import make_sample, rand, whole
+from test_layers import attention_oracle, self_attention
 from wavfusion.ablate import LAYER_ROWS, LVC_ROWS, MODALITY_ROWS
 from wavfusion import tensor as T
 from wavfusion.checkpoint import load_model, read_records, save_model, write_records
 from wavfusion.config import ExperimentConfig
 from wavfusion.errors import CheckpointError, ConfigError, DataError, FormatError, ShapeError
-from wavfusion.layers import LayerNorm, Linear
+from wavfusion.layers import Attention, Conv1d, Gru, LayerNorm, Linear, LvcBlock, Segments
 from wavfusion.losses import build_triplets, margin_loss
-from wavfusion.model import (FusionTrace, GatedCrossModalLayer, WavFusionModel,
-                             gated_fuse)
+from wavfusion.model import (FusionTrace, GatedCrossModalLayer, TransformerEncoderLayer,
+                             WavFusionModel, gated_fuse)
 from wavfusion.rng import Prng
 from wavfusion.tensor import Tensor
 
@@ -34,39 +34,83 @@ class TestBranches:
     def test_visual_branch_output_width(self):
         model = tiny_model()
         for t_len in (1, 3, 6):
-            out = model.visual_branch(rand((t_len, 4), seed=t_len))
+            x = rand((t_len, 4), seed=t_len)
+            out = model.visual_branch(Tensor(x), whole(x))
             assert out.shape == (t_len, 8)
 
     def test_visual_branch_without_lvc(self):
         model = tiny_model(lvc_enabled=False)
         assert model.vis_proj.weight.shape[0] == 8  # reduced input width: global path only
         x = rand((4, 4), seed=1)
-        expect = model.vis_proj(model.vis_attn(model.vis_gru(Tensor(x))))
-        npt.assert_allclose(model.visual_branch(x).data, expect.data, atol=1e-12)
+        expect = model.vis_proj(self_attention(model.vis_attn, model.vis_gru(Tensor(x), whole(x))))
+        npt.assert_allclose(model.visual_branch(Tensor(x), whole(x)).data, expect.data, atol=1e-12)
 
     def test_visual_branch_composition(self):
         model = tiny_model()
         x = rand((5, 4), seed=2)
-        global_path = model.vis_attn(model.vis_gru(Tensor(x)))
-        local_path = model.lvc(Tensor(x))
+        global_path = self_attention(model.vis_attn, model.vis_gru(Tensor(x), whole(x)))
+        local_path = model.lvc(Tensor(x), whole(x))
         expect = model.vis_proj(T.concat([global_path, local_path], axis=-1))
-        npt.assert_allclose(model.visual_branch(x).data, expect.data, atol=1e-12)
+        npt.assert_allclose(model.visual_branch(Tensor(x), whole(x)).data, expect.data, atol=1e-12)
 
     def test_text_branch_composition(self):
         model = tiny_model()
         x = rand((4, 5), seed=3)
-        expect = model.text_proj(model.text_attn(model.text_gru(Tensor(x))))
-        npt.assert_allclose(model.text_branch(x).data, expect.data, atol=1e-12)
+        expect = model.text_proj(self_attention(model.text_attn, model.text_gru(Tensor(x), whole(x))))
+        npt.assert_allclose(model.text_branch(Tensor(x), whole(x)).data, expect.data, atol=1e-12)
 
     def test_text_branch_single_step(self):
         model = tiny_model()
-        out = model.text_branch(rand((1, 5), seed=4))
+        x = rand((1, 5), seed=4)
+        out = model.text_branch(Tensor(x), whole(x))
         assert out.shape == (1, 8)
 
     def test_empty_sequence_rejected(self):
         model = tiny_model()
-        with pytest.raises(DataError):
-            model.text_branch(np.zeros((0, 5)))
+        sample = make_sample(4, DIMS)
+        sample.features["t"] = np.zeros((0, 5))
+        with pytest.raises(DataError, match="'t' features must be a non-empty"):
+            model.forward_batch([make_sample(3, DIMS), sample])
+
+
+def rows(n, d):
+    return Tensor(rand((n, d), seed=n * d))
+
+
+# each sequence layer and branch on a wrong layout ``bad(n)`` for its n-row
+# input, and the primitive that rejects a layout one row short and one row over
+LAYOUT_CASES = {
+    "conv1d": (lambda bad: Conv1d(3, 4, 3, Prng(0))(rows(6, 3), bad(6)), ("reshape", "take_rows")),
+    "gru": (lambda bad: Gru(3, 4, Prng(0))(rows(6, 3), bad(6)), ("gru", "gru")),
+    "attention_seg": (lambda bad: Attention(8, 2, Prng(0))(rows(5, 8), rows(3, 8), bad(5),
+                                                           Segments([1, 2])),
+                      ("attention", "attention")),
+    "attention_ctx_seg": (lambda bad: Attention(8, 2, Prng(0))(rows(5, 8), rows(3, 8),
+                                                               Segments([2, 3]), bad(3)),
+                          ("attention", "attention")),
+    "lvc": (lambda bad: LvcBlock(3, 8, 3, 2, Prng(0))(rows(6, 3), bad(6)), ("reshape", "take_rows")),
+    "transformer": (lambda bad: TransformerEncoderLayer(8, 2, Prng(0))(rows(5, 8), bad(5)),
+                    ("attention", "attention")),
+    "gated_cross_modal": (lambda bad: GatedCrossModalLayer(8, 2, Prng(0))(
+        rows(5, 8), rows(3, 8), rows(4, 8), bad(5), Segments([1, 2]), Segments([2, 2])),
+        ("attention", "attention")),
+    "audio_stack": (lambda bad: tiny_model().audio_stack(rows(5, 6), bad(5)),
+                    ("attention", "attention")),
+    "text_branch": (lambda bad: tiny_model().text_branch(rows(4, 5), bad(4)), ("gru", "gru")),
+    "visual_branch": (lambda bad: tiny_model().visual_branch(rows(4, 4), bad(4)), ("gru", "gru")),
+}
+
+
+class TestLayoutSize:
+    """Every sequence layer and branch requires its layout, and a layout that
+    does not cover its input's rows fails in the primitive that reads it."""
+
+    @pytest.mark.parametrize("case", LAYOUT_CASES)
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_wrong_row_count_raises(self, case, extra):
+        call, where = LAYOUT_CASES[case]
+        with pytest.raises(ShapeError, match=where[extra > 0]):
+            call(lambda n: Segments([1, n - 1 + extra]))
 
 
 class TestCrossModalAttention:
@@ -76,7 +120,7 @@ class TestCrossModalAttention:
         layer = GatedCrossModalLayer(8, 2, Prng(1))
         x = rand((4, 8), seed=5)
         ctx = np.tile(rand((1, 8), seed=6), (5, 1))
-        raw = layer.attn_text(Tensor(x), Tensor(ctx)).data
+        raw = layer.attn_text(Tensor(x), Tensor(ctx), whole(x), whole(ctx)).data
         npt.assert_allclose(raw, np.tile(raw[:1], (4, 1)), atol=1e-12)
         values = np.concatenate([ctx[:1] @ layer.attn_text.wv.data[:, 4 * i:4 * (i + 1)]
                                  for i in range(2)], axis=-1)
@@ -99,12 +143,13 @@ class TestCrossModalAttention:
         var = ((h - mean) ** 2).mean(axis=-1, keepdims=True)
         expect = ((h - mean) / np.sqrt(var + LayerNorm.EPS)
                   * layer.norm_text.gain.data + layer.norm_text.bias.data)
-        npt.assert_allclose(layer.cross_text(Tensor(x), Tensor(ctx)).data, expect, atol=1e-10)
+        out = layer.cross_text(Tensor(x), Tensor(ctx), whole(x), whole(ctx))
+        npt.assert_allclose(out.data, expect, atol=1e-10)
 
     def test_preserves_primary_length(self):
         layer = GatedCrossModalLayer(8, 2, Prng(4))
-        out, _ = layer(Tensor(rand((5, 8), seed=11)), Tensor(rand((9, 8), seed=12)),
-                       Tensor(rand((2, 8), seed=13)))
+        x, text, vis = (Tensor(rand((t_len, 8), seed=11 + i)) for i, t_len in enumerate((5, 9, 2)))
+        out, _ = layer(x, text, vis, whole(x), whole(text), whole(vis))
         assert out.shape == (5, 8)
 
 
@@ -302,7 +347,7 @@ class TestArchitecture:
         model = WavFusionModel(num_classes=3, feature_dims=DIMS, dtype=dtype, **self.ARCH)
         packed, seg = model._pack(samples, "a")
         expect = np.concatenate([np.asarray(s.features["a"], dtype=dtype) for s in samples])
-        assert packed.dtype == dtype and packed.tobytes() == expect.tobytes()
+        assert packed.data.dtype == dtype and packed.data.tobytes() == expect.tobytes()
         assert seg.lengths.tolist() == [len(s.features["a"]) for s in samples]
 
     @pytest.mark.parametrize("modalities,overrides", [
@@ -410,7 +455,8 @@ class TestSharedEncoder:
     def test_weight_sharing(self):
         model = tiny_model()
         x = rand((3, 8), seed=21)
-        trace = FusionTrace(mask=("t", "v"), branch={"t": Tensor(x), "v": Tensor(x.copy())})
+        trace = FusionTrace(mask=("t", "v"), branch={"t": Tensor(x), "v": Tensor(x.copy())},
+                            segments={"t": whole(x), "v": whole(x)})
         shared = model.shared_encode(trace)
         npt.assert_array_equal(shared["t"].data, shared["v"].data)
 

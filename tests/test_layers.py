@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 import refops as R
-from helpers import fd_max_rel_error, rand
+from helpers import fd_max_rel_error, rand, whole
 from wavfusion.errors import ConfigError, ShapeError
 from wavfusion.layers import Attention, Conv1d, Gru, LayerNorm, Linear, LvcBlock, Module
 from wavfusion.rng import Prng
@@ -71,6 +71,12 @@ def lvc_oracle(x, block):
     return stem * gate, weights, gate
 
 
+def self_attention(layer, x):
+    """``layer`` attending over the one sequence ``x`` (array or Tensor)."""
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    return layer(x, x, whole(x), whole(x))
+
+
 class TestLinear:
     def test_identity_weight(self):
         layer = Linear(3, 3, Prng(0))
@@ -108,19 +114,20 @@ class TestConv1d:
         conv.weight.data = np.eye(3)
         conv.bias.data = np.zeros(3)
         x = rand((5, 3), seed=6)
-        npt.assert_allclose(conv(Tensor(x)).data, x, atol=1e-15)
+        npt.assert_allclose(conv(Tensor(x), whole(x)).data, x, atol=1e-15)
 
     def test_zero_input_gives_bias(self):
         conv = Conv1d(2, 4, 3, Prng(1))
         conv.bias.data = np.array([1.0, 2.0, 3.0, 4.0])
-        out = conv(Tensor(np.zeros((6, 2))))
+        x = Tensor(np.zeros((6, 2)))
+        out = conv(x, whole(x))
         npt.assert_array_equal(out.data, np.tile(conv.bias.data, (6, 1)))
 
     def test_against_sliding_window_oracle(self):
         conv = Conv1d(3, 4, 5, Prng(2))
         x = rand((7, 3), seed=7)
         expect = conv1d_oracle(x, np.split(conv.weight.data, conv.k), conv.bias.data)
-        npt.assert_allclose(conv(Tensor(x)).data, expect, atol=1e-12)
+        npt.assert_allclose(conv(Tensor(x), whole(x)).data, expect, atol=1e-12)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError):
@@ -130,7 +137,7 @@ class TestConv1d:
         conv = Conv1d(2, 3, 3, Prng(3))
         x = Tensor(rand((4, 2), seed=8), requires_grad=True)
         params = [x, conv.weight, conv.bias]
-        assert fd_max_rel_error(lambda: R.sum(R.mul(conv(x), conv(x))), params) < 1e-6
+        assert fd_max_rel_error(lambda: R.sum(R.mul(conv(x, whole(x)), conv(x, whole(x)))), params) < 1e-6
 
 
 class TestGru:
@@ -138,7 +145,8 @@ class TestGru:
         gru = Gru(3, 4, Prng(0))
         for p in (gru.w, gru.u_zr, gru.u_h, gru.b):
             p.data = np.zeros_like(p.data)
-        out = gru(Tensor(rand((5, 3), seed=9)))
+        x = rand((5, 3), seed=9)
+        out = gru(Tensor(x), whole(x))
         npt.assert_array_equal(out.data, np.zeros((5, 4)))
 
     def test_single_step_formula(self):
@@ -147,18 +155,20 @@ class TestGru:
         # h_0 = 0, so the reset gate cannot matter at step one
         z = 1.0 / (1.0 + np.exp(-(x @ gru.w.data[:, :4] + gru.b.data[:4])))
         cand = np.tanh(x @ gru.w.data[:, 8:] + gru.b.data[8:])
-        npt.assert_allclose(gru(Tensor(x)).data, z * cand, atol=1e-12)
+        npt.assert_allclose(gru(Tensor(x), whole(x)).data, z * cand, atol=1e-12)
 
     def test_output_length_matches_input(self):
         gru = Gru(2, 3, Prng(2))
         for t_len in (1, 2, 7):
-            assert gru(Tensor(rand((t_len, 2), seed=t_len))).shape == (t_len, 3)
+            x = rand((t_len, 2), seed=t_len)
+            assert gru(Tensor(x), whole(x)).shape == (t_len, 3)
 
     def test_hidden_values_bounded(self):
         # |h_t| <= max(|h_{t-1}|, 1) componentwise since cand in (-1,1), z in (0,1)
         for seed in range(5):
             gru = Gru(3, 4, Prng(seed))
-            out = gru(Tensor(rand((8, 3), seed=100 + seed, scale=3.0))).data
+            x = rand((8, 3), seed=100 + seed, scale=3.0)
+            out = gru(Tensor(x), whole(x)).data
             prev = np.zeros(4)
             for t in range(out.shape[0]):
                 bound = np.maximum(np.abs(prev), 1.0)
@@ -169,11 +179,12 @@ class TestGru:
         gru = Gru(2, 3, Prng(3))
         x = Tensor(rand((4, 2), seed=11), requires_grad=True)
         params = [x, gru.w, gru.u_zr, gru.u_h, gru.b]
-        assert fd_max_rel_error(lambda: R.sum(R.mul(gru(x), gru(x))), params) < 1e-3
+        assert fd_max_rel_error(lambda: R.sum(R.mul(gru(x, whole(x)), gru(x, whole(x)))), params) < 1e-3
 
     def test_wrong_width(self):
         with pytest.raises(ShapeError):
-            Gru(3, 4, Prng(0))(Tensor(np.zeros((2, 5))))
+            x = Tensor(np.zeros((2, 5)))
+            Gru(3, 4, Prng(0))(x, whole(x))
 
 
 class TestAttention:
@@ -181,12 +192,12 @@ class TestAttention:
         layer = Attention(6, 2, Prng(0))
         x = rand((1, 6), seed=12)
         values = np.concatenate([x @ head_block(layer.wv, i, 3) for i in range(2)], axis=-1)
-        npt.assert_allclose(layer(Tensor(x)).data, values @ layer.wo.data, atol=1e-12)
+        npt.assert_allclose(self_attention(layer, x).data, values @ layer.wo.data, atol=1e-12)
 
     def test_identical_rows_give_identical_outputs(self):
         layer = Attention(4, 2, Prng(1))
         x = np.tile(rand((1, 4), seed=13), (5, 1))
-        out = layer(Tensor(x)).data
+        out = self_attention(layer, x).data
         npt.assert_allclose(out, np.tile(out[:1], (5, 1)), atol=1e-12)
 
     def test_permutation_invariance_with_identical_keys(self):
@@ -194,15 +205,16 @@ class TestAttention:
         row = rand((1, 4), seed=14)
         ctx = np.tile(row, (6, 1))
         x = rand((3, 4), seed=15)
-        base = layer(Tensor(x), Tensor(ctx)).data
+        base = layer(Tensor(x), Tensor(ctx), whole(x), whole(ctx)).data
         shuffled = ctx[np.array([5, 3, 0, 1, 4, 2])]
-        npt.assert_allclose(layer(Tensor(x), Tensor(shuffled)).data, base, atol=1e-12)
+        npt.assert_allclose(layer(Tensor(x), Tensor(shuffled), whole(x), whole(ctx)).data, base,
+                            atol=1e-12)
 
     def test_against_dense_oracle(self):
         layer = Attention(6, 3, Prng(3))
         x = rand((5, 6), seed=16)
         ctx = rand((7, 6), seed=17)
-        npt.assert_allclose(layer(Tensor(x), Tensor(ctx)).data,
+        npt.assert_allclose(layer(Tensor(x), Tensor(ctx), whole(x), whole(ctx)).data,
                             attention_oracle(x, ctx, layer), atol=1e-10)
 
     def test_weights_are_distributions(self):
@@ -219,7 +231,8 @@ class TestAttention:
         layer = Attention(4, 2, Prng(5))
         x = Tensor(rand((3, 4), seed=19), requires_grad=True)
         params = [x, layer.wq, layer.wk, layer.wv, layer.wo]
-        assert fd_max_rel_error(lambda: R.sum(R.mul(layer(x), layer(x))), params) < 1e-4
+        assert fd_max_rel_error(
+            lambda: R.sum(R.mul(self_attention(layer, x), self_attention(layer, x))), params) < 1e-4
 
 
 class TestLayerNorm:
@@ -254,7 +267,8 @@ class TestLvcBlock:
         block.stem.bias.data = np.array([0.3, -0.2, 0.9, 0.1])
         block.centers.data = block.stem.bias.data[None, :].copy()
         block.proj.bias.data = np.array([0.5, -0.5, 0.0, 2.0])
-        out, weights, gate = block(Tensor(rand((5, 3), seed=24)), return_parts=True)
+        x = rand((5, 3), seed=24)
+        out, weights, gate = block(Tensor(x), whole(x), return_parts=True)
         npt.assert_allclose(weights.data, np.ones((5, 1)), atol=1e-12)
         expect_gate = 1.0 / (1.0 + np.exp(-block.proj.bias.data))
         npt.assert_allclose(gate.data, expect_gate[None, :], atol=1e-12)  # one row per sequence
@@ -264,12 +278,13 @@ class TestLvcBlock:
     def test_output_shape(self):
         for t_len, d in ((1, 2), (4, 6), (9, 4)):
             block = LvcBlock(3, d, 3, 4, Prng(1))
-            assert block(Tensor(rand((t_len, 3), seed=t_len))).shape == (t_len, d)
+            x = rand((t_len, 3), seed=t_len)
+            assert block(Tensor(x), whole(x)).shape == (t_len, d)
 
     def test_against_loop_oracle(self):
         block = LvcBlock(3, 5, 3, 4, Prng(2))
         x = rand((6, 3), seed=25)
-        out, weights, gate = block(Tensor(x), return_parts=True)
+        out, weights, gate = block(Tensor(x), whole(x), return_parts=True)
         expect_out, expect_weights, expect_gate = lvc_oracle(x, block)
         npt.assert_allclose(weights.data, expect_weights, atol=1e-10)
         npt.assert_allclose(gate.data, expect_gate[None, :], atol=1e-10)
@@ -278,15 +293,15 @@ class TestLvcBlock:
     def test_codeword_weights_normalize(self):
         block = LvcBlock(2, 4, 3, 5, Prng(3))
         for seed in range(4):
-            _, weights, _ = block(Tensor(rand((5, 2), seed=30 + seed, scale=2.0)),
-                                  return_parts=True)
+            x = rand((5, 2), seed=30 + seed, scale=2.0)
+            _, weights, _ = block(Tensor(x), whole(x), return_parts=True)
             npt.assert_allclose(weights.data.sum(axis=-1), np.ones(5), atol=1e-6)
 
     def test_gate_strictly_inside_unit_interval(self):
         block = LvcBlock(2, 4, 3, 3, Prng(4))
         for seed in range(4):
-            _, _, gate = block(Tensor(rand((4, 2), seed=40 + seed, scale=4.0)),
-                               return_parts=True)
+            x = rand((4, 2), seed=40 + seed, scale=4.0)
+            _, _, gate = block(Tensor(x), whole(x), return_parts=True)
             assert (gate.data > 0).all() and (gate.data < 1).all()
 
     def test_empty_codebook_rejected(self):
@@ -298,26 +313,30 @@ class TestLvcBlock:
         x = Tensor(rand((3, 2), seed=26), requires_grad=True)
         params = [x, block.centers, block.scales, block.proj.weight, block.proj.bias,
                   block.stem.bias, block.stem.weight]
-        assert fd_max_rel_error(lambda: R.sum(R.mul(block(x), block(x))), params) < 1e-4
+        assert fd_max_rel_error(lambda: R.sum(R.mul(block(x, whole(x)), block(x, whole(x)))), params) < 1e-4
 
 
 class TestInputShapes:
     """Each layer leaves its input checks to the primitive it calls, which
-    names itself in the error; a packed layout needs a matrix."""
+    names itself in the error. Sequence layers get each input's one-sequence
+    layout after the inputs; a rank-3 input to the convolution reaches
+    ``affine`` as a rank-3 window stack."""
 
     @pytest.mark.parametrize("layer,shapes,where", [
         (Linear(5, 4, Prng(0)), [(2, 1, 5)], "affine"),
         (Conv1d(3, 4, 3, Prng(0)), [(6, 2)], "affine"),
-        (Conv1d(3, 4, 3, Prng(0)), [(6, 1, 3)], "matrix"),
+        (Conv1d(3, 4, 3, Prng(0)), [(6, 1, 3)], "affine"),
         (Gru(3, 4, Prng(0)), [(2, 1, 3)], "affine"),
-        (Attention(4, 2, Prng(0)), [(3, 6)], "attention"),
+        (Attention(4, 2, Prng(0)), [(3, 6), (3, 6)], "attention"),
         (Attention(4, 2, Prng(0)), [(3, 4), (2, 6)], "attention"),
         (LayerNorm(5), [(4, 3), (4, 3)], "layer_norm"),
         (LvcBlock(3, 4, 3, 2, Prng(0)), [(5, 2)], "affine"),
     ])
     def test_mismatch_raises(self, layer, shapes, where):
+        xs = [Tensor(np.zeros(s)) for s in shapes]
+        layouts = [] if isinstance(layer, (Linear, LayerNorm)) else [whole(x) for x in xs]
         with pytest.raises(ShapeError, match=where):
-            layer(*(Tensor(np.zeros(s)) for s in shapes))
+            layer(*xs, *layouts)
 
 
 class TestModule:
