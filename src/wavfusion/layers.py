@@ -242,14 +242,14 @@ class Attention(Module):
             raise ConfigError(f"model width {d} must be a positive multiple of heads={heads}")
 
     def __call__(self, x: Tensor, ctx: Tensor, seg: Segments, ctx_seg: Segments) -> Tensor:
-        return T.attention(x, ctx, self.wq, self.wk, self.wv, self.wo, self.heads, seg, ctx_seg)
+        return T.attention(x, ctx, self.wq, self.wk, self.wv, self.wo, self.heads, seg, ctx_seg)[0]
 
-    def attention_weights(self, x: Tensor, ctx: Tensor | None = None) -> list[np.ndarray]:
-        """Per-head weight matrices of one sequence's forward pass (values only)."""
+    def attention_weights(self, x: Tensor, ctx: Tensor) -> list[np.ndarray]:
+        """Per-head [T x T_ctx] weights (values) of one sequence's forward
+        pass from ``x`` into ``ctx``; self-attention passes ``x`` twice."""
         with T.no_grad():
-            ctx = x if ctx is None else ctx
-            return list(T.attention_weights((x @ self.wq).data, (ctx @ self.wk).data, self.heads,
-                                            Segments([x.shape[0]]), Segments([ctx.shape[0]])))
+            return list(T.attention(x, ctx, self.wq, self.wk, self.wv, self.wo, self.heads,
+                                    Segments([x.shape[0]]), Segments([ctx.shape[0]]))[1])
 
 
 class LayerNorm(Module):

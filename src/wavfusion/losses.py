@@ -120,9 +120,9 @@ def margin_loss(embeddings, triplets, alpha: float, strict: bool = False) -> Ten
     indexed by ``triplets`` (from ``build_triplets``). Returns a constant 0
     (with a logged notice) when the set is empty. Cosine similarity makes
     the loss invariant to positive rescaling of the embeddings (in float64,
-    down to entries of about 1e-154, where squares turn subnormal; see
-    ``tensor.cosine_margin``). An all-zero embedding has cosine 0 with
-    everything and gets a zero gradient (or raises DataError in strict mode).
+    down to entries of about 1e-154, where squares turn subnormal). An
+    embedding of squared norm 0 (``tensor._square_norms``) has cosine 0 with
+    everything and a zero gradient, with a warning (DataError if strict).
 
     The loss is one graph node (``tensor.cosine_margin``) over the matrix,
     O(N²·d + T) work for N embeddings and T triplets; a list of rows adds
@@ -134,7 +134,7 @@ def margin_loss(embeddings, triplets, alpha: float, strict: bool = False) -> Ten
         first = embeddings.matrix if is_matrix else next(iter(embeddings), None)
         return Tensor(np.zeros((), dtype=np.float64 if first is None else first.data.dtype))
     e = embeddings.matrix if is_matrix else T.concat(embeddings, axis=0)
-    zero = ~e.data.any(axis=-1)
+    zero = T._square_norms(e.data) == 0.0       # the rows cosine_margin treats as zero
     if zero.any():
         if strict:
             raise DataError(f"zero-norm embedding at index {int(np.argmax(zero))}")

@@ -1,12 +1,14 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Values are numpy arrays (float32 or float64); the graph is implicit. Each op
-returns its value and, while recording, a vector-Jacobian function ``_vjp``
-that maps the result's adjoint to a tuple with one gradient per input. It
-reads only arrays captured in the forward pass, never its own output, so
-rebinding an input's ``data`` before ``backward`` leaves the gradient
-unchanged, and a graph holds no reference cycles: dropping the loss frees it
-without waiting for the cyclic garbage collector.
+returns ``_result(value, inputs, vjp)``, the one call that makes a node: while
+recording, and if some input requires a gradient, it keeps the inputs as
+``_parents`` and ``vjp`` as ``_vjp``, else neither. ``vjp`` maps the result's
+adjoint to a tuple with one gradient per input; work only it needs is done
+inside it. It reads only arrays captured in the forward pass, never its own
+output, so rebinding an input's ``data`` before ``backward`` leaves the
+gradient unchanged, and a graph holds no reference cycles: dropping the loss
+frees it without waiting for the cyclic garbage collector.
 
 ``backward`` is the only writer of ``grad``. Over an iteratively-built
 topological order (deep graphs never touch the recursion limit) it calls each
@@ -35,7 +37,8 @@ is waiting for ``backward``. In-place arithmetic (``+=``, ``out=``) is only
 for arrays the op or its ``_vjp`` allocated in the same call, such as a fresh
 matmul result that becomes the output once its bias is added.
 
-``backward`` may run once per graph; a fresh forward pass rebuilds the graph.
+``backward`` may run once per graph, clearing each ``_vjp`` it calls (a node
+with ``_parents`` and no ``_vjp`` is consumed); a fresh forward rebuilds it.
 A graph and its tensors belong to one thread during forward/backward;
 independent graphs may run on separate threads, and ``no_grad`` in one
 thread leaves recording in the others untouched.
@@ -72,7 +75,7 @@ def _shape(t) -> str:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_spent")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -83,7 +86,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
         self._vjp = None
-        self._spent = False
 
     # -- introspection -------------------------------------------------------
 
@@ -110,7 +112,7 @@ class Tensor:
         """
         if self.data.shape != ():
             raise GraphError(f"backward requires a scalar loss; got shape {_shape(self)}")
-        if self._spent:
+        if self._parents and self._vjp is None:
             raise GraphError("backward already ran on this graph; rerun the forward pass")
 
         # the interior nodes in topological order; leaves need no visit
@@ -132,10 +134,10 @@ class Tensor:
         for node in reversed(topo):
             if not node._parents:
                 continue
-            if node._spent:
+            vjp, node._vjp = node._vjp, None
+            if vjp is None:
                 raise GraphError("graph shares nodes with an already-consumed backward pass")
-            node._spent = True
-            for parent, g in zip(node._parents, node._vjp(node.grad)):
+            for parent, g in zip(node._parents, vjp(node.grad)):
                 if parent.requires_grad:
                     if parent.grad is not None:
                         parent.grad = parent.grad + g
@@ -143,22 +145,16 @@ class Tensor:
                         parent.grad = g
                     else:
                         parent.grad = g.astype(parent.data.dtype)
-            node.grad = node._vjp = None
+            node.grad = None
 
     # -- arithmetic and linear algebra -------------------------------------------
 
     def __add__(self, other: "Tensor") -> "Tensor":
         _check_same(self, other, "add")
-        out = _result(self.data + other.data, (self, other))
-        if out._parents:
-            out._vjp = lambda g: (g, g)
-        return out
+        return _result(self.data + other.data, (self, other), lambda g: (g, g))
 
     def scale(self, s: float) -> "Tensor":
-        out = _result(self.data * s, (self,))
-        if out._parents:
-            out._vjp = lambda g: (g * s,)
-        return out
+        return _result(self.data * s, (self,), lambda g: (g * s,))
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         """Matrix product of two matrices, or of two equal-size stacks of
@@ -169,11 +165,9 @@ class Tensor:
                              f"got {_shape(self)} and {_shape(other)}")
         if a.shape[-1] != b.shape[-2]:
             raise ShapeError(f"matmul: inner dimensions of {_shape(self)} and {_shape(other)} disagree")
-        out = _result(a @ b, (self, other))
-        if out._parents:
-            need_a, need_b = self.requires_grad, other.requires_grad
-            out._vjp = lambda g: (g @ _swap(b) if need_a else None, _swap(a) @ g if need_b else None)
-        return out
+        need_a, need_b = self.requires_grad, other.requires_grad
+        return _result(a @ b, (self, other),
+                       lambda g: (g @ _swap(b) if need_a else None, _swap(a) @ g if need_b else None))
 
     # -- structure -------------------------------------------------------------------
 
@@ -183,23 +177,18 @@ class Tensor:
             raise ShapeError(f"reshape: {_shape(self)} has {self.data.size} elements, target {list(shape)}")
         before = self.data.shape
         # a view when the layout allows; safe because no op writes into an input
-        out = _result(self.data.reshape(shape), (self,))
-        if out._parents:
-            out._vjp = lambda g: (g.reshape(before),)
-        return out
+        return _result(self.data.reshape(shape), (self,), lambda g: (g.reshape(before),))
 
     def slice_rows(self, start: int, stop: int) -> "Tensor":
         if self.data.ndim < 1 or not 0 <= start < stop <= self.data.shape[0]:
             raise ShapeError(f"slice_rows[{start}:{stop}] invalid for shape {_shape(self)}")
         x = self.data
-        out = _result(x[start:stop].copy(), (self,))
-        if out._parents:
-            def vjp(g):
-                z = np.zeros_like(x)
-                z[start:stop] = g
-                return (z,)
-            out._vjp = vjp
-        return out
+
+        def vjp(g):
+            z = np.zeros_like(x)
+            z[start:stop] = g
+            return (z,)
+        return _result(x[start:stop].copy(), (self,), vjp)
 
     def take_rows(self, index) -> "Tensor":
         """Rows picked by an integer array of any shape: with the tensor seen
@@ -215,18 +204,13 @@ class Tensor:
         n, width = rows.shape
         if idx.size and (idx.min() < -1 or idx.max() >= n):
             raise ShapeError(f"take_rows: index out of range for {n} rows of {_shape(self)}")
-        out = _result(_take(rows, idx), (self,))
-        if out._parents:
-            shape, dtype = x.shape, x.dtype
 
-            def vjp(g):
-                # -1 (a zero row) scatters into an extra row that is dropped
-                flat = (idx.reshape(-1, 1) % (n + 1)) * width + np.arange(width)
-                total = np.bincount(flat.reshape(-1), weights=g.reshape(-1),
-                                    minlength=(n + 1) * width)
-                return (total[:n * width].reshape(shape).astype(dtype, copy=False),)
-            out._vjp = vjp
-        return out
+        def vjp(g):
+            # -1 (a zero row) scatters into an extra row that is dropped
+            flat = (idx.reshape(-1, 1) % (n + 1)) * width + np.arange(width)
+            total = np.bincount(flat.reshape(-1), weights=g.reshape(-1), minlength=(n + 1) * width)
+            return (total[:n * width].reshape(x.shape).astype(x.dtype, copy=False),)
+        return _result(_take(rows, idx), (self,), vjp)
 
 
 # -- free functions --------------------------------------------------------------
@@ -243,20 +227,17 @@ def concat(tensors, axis: int) -> Tensor:
         s = t.data.shape
         if len(s) != len(ref) or any(s[i] != ref[i] for i in range(len(ref)) if i != ax):
             raise ShapeError(f"concat(axis={axis}): shapes {[list(x.data.shape) for x in tensors]} disagree")
-    out = _result(np.concatenate([t.data for t in tensors], axis=ax), tensors)
-    if out._parents:
-        sizes = [t.data.shape[ax] for t in tensors]
+    arrays = [t.data for t in tensors]
 
-        def vjp(g):
-            index = [slice(None)] * g.ndim
-            grads, start = [], 0
-            for size in sizes:
-                index[ax] = slice(start, start + size)
-                grads.append(g[tuple(index)])
-                start += size
-            return tuple(grads)
-        out._vjp = vjp
-    return out
+    def vjp(g):
+        index = [slice(None)] * g.ndim
+        grads, start = [], 0
+        for arr in arrays:
+            index[ax] = slice(start, start + arr.shape[ax])
+            grads.append(g[tuple(index)])
+            start += arr.shape[ax]
+        return tuple(grads)
+    return _result(np.concatenate(arrays, axis=ax), tensors, vjp)
 
 
 # -- layer primitives: one node each, with a closed-form adjoint --------------------
@@ -269,12 +250,9 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     a, w = x.data, weight.data
     val = a @ w
     val += bias.data
-    out = _result(val, (x, weight, bias))
-    if out._parents:
-        need_x, need_w = x.requires_grad, weight.requires_grad
-        out._vjp = lambda g: (g @ w.T if need_x else None, a.T @ g if need_w else None,
-                              np.ones(len(g), g.dtype) @ g)
-    return out
+    need_x, need_w = x.requires_grad, weight.requires_grad
+    return _result(val, (x, weight, bias), lambda g: (
+        g @ w.T if need_x else None, a.T @ g if need_w else None, np.ones(len(g), g.dtype) @ g))
 
 
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -292,19 +270,16 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     np.tanh(h, out=h)
     val = h @ v2
     val += b2.data
-    out = _result(val, (x, w1, b1, w2, b2))
-    if out._parents:
-        need_x = x.requires_grad
+    need_x = x.requires_grad
 
-        def vjp(g):
-            ones = np.ones(len(g), g.dtype)
-            gh = g @ v2.T
-            slope = h * h
-            np.subtract(1.0, slope, out=slope)
-            gh *= slope
-            return gh @ v1.T if need_x else None, a.T @ gh, ones @ gh, h.T @ g, ones @ g
-        out._vjp = vjp
-    return out
+    def vjp(g):
+        ones = np.ones(len(g), g.dtype)
+        gh = g @ v2.T
+        slope = h * h
+        np.subtract(1.0, slope, out=slope)
+        gh *= slope
+        return gh @ v1.T if need_x else None, a.T @ gh, ones @ gh, h.T @ g, ones @ g
+    return _result(val, (x, w1, b1, w2, b2), vjp)
 
 
 def layer_norm(x: Tensor, residual: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
@@ -332,31 +307,28 @@ def layer_norm(x: Tensor, residual: Tensor, gain: Tensor, bias: Tensor, eps: flo
     w = gain.data
     val = xhat * w
     val += bias.data
-    out = _result(val, (x, residual, gain, bias))
-    if out._parents:
-        def vjp(g):
-            # row means and column sums as matrix-vector products, which cost
-            # less than .mean and .sum along short rows
-            means, ones = np.full(xhat.shape[1], inv_n, xhat.dtype), np.ones(len(g), g.dtype)
-            dx = g * w
-            part = dx * xhat
-            dx -= (dx @ means)[:, None]
-            np.multiply(xhat, (part @ means)[:, None], out=part)
-            dx -= part
-            dx /= std
-            np.multiply(g, xhat, out=part)
-            return dx, dx, ones @ part, ones @ g
-        out._vjp = vjp
-    return out
+
+    def vjp(g):
+        # row means and column sums as matrix-vector products, which cost
+        # less than .mean and .sum along short rows
+        means, ones = np.full(xhat.shape[1], inv_n, xhat.dtype), np.ones(len(g), g.dtype)
+        dx = g * w
+        part = dx * xhat
+        dx -= (dx @ means)[:, None]
+        np.multiply(xhat, (part @ means)[:, None], out=part)
+        dx -= part
+        dx /= std
+        np.multiply(g, xhat, out=part)
+        return dx, dx, ones @ part, ones @ g
+    return _result(val, (x, residual, gain, bias), vjp)
 
 
 def cosine_margin(x: Tensor, positives, negatives, alpha: float) -> Tensor:
     """Mean triplet hinge max(0, alpha - cos(x_a, x_p) + cos(x_a, x_n)) over
     every row a of x [N x d], every p in ``positives[a]`` and every n in
     ``negatives[a]`` (integer [N x P] and [N x Q], padded with -1). A zero
-    row has cosine 0 with every row and gets a zero gradient. Squared norms
-    are summed in float64, where no float32 square underflows; a float64 row
-    whose entries all lie below about 1e-162 squares to 0 and counts as zero.
+    row (one whose ``_square_norms`` is 0) has cosine 0 with every row and
+    gets a zero gradient.
 
     The rows are normalized (zero rows stay 0) into U and C = U Uᵀ; each
     anchor's hinges are one [P x Q] broadcast of two gathered rows of C, so
@@ -376,7 +348,7 @@ def cosine_margin(x: Tensor, positives, negatives, alpha: float) -> Tensor:
     count = int(((pos >= 0).sum(axis=1) * (neg >= 0).sum(axis=1)).sum())
     if count == 0:
         raise ShapeError("cosine_margin: no (anchor, positive, negative) triple")
-    sq = np.square(a, dtype=np.float64).sum(axis=-1, keepdims=True)
+    sq = _square_norms(a)
     keep = sq != 0.0
     norm = np.sqrt(sq + ~keep).astype(a.dtype, copy=False)   # 1 on zero rows, masked below
     unit = a / norm
@@ -393,20 +365,17 @@ def cosine_margin(x: Tensor, positives, negatives, alpha: float) -> Tensor:
     hinge = table[rows, neg][:, None, :] - table[rows, pos][:, :, None]     # [N x P x Q]
     hinge += alpha
     active = hinge > 0.0
-    out = _result(np.maximum(hinge, 0.0, out=hinge).sum() * (1.0 / count), (x,))
-    if out._parents:
-        dtype, width = a.dtype, n + 2
+
+    def vjp(g):
+        width = n + 2
         flat = np.concatenate([(rows * width + pos).reshape(-1), (rows * width + neg).reshape(-1)])
         counts = np.concatenate([-active.sum(axis=2).reshape(-1), active.sum(axis=1).reshape(-1)])
-
-        def vjp(g):
-            weights = counts * (float(g) * (1.0 / count))
-            dc = np.bincount(flat, weights=weights, minlength=n * width).reshape(n, width)[:, :n]
-            du = (dc + dc.T).astype(dtype, copy=False) @ unit
-            du *= keep
-            return ((du - unit * (du * unit).sum(axis=-1, keepdims=True)) / norm,)
-        out._vjp = vjp
-    return out
+        weights = counts * (float(g) * (1.0 / count))
+        dc = np.bincount(flat, weights=weights, minlength=n * width).reshape(n, width)[:, :n]
+        du = (dc + dc.T).astype(a.dtype, copy=False) @ unit
+        du *= keep
+        return ((du - unit * (du * unit).sum(axis=-1, keepdims=True)) / norm,)
+    return _result(np.maximum(hinge, 0.0, out=hinge).sum() * (1.0 / count), (x,), vjp)
 
 
 def softmax_nll(logits: Tensor, labels) -> Tensor:
@@ -431,22 +400,22 @@ def softmax_nll(logits: Tensor, labels) -> Tensor:
     shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=-1, keepdims=True)
-    out = _result((np.log(total) - shifted[rows, idx][:, None]).sum() * (1.0 / n), (logits,))
-    if out._parents:
-        def vjp(g):
-            dx = e / total
-            dx[rows, idx] -= 1.0
-            dx *= g * (1.0 / n)
-            return (dx,)
-        out._vjp = vjp
-    return out
+
+    def vjp(g):
+        dx = e / total
+        dx[rows, idx] -= 1.0
+        dx *= g * (1.0 / n)
+        return (dx,)
+    return _result((np.log(total) - shifted[rows, idx][:, None]).sum() * (1.0 / n), (logits,), vjp)
 
 
 def attention(x: Tensor, ctx: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
-              heads: int, seg, ctx_seg) -> Tensor:
+              heads: int, seg, ctx_seg):
     """Multi-head scaled dot-product attention with its projections, on
     packed rows: per sequence and head, softmax(q kᵀ / sqrt(d_head)) v, and
-    the packed result times ``wo``.
+    the packed result times ``wo``. Returns that and, as values only, the
+    weights [B*heads x T_max x T_ctx_max] (block b*heads + i is sequence b's
+    head i; rows and columns past a sequence's length are padding).
 
     The queries are q = x ``wq`` for ``x`` [sum(T) x d] (layout ``seg``), the
     keys and values k = c ``wk`` and v = c ``wv`` for the context c = ``ctx``
@@ -484,40 +453,27 @@ def attention(x: Tensor, ctx: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Te
     weights = _softmax_blocks(qh, kh, pad)
     o = (weights @ vh).reshape(-1, d_head).take(back_q, axis=0).reshape(a.shape)
     w_out = wo.data
-    out = _result(o @ w_out, (x, ctx, wq, wk, wv, wo))
-    if out._parents:
-        need_x, need_c = x.requires_grad, ctx.requires_grad
-        ones = np.ones(kh.shape[1], dtype)
+    need_x, need_c = x.requires_grad, ctx.requires_grad
 
-        def vjp(g):
-            # the output's adjoint as blocks, with a zero row (the last) on the padding
-            go = np.empty((a.shape[0] * heads + 1, d_head), dtype)
-            go[-1] = 0.0
-            np.matmul(g, w_out.T, out=go[:-1].reshape(a.shape))
-            go = go.take(zero_q, axis=0)
-            gs = go @ np.ascontiguousarray(_swap(vh))
-            gs -= ((gs * weights) @ ones)[..., None]
-            gs *= weights
-            d_kv = np.empty((2, *kh.shape), dtype)
-            np.matmul(_swap(gs), qh, out=d_kv[0])
-            np.matmul(_swap(weights), go, out=d_kv[1])
-            d_kv = d_kv.reshape(2, -1, d_head).take(back_c, axis=1).reshape(2, -1, d)
-            d_c = np.matmul(d_kv, _swap(w_kv)).sum(axis=0) if need_c else None
-            dq = (gs @ kh).reshape(-1, d_head).take(back_q, axis=0).reshape(a.shape)
-            d_wq = a.T @ dq
-            d_wq *= scale
-            return (dq @ w_q.T if need_x else None, d_c, d_wq, *np.matmul(c.T, d_kv), o.T @ g)
-        out._vjp = vjp
-    return out
-
-
-def attention_weights(q: np.ndarray, k: np.ndarray, heads: int, seg, ctx_seg) -> np.ndarray:
-    """Values only: the weights ``attention`` gives the keys, from the
-    projected rows ``q`` and ``k``: [B*heads x T_max x T_ctx_max]."""
-    d_head = q.shape[1] // heads
-    into, _, _, pad = ctx_seg.head_blocks(heads)
-    qh = (q * (1.0 / math.sqrt(d_head))).reshape(-1, d_head).take(seg.head_blocks(heads)[0], axis=0)
-    return _softmax_blocks(qh, k.reshape(-1, d_head).take(into, axis=0), pad)
+    def vjp(g):
+        # the output's adjoint as blocks, with a zero row (the last) on the padding
+        go = np.empty((a.shape[0] * heads + 1, d_head), dtype)
+        go[-1] = 0.0
+        np.matmul(g, w_out.T, out=go[:-1].reshape(a.shape))
+        go = go.take(zero_q, axis=0)
+        gs = go @ np.ascontiguousarray(_swap(vh))
+        gs -= ((gs * weights) @ np.ones(kh.shape[1], dtype))[..., None]
+        gs *= weights
+        d_kv = np.empty((2, *kh.shape), dtype)
+        np.matmul(_swap(gs), qh, out=d_kv[0])
+        np.matmul(_swap(weights), go, out=d_kv[1])
+        d_kv = d_kv.reshape(2, -1, d_head).take(back_c, axis=1).reshape(2, -1, d)
+        d_c = np.matmul(d_kv, _swap(w_kv)).sum(axis=0) if need_c else None
+        dq = (gs @ kh).reshape(-1, d_head).take(back_q, axis=0).reshape(a.shape)
+        d_wq = a.T @ dq
+        d_wq *= scale
+        return (dq @ w_q.T if need_x else None, d_c, d_wq, *np.matmul(c.T, d_kv), o.T @ g)
+    return _result(o @ w_out, (x, ctx, wq, wk, wv, wo), vjp), weights
 
 
 def gru(pre: Tensor, u_zr: Tensor, u_h: Tensor, seg) -> Tensor:
@@ -560,36 +516,34 @@ def gru(pre: Tensor, u_zr: Tensor, u_h: Tensor, seg) -> Tensor:
         keep = 1.0 - z
         keep *= h
         np.add(keep, z * cand, out=hs[t * b + b:t * b + 2 * b])
-    out = _result(hs[b:][from_time_major], (pre, u_zr, u_h))
-    if out._parents:
-        def vjp(g):
-            gh = _take(g, time_major)
-            h_prev, z, r = hs[:-b], zr[:, :d], zr[:, d:]
-            # the factors that do not depend on the running adjoint dh, for all
-            # steps at once: dh to the adjoints of pre_z + h u_z and of
-            # pre_h + (r h) u_h, and d(r h) to that of pre_r + h u_r
-            to_zh = np.empty((len(gh), 2, d), gh.dtype)
-            np.multiply((c - h_prev) * z, 1.0 - z, out=to_zh[:, 0])
-            np.multiply(z, 1.0 - c * c, out=to_zh[:, 1])
-            to_r = h_prev * r * (1.0 - r)
-            keep = 1.0 - z
-            dpre = np.empty((len(gh), 3, d), dtype=gh.dtype)       # columns z | r | h
-            dh = np.zeros((b, d), dtype=gh.dtype)
-            for t in reversed(range(len(gh) // b)):
-                rows = slice(t * b, (t + 1) * b)
-                dh += gh[rows]
-                np.multiply(dh[:, None], to_zh[rows], out=dpre[rows, ::2])
-                d_rh = dpre[rows, 2] @ w_h.T
-                np.multiply(d_rh, to_r[rows], out=dpre[rows, 1])
-                dh *= keep[rows]
-                d_rh *= r[rows]
-                dh += d_rh
-                dh += dpre[rows, :2].reshape(b, 2 * d) @ w_zr.T
-            dpre = dpre.reshape(len(gh), 3 * d)
-            return (dpre[from_time_major], h_prev.T @ dpre[:, :2 * d],
-                    (r * h_prev).T @ dpre[:, 2 * d:])
-        out._vjp = vjp
-    return out
+
+    def vjp(g):
+        gh = _take(g, time_major)
+        h_prev, z, r = hs[:-b], zr[:, :d], zr[:, d:]
+        # the factors that do not depend on the running adjoint dh, for all
+        # steps at once: dh to the adjoints of pre_z + h u_z and of
+        # pre_h + (r h) u_h, and d(r h) to that of pre_r + h u_r
+        to_zh = np.empty((len(gh), 2, d), gh.dtype)
+        np.multiply((c - h_prev) * z, 1.0 - z, out=to_zh[:, 0])
+        np.multiply(z, 1.0 - c * c, out=to_zh[:, 1])
+        to_r = h_prev * r * (1.0 - r)
+        keep = 1.0 - z
+        dpre = np.empty((len(gh), 3, d), dtype=gh.dtype)       # columns z | r | h
+        dh = np.zeros((b, d), dtype=gh.dtype)
+        for t in reversed(range(len(gh) // b)):
+            rows = slice(t * b, (t + 1) * b)
+            dh += gh[rows]
+            np.multiply(dh[:, None], to_zh[rows], out=dpre[rows, ::2])
+            d_rh = dpre[rows, 2] @ w_h.T
+            np.multiply(d_rh, to_r[rows], out=dpre[rows, 1])
+            dh *= keep[rows]
+            d_rh *= r[rows]
+            dh += d_rh
+            dh += dpre[rows, :2].reshape(b, 2 * d) @ w_zr.T
+        dpre = dpre.reshape(len(gh), 3 * d)
+        return (dpre[from_time_major], h_prev.T @ dpre[:, :2 * d],
+                (r * h_prev).T @ dpre[:, 2 * d:])
+    return _result(hs[b:][from_time_major], (pre, u_zr, u_h), vjp)
 
 
 def gated_mix(pre: Tensor, a: Tensor, b: Tensor):
@@ -601,16 +555,14 @@ def gated_mix(pre: Tensor, a: Tensor, b: Tensor):
     _check_same(a, b, "gated_mix")
     s = _sigmoid(pre.data)
     x, y = a.data, b.data
-    out = _result(s * x + (1.0 - s) * y, (pre, a, b))
-    if out._parents:
-        def vjp(g):
-            ds = g * x
-            ds -= g * y
-            ds *= s
-            ds *= 1.0 - s
-            return ds, g * s, g * (1.0 - s)
-        out._vjp = vjp
-    return out, s
+
+    def vjp(g):
+        ds = g * x
+        ds -= g * y
+        ds *= s
+        ds *= 1.0 - s
+        return ds, g * s, g * (1.0 - s)
+    return _result(s * x + (1.0 - s) * y, (pre, a, b), vjp), s
 
 
 def codebook_pool(x: Tensor, centers: Tensor, scales: Tensor, seg):
@@ -641,21 +593,18 @@ def codebook_pool(x: Tensor, centers: Tensor, scales: Tensor, seg):
     row_mass = weights.sum(axis=-1, keepdims=True)          # [sum(T) x 1], 1 up to rounding
     mass = sums @ weights                                   # [B x K]
     inv_len = (1.0 / seg.lengths)[:, None].astype(a.dtype)
-    out = _result((sums @ (a * row_mass) - mass @ c) * inv_len, (x, centers, scales))
-    if out._parents:
-        ids = seg.ids
+    ids = seg.ids
 
-        def vjp(g):
-            gd = g * inv_len
-            gx = gd[ids]
-            dw = (gx * a).sum(axis=-1, keepdims=True) - (gd @ c.T)[ids]
-            dy = weights * (dw - (dw * weights).sum(axis=-1, keepdims=True))
-            q = dy * s
-            dx = gx * row_mass + 2.0 * (q @ c - a * q.sum(axis=-1, keepdims=True))
-            dc = 2.0 * (q.T @ a - c * q.sum(axis=0)[:, None]) - mass.T @ gd
-            return dx, dc, -(dy * dist).sum(axis=0)
-        out._vjp = vjp
-    return out, weights
+    def vjp(g):
+        gd = g * inv_len
+        gx = gd[ids]
+        dw = (gx * a).sum(axis=-1, keepdims=True) - (gd @ c.T)[ids]
+        dy = weights * (dw - (dw * weights).sum(axis=-1, keepdims=True))
+        q = dy * s
+        dx = gx * row_mass + 2.0 * (q @ c - a * q.sum(axis=-1, keepdims=True))
+        dc = 2.0 * (q.T @ a - c * q.sum(axis=0)[:, None]) - mass.T @ gd
+        return dx, dc, -(dy * dist).sum(axis=0)
+    return _result((sums @ (a * row_mass) - mass @ c) * inv_len, (x, centers, scales), vjp), weights
 
 
 def sequence_gate(x: Tensor, pre: Tensor, seg):
@@ -670,33 +619,39 @@ def sequence_gate(x: Tensor, pre: Tensor, seg):
                          f"{seg.count} sequences of {seg.total} rows")
     s = _sigmoid(p)
     rows = s[seg.ids]
-    out = _result(a * rows, (x, pre))
-    if out._parents:
-        starts = seg.offsets[:-1]
+    starts = seg.offsets[:-1]
 
-        def vjp(g):
-            ds = np.add.reduceat(g * a, starts, axis=0)
-            ds *= s
-            ds *= 1.0 - s
-            return g * rows, ds
-        out._vjp = vjp
-    return out, s
+    def vjp(g):
+        ds = np.add.reduceat(g * a, starts, axis=0)
+        ds *= s
+        ds *= 1.0 - s
+        return g * rows, ds
+    return _result(a * rows, (x, pre), vjp), s
 
 
 # -- internals ---------------------------------------------------------------------
 
 
-def _result(data: np.ndarray, parents: tuple) -> Tensor:
-    """The op's output node; it records ``parents`` only when gradients are
-    enabled and some parent requires one (the caller then sets ``_vjp``)."""
+def _result(data: np.ndarray, parents: tuple, vjp) -> Tensor:
+    """The op's output node. It records ``parents`` and the adjoint ``vjp``
+    together, only when gradients are enabled and some parent requires one;
+    otherwise neither, and ``vjp`` is dropped uncalled."""
     out = Tensor(data)
     if _grad_enabled.get():
         for p in parents:   # a plain loop: any(genexpr) costs ~5% of a small step
             if p.requires_grad:
                 out.requires_grad = True
                 out._parents = parents
+                out._vjp = vjp
                 break
     return out
+
+
+def _square_norms(a: np.ndarray) -> np.ndarray:
+    """Row squared norms of the matrix ``a`` as a column, summed in float64,
+    where no float32 square underflows. ``cosine_margin`` zeroes exactly the
+    rows where this is 0 (in float64, entries all below about 1e-162)."""
+    return np.square(a, dtype=np.float64).sum(axis=-1, keepdims=True)
 
 
 def _sigmoid(x: np.ndarray, out=None) -> np.ndarray:

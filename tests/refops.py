@@ -3,9 +3,9 @@ pinned composite references in the tests are built from.
 
 The production ``Tensor`` keeps only the ops ``src/`` calls; these are the
 generic ones the layers were first written with. They are free functions
-on the same node protocol (``tensor._result`` and a ``_vjp`` over captured
-arrays), so a composite built from them runs through the production
-``backward``.
+on the same node protocol, one call to ``tensor._result(value, inputs,
+vjp)`` with an adjoint over captured arrays, so a composite built from them
+runs through the production ``backward``.
 
 Shape discipline is strict: binary elementwise ops demand equal shapes,
 and row and column broadcasts are separately named ops (``add_row``,
@@ -23,86 +23,56 @@ from wavfusion.tensor import Tensor, _check_row, _check_same, _result, _shape, _
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same(a, b, "sub")
-    out = _result(a.data - b.data, (a, b))
-    if out._parents:
-        out._vjp = lambda g: (g, -g)
-    return out
+    return _result(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same(a, b, "mul")
     x, y = a.data, b.data
-    out = _result(x * y, (a, b))
-    if out._parents:
-        out._vjp = lambda g: (g * y, g * x)
-    return out
+    return _result(x * y, (a, b), lambda g: (g * y, g * x))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     _check_same(a, b, "div")
     y = b.data
     val = a.data / y
-    out = _result(val, (a, b))
-    if out._parents:
-        out._vjp = lambda g: (g / y, -g * val / y)
-    return out
+    return _result(val, (a, b), lambda g: (g / y, -g * val / y))
 
 
 def shift(x: Tensor, c: float) -> Tensor:
     """x + c for a python scalar c."""
-    out = _result(x.data + c, (x,))
-    if out._parents:
-        out._vjp = lambda g: (g,)
-    return out
+    return _result(x.data + c, (x,), lambda g: (g,))
 
 
 def sigmoid(x: Tensor) -> Tensor:
     val = _sigmoid(x.data)
-    out = _result(val, (x,))
-    if out._parents:
-        out._vjp = lambda g: (g * val * (1.0 - val),)
-    return out
+    return _result(val, (x,), lambda g: (g * val * (1.0 - val),))
 
 
 def tanh(x: Tensor) -> Tensor:
     val = np.tanh(x.data)
-    out = _result(val, (x,))
-    if out._parents:
-        out._vjp = lambda g: (g * (1.0 - val * val),)
-    return out
+    return _result(val, (x,), lambda g: (g * (1.0 - val * val),))
 
 
 def exp(x: Tensor) -> Tensor:
     val = np.exp(x.data)
-    out = _result(val, (x,))
-    if out._parents:
-        out._vjp = lambda g: (g * val,)
-    return out
+    return _result(val, (x,), lambda g: (g * val,))
 
 
 def sqrt(x: Tensor) -> Tensor:
     val = np.sqrt(x.data)
-    out = _result(val, (x,))
-    if out._parents:
-        out._vjp = lambda g: (g * 0.5 / val,)
-    return out
+    return _result(val, (x,), lambda g: (g * 0.5 / val,))
 
 
 def log(x: Tensor) -> Tensor:
     a = x.data
-    out = _result(np.log(a), (x,))
-    if out._parents:
-        out._vjp = lambda g: (g / a,)
-    return out
+    return _result(np.log(a), (x,), lambda g: (g / a,))
 
 
 def relu(x: Tensor) -> Tensor:
     # subgradient 0 at the kink
     a = x.data
-    out = _result(np.maximum(a, 0.0), (x,))
-    if out._parents:
-        out._vjp = lambda g: (g * (a > 0),)
-    return out
+    return _result(np.maximum(a, 0.0), (x,), lambda g: (g * (a > 0),))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -110,10 +80,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     if not -x.data.ndim <= axis < x.data.ndim:
         raise ShapeError(f"softmax: axis {axis} out of bounds for shape {_shape(x)}")
     val = _softmax(x.data, axis)
-    out = _result(val, (x,))
-    if out._parents:
-        out._vjp = lambda g: (val * (g - (g * val).sum(axis=axis, keepdims=True)),)
-    return out
+    return _result(val, (x,), lambda g: (val * (g - (g * val).sum(axis=axis, keepdims=True)),))
 
 
 # -- structure and reductions ---------------------------------------------------------
@@ -123,27 +90,18 @@ def transpose(x: Tensor) -> Tensor:
     """Swap the last two axes of a matrix or a stack of matrices."""
     if x.data.ndim not in (2, 3):
         raise ShapeError(f"transpose needs a rank-2 or rank-3 tensor; got {_shape(x)}")
-    out = _result(np.swapaxes(x.data, -1, -2).copy(), (x,))
-    if out._parents:
-        out._vjp = lambda g: (np.swapaxes(g, -1, -2),)
-    return out
+    return _result(np.swapaxes(x.data, -1, -2).copy(), (x,), lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def sum(x: Tensor) -> Tensor:   # noqa: A001 - the op's name
     shape = x.data.shape
-    out = _result(x.data.sum(), (x,))
-    if out._parents:
-        out._vjp = lambda g: (np.broadcast_to(g, shape),)
-    return out
+    return _result(x.data.sum(), (x,), lambda g: (np.broadcast_to(g, shape),))
 
 
 def sum_last_keep(x: Tensor) -> Tensor:
     """Sum over the last axis, keeping it as size 1."""
     shape = x.data.shape
-    out = _result(x.data.sum(axis=-1, keepdims=True), (x,))
-    if out._parents:
-        out._vjp = lambda g: (np.broadcast_to(g, shape),)
-    return out
+    return _result(x.data.sum(axis=-1, keepdims=True), (x,), lambda g: (np.broadcast_to(g, shape),))
 
 
 def gather(x: Tensor, rows, cols) -> Tensor:
@@ -159,11 +117,8 @@ def gather(x: Tensor, rows, cols) -> Tensor:
     if r.size and (r.min() < 0 or r.max() >= m or c.min() < 0 or c.max() >= n):
         raise ShapeError(f"gather: index out of range for {_shape(x)}")
     dtype = x.data.dtype
-    out = _result(x.data[r, c], (x,))
-    if out._parents:
-        out._vjp = lambda g: (
-            np.bincount(r * n + c, weights=g, minlength=m * n).reshape(m, n).astype(dtype),)
-    return out
+    return _result(x.data[r, c], (x,), lambda g: (
+        np.bincount(r * n + c, weights=g, minlength=m * n).reshape(m, n).astype(dtype),))
 
 
 # -- named broadcasts (matrix with row / column vector) -----------------------------------
@@ -176,54 +131,36 @@ def _check_col(a: Tensor, c: Tensor, op: str):
 
 def add_row(x: Tensor, v: Tensor) -> Tensor:
     _check_row(x, v, "add_row")
-    out = _result(x.data + v.data, (x, v))
-    if out._parents:
-        out._vjp = lambda g: (g, g.sum(axis=0))
-    return out
+    return _result(x.data + v.data, (x, v), lambda g: (g, g.sum(axis=0)))
 
 
 def mul_row(x: Tensor, v: Tensor) -> Tensor:
     _check_row(x, v, "mul_row")
     a, r = x.data, v.data
-    out = _result(a * r, (x, v))
-    if out._parents:
-        out._vjp = lambda g: (g * r, (g * a).sum(axis=0))
-    return out
+    return _result(a * r, (x, v), lambda g: (g * r, (g * a).sum(axis=0)))
 
 
 def add_col(x: Tensor, c: Tensor) -> Tensor:
     _check_col(x, c, "add_col")
-    out = _result(x.data + c.data, (x, c))
-    if out._parents:
-        out._vjp = lambda g: (g, g.sum(axis=1, keepdims=True))
-    return out
+    return _result(x.data + c.data, (x, c), lambda g: (g, g.sum(axis=1, keepdims=True)))
 
 
 def sub_col(x: Tensor, c: Tensor) -> Tensor:
     _check_col(x, c, "sub_col")
-    out = _result(x.data - c.data, (x, c))
-    if out._parents:
-        out._vjp = lambda g: (g, -g.sum(axis=1, keepdims=True))
-    return out
+    return _result(x.data - c.data, (x, c), lambda g: (g, -g.sum(axis=1, keepdims=True)))
 
 
 def mul_col(x: Tensor, c: Tensor) -> Tensor:
     _check_col(x, c, "mul_col")
     a, col = x.data, c.data
-    out = _result(a * col, (x, c))
-    if out._parents:
-        out._vjp = lambda g: (g * col, (g * a).sum(axis=1, keepdims=True))
-    return out
+    return _result(a * col, (x, c), lambda g: (g * col, (g * a).sum(axis=1, keepdims=True)))
 
 
 def div_col(x: Tensor, c: Tensor) -> Tensor:
     _check_col(x, c, "div_col")
     col = c.data
     val = x.data / col
-    out = _result(val, (x, c))
-    if out._parents:
-        out._vjp = lambda g: (g / col, -(g * val / col).sum(axis=1, keepdims=True))
-    return out
+    return _result(val, (x, c), lambda g: (g / col, -(g * val / col).sum(axis=1, keepdims=True)))
 
 
 def probe(x: Tensor, weights) -> Tensor:

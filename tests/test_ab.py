@@ -22,6 +22,7 @@ def test_same_tree_is_exact_and_as_fast():
     result = ab.compare(ROOT / "src", ROOT / "src", "margin-b16", steps=8, seed=3)
     assert len(result["parent"]) == len(result["change"]) == 8
     assert result["loss_diff"] == 0.0 and result["grad_diff"] == 0.0
+    assert result["logit_diff"] == 0.0
     assert 0.5 < result["ratio"] < 2.0
 
 

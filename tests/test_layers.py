@@ -6,6 +6,7 @@ import pytest
 
 import refops as R
 from helpers import fd_max_rel_error, rand, whole
+from wavfusion import tensor as T
 from wavfusion.errors import ConfigError, ShapeError
 from wavfusion.layers import Attention, Conv1d, Gru, LayerNorm, Linear, LvcBlock, Module
 from wavfusion.rng import Prng
@@ -219,9 +220,21 @@ class TestAttention:
 
     def test_weights_are_distributions(self):
         layer = Attention(6, 2, Prng(4))
-        for w in layer.attention_weights(Tensor(rand((4, 6), seed=18))):
+        x = Tensor(rand((4, 6), seed=18))
+        for w in layer.attention_weights(x, x):
             npt.assert_allclose(w.sum(axis=-1), np.ones(4), atol=1e-6)
             assert (w >= 0).all()
+
+    def test_inspected_weights_are_the_forwards(self):
+        layer = Attention(16, 2, Prng(6))
+        x = Tensor(rand((7, 16), seed=20), requires_grad=True)
+        ctx = Tensor(rand((5, 16), seed=21))
+        _, weights = T.attention(x, ctx, layer.wq, layer.wk, layer.wv, layer.wo, 2, whole(x),
+                                 whole(ctx))
+        inspected = layer.attention_weights(x, ctx)
+        assert len(inspected) == 2
+        for w, ref in zip(inspected, weights):
+            assert w.shape == (7, 5) and np.array_equal(w, ref)
 
     def test_head_mismatch_rejected(self):
         with pytest.raises(ConfigError):

@@ -245,6 +245,26 @@ class TestMarginLossParity:
         for got, want in zip(tiny_grads, grads):
             npt.assert_allclose(got * 1e-23, want, rtol=1e-4, atol=1e-6)
 
+    def test_float64_rows_below_squared_underflow_count_as_zero(self, caplog):
+        # float64 entries below about 1e-162 square to 0, and cosine_margin
+        # zeroes such a row: the loss warns of, or in strict mode rejects,
+        # exactly those rows, and none above
+        batch, vectors = trimodal_batch(4, seed=42, d=8)
+        triplets = build_triplets(batch)
+
+        def loss_at(scale, strict=False):
+            rows = [Tensor(v[None, :] * scale) for v in vectors]
+            return float(margin_loss(rows, triplets, 0.5, strict=strict).data)
+
+        with caplog.at_level(logging.WARNING, logger="wavfusion.losses"):
+            assert abs(loss_at(1e-155, strict=True) - loss_at(1.0)) < 1e-12
+            assert not caplog.records
+            with pytest.raises(DataError, match="zero-norm"):
+                loss_at(1e-170, strict=True)
+            assert loss_at(1e-170) == 0.5       # every cosine 0: each hinge is alpha
+        assert [rec.message for rec in caplog.records] == [
+            "margin loss: 12 zero-norm embedding(s); treating their cosines as 0"]
+
     def test_node_count_is_independent_of_batch_size(self):
         # one node over an Embeddings matrix, plus the concat of a list of
         # rows; the gather form took 16

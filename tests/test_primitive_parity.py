@@ -63,15 +63,17 @@ def composite_attention_core(q, k, v, heads, seg, ctx_seg):
     scores = (blocks(q, seg) @ R.transpose(blocks(k, ctx_seg))).scale(1.0 / math.sqrt(d_head))
     mask = np.repeat(np.where(ctx_seg.valid, 0.0, -np.inf), heads, axis=0)[:, None, :]
     mask = Tensor(np.broadcast_to(mask, scores.shape).astype(scores.data.dtype))
-    out = R.softmax(scores + mask, axis=-1) @ blocks(v, ctx_seg)
+    weights = R.softmax(scores + mask, axis=-1)
+    out = weights @ blocks(v, ctx_seg)
     back = (seg.ids[:, None] * heads + np.arange(heads)) * seg.t_max + seg.positions[:, None]
-    return out.take_rows(back).reshape((seg.total, q.shape[1]))
+    return out.take_rows(back).reshape((seg.total, q.shape[1])), weights.data
 
 
 def composite_attention(x, ctx, wq, wk, wv, wo, heads, seg, ctx_seg):
     """Attention as five nodes before it was one: the three projections,
-    the core (here its composite) and the output map."""
-    return composite_attention_core(x @ wq, ctx @ wk, ctx @ wv, heads, seg, ctx_seg) @ wo
+    the core (here its composite) and the output map; with the weights."""
+    out, weights = composite_attention_core(x @ wq, ctx @ wk, ctx @ wv, heads, seg, ctx_seg)
+    return out @ wo, weights
 
 
 def columns(x, start, stop):
@@ -260,12 +262,12 @@ class TestAttentionCore:
     def ops(heads, lengths, ctx_lengths):
         seg = Segments(lengths)
         if ctx_lengths is None:
-            return (lambda x, *ws: T.attention(x, x, *ws, heads, seg, seg),
-                    lambda x, *ws: composite_attention(x, x, *ws, heads, seg, seg),
+            return (lambda x, *ws: T.attention(x, x, *ws, heads, seg, seg)[0],
+                    lambda x, *ws: composite_attention(x, x, *ws, heads, seg, seg)[0],
                     [(seg.total, 8)] + [(8, 8)] * 4)
         ctx_seg = Segments(ctx_lengths)
-        return (lambda x, c, *ws: T.attention(x, c, *ws, heads, seg, ctx_seg),
-                lambda x, c, *ws: composite_attention(x, c, *ws, heads, seg, ctx_seg),
+        return (lambda x, c, *ws: T.attention(x, c, *ws, heads, seg, ctx_seg)[0],
+                lambda x, c, *ws: composite_attention(x, c, *ws, heads, seg, ctx_seg)[0],
                 [(seg.total, 8), (ctx_seg.total, 8)] + [(8, 8)] * 4)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])

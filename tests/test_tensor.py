@@ -439,12 +439,11 @@ class TestLayerPrimitives:
         seg, ctx_seg = Segments([2, 3]), Segments([3, 1])
         x, ctx, *ws = (Tensor(rand(s, seed=14 + i), requires_grad=True)
                        for i, s in enumerate([(5, 4), (4, 4)] + [(4, 4)] * 4))
-        weights = T.attention_weights(x.data @ ws[0].data, ctx.data @ ws[1].data, 2, seg, ctx_seg)
+        full, weights = T.attention(x, ctx, *ws, 2, seg, ctx_seg)
         assert weights.shape == (4, 3, 3)
         npt.assert_array_equal(weights[2:, :, 1:], 0.0)     # sequence 1 has one key
         npt.assert_allclose(weights.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
         probe = rand((5, 4), seed=17)
-        full = T.attention(x, ctx, *ws, 2, seg, ctx_seg)
         R.probe(full, probe).backward()
         # each sequence alone, with nothing to pad, gives the same rows and
         # gradients, and the weights' gradients add up over the sequences
@@ -453,7 +452,7 @@ class TestLayerPrimitives:
             parts = [Tensor(t.data[r], requires_grad=True) for t, r in ((x, rows), (ctx, ctx_rows))]
             alone_ws = [Tensor(w.data, requires_grad=True) for w in ws]
             alone = T.attention(*parts, *alone_ws, 2, Segments([len(parts[0].data)]),
-                                Segments([len(parts[1].data)]))
+                                Segments([len(parts[1].data)]))[0]
             npt.assert_allclose(alone.data, full.data[rows], rtol=0, atol=1e-15)
             R.probe(alone, probe[rows]).backward()
             for part, whole, r in zip(parts, (x, ctx), (rows, ctx_rows)):
@@ -503,7 +502,7 @@ class TestLayerPrimitives:
             T.cosine_margin(x, [[1], [0], [-1]], [[-1], [-1], [0]], 0.5)
         w = Tensor(np.zeros((4, 4)))
         seg = Segments([1, 2])
-        assert T.attention(x, x, w, w, w, w, 2, seg, seg).shape == (3, 4)
+        assert T.attention(x, x, w, w, w, w, 2, seg, seg)[0].shape == (3, 4)
         for bad in ((x, x, w, w, w, w, 3, Segments([3]), Segments([3])),  # 4 % 3 heads
                     (x, Tensor(np.zeros((2, 3))), w, w, w, w, 2, Segments([3]), Segments([2])),
                     (x, x, w, w, Tensor(np.zeros((4, 3))), w, 2, Segments([3]), Segments([3])),
@@ -563,10 +562,10 @@ OPS = {
     # where x is also the context
     "attention_core": ([(5, 4), (4, 4)] + [(4, 4)] * 4,
                        lambda x, c, *ws: T.attention(x, c, *ws, 2, Segments([2, 3]),
-                                                     Segments([3, 1]))),
+                                                     Segments([3, 1]))[0]),
     "attention_self": ([(5, 4)] + [(4, 4)] * 4,
                        lambda x, *ws: T.attention(x, x, *ws, 2, Segments([2, 3]),
-                                                  Segments([2, 3]))),
+                                                  Segments([2, 3]))[0]),
     "gru": ([(5, 9), (3, 6), (3, 3)],
             lambda pre, u_zr, u_h: T.gru(pre, u_zr, u_h, Segments([1, 4]))),
     "gated_mix": ([(3, 4), (3, 4), (3, 4)], lambda p, a, b: T.gated_mix(p, a, b)[0]),
@@ -617,6 +616,11 @@ class TestNodeProtocol:
         with T.no_grad():
             out = OPS[name][1](*ins)
         assert out._parents == () and out._vjp is None
+        # recording, but no input needs a gradient: no node either
+        for t in ins:
+            t.requires_grad = False
+        out = OPS[name][1](*ins)
+        assert out._parents == () and out._vjp is None and not out.requires_grad
 
     @pytest.mark.parametrize("name", sorted(OPS))
     def test_inputs_and_adjoint_are_never_written(self, name):

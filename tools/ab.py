@@ -11,8 +11,10 @@ are set to the change's, so the differences printed are one step's.
 
 Prints each side's median and quartiles of step time (forward, backward and
 Adam, as ``perfbench`` times a step), the steps the change won, and the
-largest difference in the loss and in any parameter gradient. ``--exact``
-exits 1 unless both are 0.
+largest difference in the loss and in any parameter gradient. After the
+steps, both sides take the same parameters and run one no-grad forward pass
+over the first 64 held-out utterances; the largest difference in their
+logits is printed too. ``--exact`` exits 1 unless all three are 0.
 """
 
 from __future__ import annotations
@@ -86,6 +88,11 @@ class Side:
         self.times.append(paused - started + time.perf_counter() - resumed)
         return float(loss.data), grads
 
+    def logits(self, samples):
+        """The logits of one no-grad packed forward pass over ``samples``."""
+        with self.pkg.tensor.no_grad():
+            return self.model.forward_batch(samples, self.cfg.mask()).logits.data
+
 
 def batches(rng, train_set, size: int, seed: int):
     """Training batches in the order ``train.train`` draws them, epoch after epoch."""
@@ -110,7 +117,7 @@ def compare(parent_src: Path, change_src: Path, workload_name: str, steps: int, 
     a, b = sides = [Side(pkg, workload, bench.COMMON, seed, dataset) for pkg in (parent, change)]
     if a.params.keys() != b.params.keys():
         raise SystemExit("ab: the two trees name their parameters differently")
-    train_set = change.data.split(dataset.samples, b.cfg.split_policy())[0]
+    train_set, val_set, test_set = change.data.split(dataset.samples, b.cfg.split_policy())
     loss_diff, grad_diff, worst = 0.0, 0.0, ""
     for i, chunk in zip(range(steps), batches(change.rng, train_set, b.cfg.batch_size, seed)):
         for name, p in a.params.items():
@@ -127,10 +134,16 @@ def compare(parent_src: Path, change_src: Path, workload_name: str, steps: int, 
                     else float(np.max(np.abs(g.astype(np.float64) - ref))))
             if diff > grad_diff:
                 grad_diff, worst = diff, name
+    for name, p in a.params.items():
+        p.data[...] = b.params[name].data
+    held_out = (val_set + test_set)[:64]
+    logit_diff = float(np.max(np.abs(b.logits(held_out).astype(np.float64)
+                                     - a.logits(held_out))))
     return {"parent": a.times, "change": b.times,
             "wins": sum(ta > tb for ta, tb in zip(a.times, b.times)),
             "ratio": statistics.median(b.times) / statistics.median(a.times),
-            "loss_diff": loss_diff, "grad_diff": grad_diff, "worst": worst}
+            "loss_diff": loss_diff, "grad_diff": grad_diff, "worst": worst,
+            "logit_diff": logit_diff}
 
 
 def main(argv=None) -> int:
@@ -140,7 +153,8 @@ def main(argv=None) -> int:
     parser.add_argument("--steps", type=int, default=100, help="training steps per side")
     parser.add_argument("--seed", type=int, default=1, help="seed of the data and the model")
     parser.add_argument("--exact", action="store_true",
-                        help="exit 1 unless the loss and every gradient are bit-identical")
+                        help="exit 1 unless the loss, every gradient and the no-grad "
+                             "logits are bit-identical")
     args = parser.parse_args(argv)
     if args.steps < 2:
         parser.error("--steps must be at least 2")
@@ -155,7 +169,8 @@ def main(argv=None) -> int:
           f"{args.steps} steps")
     print(f"  max |loss diff| {r['loss_diff']:.3e}; max |gradient diff| {r['grad_diff']:.3e}"
           + (f" ({r['worst']})" if r["worst"] else ""))
-    return 1 if args.exact and (r["loss_diff"] or r["grad_diff"]) else 0
+    print(f"  max |no-grad logit diff| {r['logit_diff']:.3e}")
+    return 1 if args.exact and (r["loss_diff"] or r["grad_diff"] or r["logit_diff"]) else 0
 
 
 if __name__ == "__main__":
