@@ -86,21 +86,23 @@ _HEADERS = {
 
 
 def run_suite(suite: str, base: ExperimentConfig, seeds, dataset: Dataset | None = None,
-              out_dir=None, write_artifacts: bool = False) -> AblationTable:
+              out_dir=None) -> AblationTable:
+    """Train and test ``base`` with each row's overrides once per distinct seed,
+    writing no run artifacts; with ``out_dir``, write the table to ``<suite>.tsv`` there."""
     if suite not in SUITES:
         raise ConfigError(f"unknown ablation suite {suite!r}; pick one of {SUITES}")
     seeds = tuple(seeds)
     if not seeds:
         raise ConfigError("ablation needs at least one seed")
+    repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
+    if repeated:
+        raise ConfigError(f"ablation seeds must differ; {repeated} repeat in {list(seeds)}")
     table = AblationTable(suite=suite, header=_HEADERS[suite], seeds=seeds)
     for label, overrides in _suite_configs(suite, base):
         row = AblationRow(label=label)
         for seed in seeds:
             cfg = dataclasses.replace(base, seed=seed, **overrides)
-            if out_dir is not None:
-                safe = "_".join(str(c) for c in label).replace("/", "-").replace(" ", "_")
-                cfg.out_dir = str(Path(out_dir) / suite / f"{safe}_seed{seed}")
-            result = train(cfg, dataset=dataset, write_artifacts=write_artifacts)
+            result = train(cfg, dataset=dataset, write_artifacts=False)
             row.per_seed.append((seed, result.report.test_acc, result.report.test_wf1))
         table.rows.append(row)
     if out_dir is not None:

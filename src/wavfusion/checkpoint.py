@@ -42,8 +42,8 @@ def save_model(path, model) -> None:
                   architecture(model))
 
 
-def write_records(path, records, header: dict | None = None) -> None:
-    text = "".join(f"{key}={value}\n" for key, value in (header or {}).items()).encode("utf-8")
+def write_records(path, records, header: dict) -> None:
+    text = "".join(f"{key}={value}\n" for key, value in header.items()).encode("utf-8")
     parts = [MAGIC, struct.pack("<II", VERSION, len(text)), text]
     for name, arr in records:
         raw = name.encode("utf-8")

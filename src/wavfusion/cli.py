@@ -111,7 +111,7 @@ def _cmd_train(args) -> int:
     result = train(cfg)
     report = result.report
     print(f"run dir: {result.run_dir}")
-    print(f"epochs run: {report.stopped_epoch}")
+    print(f"epochs run: {len(report.epoch_train_loss)}")
     print(f"test ACC = {report.test_acc:.4f}  WF1 = {report.test_wf1:.4f}")
     return 0
 
@@ -136,8 +136,7 @@ def _cmd_ablate(args) -> int:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
     except ValueError:
         raise ConfigError(f"--seeds expects comma-separated integers; got {args.seeds!r}") from None
-    table = run_suite(args.suite, cfg, seeds, out_dir=cfg.resolved_out_dir(),
-                      write_artifacts=False)
+    table = run_suite(args.suite, cfg, seeds, out_dir=cfg.resolved_out_dir())
     print(table.to_text(), end="")
     return 0
 

@@ -38,12 +38,10 @@ class ExperimentConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    freeze_shallow: bool = False
     # loop
     batch_size: int = 8
     epochs: int = 20
     seed: int = 0
-    stop_train_acc: float = 0.0       # early exit threshold; 0 disables
     modalities: str = "avt"
     precision: str = "float64"
     num_classes: int = 0              # 0: infer from the dataset
@@ -70,8 +68,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must lie in [0, 1); got {getattr(self, key)}")
         if not 0.0 < self.eps < math.inf:
             raise ConfigError(f"eps must be finite and positive; got {self.eps}")
-        if not 0.0 <= self.stop_train_acc <= 1.0:
-            raise ConfigError(f"stop_train_acc must lie in [0, 1]; got {self.stop_train_acc}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be at least 1; got {self.epochs}")
         if self.precision not in PRECISIONS:

@@ -237,8 +237,12 @@ class SynthSpec:
             raise ConfigError("synthetic spec needs at least one class and one sample per class")
         if not 0.0 <= self.rho <= 1.0:
             raise ConfigError(f"rho must lie in [0, 1]; got {self.rho}")
-        if self.mu < 0 or self.sigma < 0:
-            raise ConfigError("scales mu and sigma must be non-negative")
+        for name, scale in (("mu", self.mu), ("sigma", self.sigma)):
+            if not 0.0 <= scale < np.inf:
+                raise ConfigError(f"{name} must be finite and non-negative; got {scale}")
+        for m, factor in self.mu_scale.items():
+            if not np.isfinite(factor):
+                raise ConfigError(f"mu_scale[{m!r}] must be finite; got {factor}")
         if self.latent_dim < 1:
             raise ConfigError("latent_dim must be positive")
         for name, keys in (("dims", self.dims), ("mean_groups", self.mean_groups),
@@ -250,6 +254,8 @@ class SynthSpec:
         for m, dim in self.dims.items():
             if dim < 1:
                 raise ConfigError(f"feature width of modality {m!r} must be at least 1; got {dim}")
+            if m not in self.seq_len:
+                raise ConfigError(f"seq_len has no length range for modality {m!r}")
             lo, hi = self.seq_len[m]
             if lo < 1 or hi < lo:
                 raise ConfigError(f"bad sequence length range {lo}..{hi} for {m!r}")

@@ -12,7 +12,6 @@ from . import tensor as T
 from .config import ExperimentConfig
 from .data import Dataset, UtteranceSample
 from .errors import ConfigError
-from .model import WavFusionModel
 from .rng import Prng
 from .train import batch_objective, build_model
 
@@ -58,10 +57,10 @@ class GradcheckReport:
 
 
 def run_gradcheck(cfg: ExperimentConfig, tolerance: float = 1e-3, eps: float = 1e-4,
-                  dims: dict | None = None, num_classes: int = 3,
                   corrupt: str | None = None) -> GradcheckReport:
     """Compare analytic gradients of the batch objective against central
-    differences for every parameter scalar.
+    differences for every parameter scalar, on a ``synthetic_batch`` of 3
+    classes with 6 audio, 5 text and 4 visual features per step.
 
     ``corrupt`` names a parameter whose analytic gradient is perturbed after
     backward; the report must then fail and point at it (harness self-test).
@@ -73,12 +72,11 @@ def run_gradcheck(cfg: ExperimentConfig, tolerance: float = 1e-3, eps: float = 1
     cfg.validate()
     if cfg.precision != "float64":
         raise ConfigError("gradcheck requires precision=float64")
-    if dims is None:
-        dims = {m: {"a": 6, "t": 5, "v": 4}[m] for m in cfg.mask()}
-    dataset = Dataset(samples=[], num_classes=num_classes, feature_dims=dims)
-    model: WavFusionModel = build_model(cfg, dataset)
-    samples = synthetic_batch(cfg.seed, dims, num_classes, cfg.batch_size)
     mask = cfg.mask()
+    dims = {m: {"a": 6, "t": 5, "v": 4}[m] for m in mask}
+    dataset = Dataset(samples=[], num_classes=3, feature_dims=dims)
+    model = build_model(cfg, dataset)
+    samples = synthetic_batch(cfg.seed, dims, dataset.num_classes, cfg.batch_size)
 
     loss, _, _, _ = batch_objective(model, samples, mask, cfg.alpha, cfg.balance)
     loss.backward()

@@ -2,13 +2,12 @@
 moments; Kingma & Ba, arXiv:1412.6980). A missing gradient counts as zero, so
 a step with no gradients leaves parameters untouched at fresh state.
 
-Trainable parameters and their moments live in three flat arrays in
-``named_params`` order, each parameter's ``data`` a view of its slice; frozen
-ones get no state. ``step`` updates them in place, a cache-sized chunk of
-tensors at a time, with the per-tensor rule's operations in its order, so the
-results are bit-identical to it. A parameter whose ``data`` was rebound
-(``checkpoint.load_model``) is copied into its slice at the next step; the
-rebound array is never written.
+Every parameter and its moments live in three flat arrays in ``named_params``
+order, each parameter's ``data`` a view of its slice. ``step`` updates them in
+place, a cache-sized chunk of tensors at a time, with the per-tensor rule's
+operations in its order, so the results are bit-identical to it. A parameter
+whose ``data`` was rebound (``checkpoint.load_model``) is copied into its slice
+at the next step; the rebound array is never written.
 """
 
 from __future__ import annotations
@@ -20,24 +19,21 @@ CHUNK = 32768       # elements: a chunk's five slices (m, v, parameters, two scr
 
 class Adam:
     def __init__(self, named_params, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, freeze_prefixes=()):
+                 beta2: float = 0.999, eps: float = 1e-8):
         self.named_params = list(named_params)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.frozen = tuple(freeze_prefixes)
         self.t = 0
-        trainable = [(name, p) for name, p in self.named_params
-                     if not name.startswith(self.frozen)]
-        dtypes = {p.data.dtype for _, p in trainable}
+        dtypes = {p.data.dtype for _, p in self.named_params}
         if len(dtypes) > 1:
             raise ValueError(f"Adam needs one parameter dtype; got {sorted(map(str, dtypes))}")
         dtype = dtypes.pop() if dtypes else np.float64
-        ends = np.cumsum([0] + [p.data.size for _, p in trainable]).tolist()
+        ends = np.cumsum([0] + [p.data.size for _, p in self.named_params]).tolist()
         self.flat_p, self.flat_m, self.flat_v = np.zeros((3, ends[-1]), dtype)
         self.m, self.v, self._chunks = {}, {}, []
-        for (name, p), lo, hi in zip(trainable, ends, ends[1:]):
+        for (name, p), lo, hi in zip(self.named_params, ends, ends[1:]):
             shape = p.data.shape
             view = self.flat_p[lo:hi].reshape(shape)
             view[...] = p.data

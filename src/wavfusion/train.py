@@ -80,18 +80,14 @@ def evaluate(model: WavFusionModel, samples, mask):
 
 
 def _dataset_loss(model, samples, mask, cfg) -> float:
-    if not samples:
-        return float("nan")
     total = 0.0
-    count = 0
     with T.no_grad():
         for start in range(0, len(samples), cfg.batch_size):
             chunk = samples[start:start + cfg.batch_size]
             loss, _, _, _ = batch_objective(model, chunk, mask, cfg.alpha, cfg.balance,
                                             cfg.strict_cosine)
             total += float(loss.data) * len(chunk)
-            count += len(chunk)
-    return total / count
+    return total / len(samples)
 
 
 def _non_finite_origin(model: WavFusionModel, samples, mask) -> str:
@@ -117,12 +113,11 @@ class RunReport:
     test_acc: float = float("nan")
     test_wf1: float = float("nan")
     wall_clock_s: float = 0.0
-    stopped_epoch: int = 0
 
     def to_text(self) -> str:
         lines = ["# run report",
                  f"seed = {self.seed}",
-                 f"epochs_run = {self.stopped_epoch}",
+                 f"epochs_run = {len(self.epoch_train_loss)}",
                  f"test_acc = {self.test_acc!r}",
                  f"test_wf1 = {self.test_wf1!r}",
                  f"wall_clock_s = {self.wall_clock_s:.3f}",
@@ -160,8 +155,7 @@ def train(cfg: ExperimentConfig, dataset: Dataset | None = None,
 
     model = build_model(cfg, dataset)
     params = model.named_parameters()
-    frozen = ("shallow.",) if cfg.freeze_shallow else ()
-    opt = Adam(params, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps, freeze_prefixes=frozen)
+    opt = Adam(params, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
 
     report = RunReport(seed=cfg.seed, config_text=cfg.to_text())
     best_val = float("inf")
@@ -188,15 +182,9 @@ def train(cfg: ExperimentConfig, dataset: Dataset | None = None,
         report.epoch_train_loss.append(float(np.mean(epoch_losses)))
         val_loss = _dataset_loss(model, val_set, mask, cfg) if val_set else float(np.mean(epoch_losses))
         report.epoch_val_loss.append(val_loss)
-        report.stopped_epoch = epoch
         if val_loss <= best_val:
             best_val = val_loss
             best_state = {name: p.data.copy() for name, p in params}
-        if cfg.stop_train_acc > 0.0:
-            acc, _, _, _ = evaluate(model, train_set, mask)
-            if acc >= cfg.stop_train_acc:
-                best_state = {name: p.data.copy() for name, p in params}
-                break
 
     for name, p in params:
         p.data = best_state[name]
@@ -220,26 +208,14 @@ def dump_predictions(path, samples, predictions) -> None:
     write_atomic(path, "\n".join(lines) + "\n")
 
 
-def read_predictions(path):
-    """[(uid, label, prediction)] from a predictions dump."""
-    out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        uid, label, pred = line.split("\t")
-        out.append((uid, int(label), int(pred)))
-    return out
-
-
 def evaluate_checkpoint(checkpoint_path, cfg: ExperimentConfig, mask=None,
-                        which: str = "test", dataset: Dataset | None = None):
-    """Load a checkpoint against ``cfg`` and score one split of the dataset.
+                        which: str = "test"):
+    """Load a checkpoint against ``cfg`` and score one split of ``cfg.data_dir``.
 
     Returns (acc, wf1, samples, predictions).
     """
     cfg.validate()
-    if dataset is None:
-        dataset = load_dataset(cfg.data_dir, cfg.num_classes or None)
+    dataset = load_dataset(cfg.data_dir, cfg.num_classes or None)
     model = build_model(cfg, dataset)
     load_model(checkpoint_path, model)
     train_set, val_set, test_set = split(dataset.samples, cfg.split_policy())

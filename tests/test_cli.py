@@ -56,6 +56,16 @@ class TestGenData:
         assert not (tmp_path / "q").exists()
 
 
+    @pytest.mark.parametrize("flag,value,name", [("--mu", "nan", "mu"), ("--sigma", "inf", "sigma"),
+                                                 ("--mu-scale", "v=nan", "mu_scale['v']")])
+    def test_non_finite_scale_is_validation_error(self, tmp_path, capsys, flag, value, name):
+        out = tmp_path / "s"
+        rc = main(["gen-data", "--out", str(out), "--classes", "2", "--per-class", "2",
+                   flag, value])
+        assert rc == 2
+        assert f"error: {name} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag,value,modality", [("--dim-v", "-1", "v"), ("--dim-a", "0", "a")])
     def test_width_below_one_is_validation_error(self, tmp_path, capsys, flag, value, modality):
         out = tmp_path / "w"
@@ -206,6 +216,16 @@ class TestTrainEval:
         assert main(["train", "--data-dir", str(dataset_dir), flag, value]) == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("--freeze-shallow", "true"),
+                                            ("--stop-train-acc", "1.0")])
+    def test_removed_config_flag_is_usage_error(self, dataset_dir, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exit_:
+            main(["train", "--data-dir", str(dataset_dir), "--out-dir", str(tmp_path / "run"),
+                  flag, value] + FAST)
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
 
 class TestAblateCli:
     def test_lvc_suite(self, dataset_dir, tmp_path, capsys):
@@ -221,6 +241,13 @@ class TestAblateCli:
                    "--seeds", "0,x"] + FAST)
         assert rc == 2
         assert "--seeds" in capsys.readouterr().err
+
+    def test_repeated_seed_is_validation_error(self, dataset_dir, tmp_path, capsys):
+        rc = main(["ablate", "--suite", "lvc", "--data-dir", str(dataset_dir),
+                   "--out-dir", str(tmp_path / "ab"), "--seeds", "0,0"] + FAST)
+        assert rc == 2
+        assert "ablation seeds must differ; [0] repeat" in capsys.readouterr().err
+        assert not (tmp_path / "ab").exists()
 
 
 class TestGradcheckCli:

@@ -283,6 +283,22 @@ class TestSyntheticGenerator:
         with pytest.raises(ConfigError):
             generate_synthetic(SynthSpec(classes=3, mean_groups={"a": [[0, 1]]}), tmp_path)
 
+    @pytest.mark.parametrize("overrides,message", [
+        ({"mu": float("nan")}, "mu must be finite"), ({"mu": float("inf")}, "mu must be finite"),
+        ({"sigma": float("inf")}, "sigma must be finite"),
+        ({"sigma": float("nan")}, "sigma must be finite"),
+        ({"mu_scale": {"v": float("nan")}}, r"mu_scale\['v'\] must be finite"),
+        ({"mu_scale": {"t": -float("inf")}}, r"mu_scale\['t'\] must be finite"),
+        ({"dims": {"a": 3}, "seq_len": {}}, "seq_len has no length range for modality 'a'"),
+    ], ids=["mu-nan", "mu-inf", "sigma-inf", "sigma-nan", "mu_scale-nan", "mu_scale-inf",
+            "no-seq_len"])
+    def test_unusable_scales_and_lengths_rejected_before_writing(self, tmp_path, overrides,
+                                                                 message):
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=message):
+            generate_synthetic(SynthSpec(**overrides), out)
+        assert not out.exists()
+
     def test_no_signal_data_trains_to_chance(self, tmp_path):
         # mu = 0, rho = 0: features carry no class information at all
         generate_synthetic(SynthSpec(classes=4, per_class=25, mu=0.0, rho=0.0,

@@ -10,7 +10,7 @@ from helpers import make_sample, rand, whole
 from test_layers import attention_oracle, self_attention
 from wavfusion.ablate import LAYER_ROWS, LVC_ROWS, MODALITY_ROWS
 from wavfusion import tensor as T
-from wavfusion.checkpoint import load_model, read_records, save_model, write_records
+from wavfusion.checkpoint import architecture, load_model, read_records, save_model, write_records
 from wavfusion.config import ExperimentConfig
 from wavfusion.errors import CheckpointError, ConfigError, DataError, FormatError, ShapeError
 from wavfusion.layers import Attention, Conv1d, Gru, LayerNorm, Linear, LvcBlock, Segments
@@ -540,9 +540,8 @@ class TestCheckpoint:
     def test_missing_parameter_rejected(self, tmp_path):
         model = tiny_model()
         path = tmp_path / "m.wvfn"
-        from wavfusion.checkpoint import write_records
         records = [(name, p.data) for name, p in model.named_parameters()][:-1]
-        write_records(path, records)
+        write_records(path, records, architecture(model))
         with pytest.raises(CheckpointError, match="lacks"):
             load_model(path, tiny_model())
 
@@ -595,6 +594,6 @@ class TestCheckpoint:
             raise OSError("disk full")
 
         with pytest.raises(OSError, match="disk full"):
-            write_records(path, ((name, p.data) for name, p in records()))
+            write_records(path, ((name, p.data) for name, p in records()), architecture(model))
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["m.wvfn"]

@@ -20,18 +20,15 @@ from wavfusion.tensor import Tensor
 
 SHAPES = [("shallow.0.w", (6, 5)), ("shallow.0.b", (5,)), ("a.w", (7, 4)), ("a.b", (4,)),
           ("b.w", (40, 3)), ("b.s", ()), ("c.w", (3, 2, 5)), ("c.b", (1,)), ("d.w", (9, 9))]
-FROZEN = ("shallow.",)
 DIMS = {"a": 4, "t": 3, "v": 3}
 
 
 class ReferenceAdam:
     """The per-tensor ``Adam.step`` loop, as it was before the flat state."""
 
-    def __init__(self, named_params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
-                 freeze_prefixes=()):
+    def __init__(self, named_params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.named_params = list(named_params)
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.frozen = tuple(freeze_prefixes)
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in self.named_params}
         self.v = {name: np.zeros_like(p.data) for name, p in self.named_params}
@@ -41,8 +38,6 @@ class ReferenceAdam:
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
         for name, p in self.named_params:
-            if any(name.startswith(pref) for pref in self.frozen):
-                continue
             g = p.grad if p.grad is not None else 0.0
             m = self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
             v = self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
@@ -70,9 +65,8 @@ def assert_same_state(opt, ref):
     for (name, p), (_, q) in zip(opt.named_params, ref.named_params):
         assert p.data.dtype == q.data.dtype
         npt.assert_array_equal(p.data, q.data, err_msg=name)
-        if not name.startswith(FROZEN):
-            npt.assert_array_equal(opt.m[name], ref.m[name], err_msg=name)
-            npt.assert_array_equal(opt.v[name], ref.v[name], err_msg=name)
+        npt.assert_array_equal(opt.m[name], ref.m[name], err_msg=name)
+        npt.assert_array_equal(opt.v[name], ref.v[name], err_msg=name)
 
 
 class TestParity:
@@ -82,26 +76,14 @@ class TestParity:
         # chunk=50 puts several tensors in one chunk and gives b.w (120 elements) one alone
         monkeypatch.setattr(optim, "CHUNK", chunk)
         mine, theirs = twin_params(dtype)
-        frozen_before = {name: p.data.copy() for name, p in mine if name.startswith(FROZEN)}
-        opt = Adam(mine, lr=0.01, freeze_prefixes=FROZEN)
-        ref = ReferenceAdam(theirs, lr=0.01, freeze_prefixes=FROZEN)
+        opt = Adam(mine, lr=0.01)
+        ref = ReferenceAdam(theirs, lr=0.01)
         rng = np.random.default_rng(1)
         for _ in range(20):
             set_grads(rng, dtype, mine, theirs)
             opt.step()
             ref.step()
             assert_same_state(opt, ref)
-        for name, p in mine:
-            if name.startswith(FROZEN):
-                npt.assert_array_equal(p.data, frozen_before[name])
-
-    def test_frozen_parameters_hold_no_state(self):
-        mine, _ = twin_params(np.float64)
-        opt = Adam(mine, freeze_prefixes=FROZEN)
-        frozen = [name for name, _ in mine if name.startswith(FROZEN)]
-        assert frozen and not set(frozen) & (set(opt.m) | set(opt.v))
-        trainable = sum(p.data.size for name, p in mine if not name.startswith(FROZEN))
-        assert opt.flat_p.size == opt.flat_m.size == opt.flat_v.size == trainable
 
     def test_mixed_dtypes_rejected(self):
         params = [("a", Tensor(np.zeros(2))), ("b", Tensor(np.zeros(2, np.float32)))]
@@ -160,8 +142,7 @@ class TestMemory:
         model = WavFusionModel(num_classes=4, feature_dims=DIMS, d=64, heads=4, n_shallow=9,
                                n_deep=3, lvc_centers=8, seed=0)
         params = model.named_parameters()
-        opt = Adam(params, freeze_prefixes=("shallow.0.",))
-        assert not any(name.startswith("shallow.0.") for name in opt.m)
+        opt = Adam(params)
         nbytes = opt.flat_p.nbytes
         assert nbytes > 5_000_000       # ~6 MB of float64 parameters
         rng = np.random.default_rng(4)

@@ -603,12 +603,38 @@ class TestNodeProtocol:
         for grad, t in zip(grads, parents):
             assert grad.shape == t.shape and grad.dtype == t.data.dtype
 
+    @staticmethod
+    def tensors_in(value):
+        """The Tensors in ``value`` and, recursively, in the tuples, lists and
+        dicts it holds."""
+        if isinstance(value, Tensor):
+            return [value]
+        if isinstance(value, dict):
+            value = [*value.keys(), *value.values()]
+        if isinstance(value, (tuple, list)):
+            return [t for item in value for t in TestNodeProtocol.tensors_in(item)]
+        return []
+
     @pytest.mark.parametrize("name", sorted(OPS))
     def test_vjp_captures_arrays_only(self, name):
         out = OPS[name][1](*self.inputs(name, np.float64))
         for cell in out._vjp.__closure__ or ():
-            assert cell.cell_contents is not out
-            assert not isinstance(cell.cell_contents, Tensor)
+            assert self.tensors_in(cell.cell_contents) == []
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_vjp_uses_forward_values(self, name):
+        # rebinding every input's data between the forward pass and the _vjp
+        # call, as checkpoint.load_model does, leaves each gradient unchanged;
+        # the new arrays differ in shape and hold no finite value, so a _vjp
+        # that reads an input's data at backward time sees either
+        ins = self.inputs(name, np.float64)
+        g = rand(OPS[name][1](*ins).shape, seed=96)
+        expect = OPS[name][1](*ins)._vjp(g)
+        out = OPS[name][1](*ins)
+        for t in ins:
+            t.data = np.full(t.data.size + 1, np.nan)
+        for grad, ref in zip(out._vjp(g), expect):
+            npt.assert_array_equal(grad, ref)
 
     @pytest.mark.parametrize("name", sorted(OPS))
     def test_no_grad_records_nothing(self, name):

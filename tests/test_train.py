@@ -19,7 +19,7 @@ from wavfusion.rng import Prng
 from wavfusion.tensor import Tensor, no_grad
 from wavfusion import train as train_module
 from wavfusion.train import (EVAL_CHUNK, batch_objective, build_model, evaluate,
-                             evaluate_checkpoint, read_predictions, train)
+                             evaluate_checkpoint, train)
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +105,8 @@ class TestTrainingLoop:
         acc, wf1, samples, predictions = evaluate_checkpoint(out / "model.wvfn", loaded_cfg)
         assert acc == result.report.test_acc
         assert wf1 == result.report.test_wf1
-        dumped = read_predictions(out / "predictions.tsv")
+        dumped = [(uid, int(label), int(pred)) for uid, label, pred in
+                  (line.split("\t") for line in (out / "predictions.tsv").read_text().splitlines())]
         assert [(s.uid, s.label) for s in samples] == [(u, y) for u, y, _ in dumped]
         assert predictions == [p for _, _, p in dumped]
         # metrics recomputed from the dump equal the reported ones
@@ -124,8 +125,8 @@ class TestTrainingLoop:
         root = tmp_path / "sep"
         generate_synthetic(SynthSpec(classes=2, per_class=6, mu=5.0, rho=0.0,
                                      sigma=0.2, seed=9), root)
-        cfg = fast_config(root, epochs=40, batch_size=4, stop_train_acc=1.0,
-                          balance=0.0, train_frac=0.8, val_frac=0.1, test_frac=0.1)
+        cfg = fast_config(root, epochs=40, batch_size=4, balance=0.0,
+                          train_frac=0.8, val_frac=0.1, test_frac=0.1)
         result = train(cfg, write_artifacts=False)
         train_set = result.splits[0]
         acc, _, _, _ = evaluate(result.model, train_set, cfg.mask())
@@ -147,21 +148,6 @@ class TestTrainingLoop:
             assert p.data.dtype == np.float32, name
         assert np.isfinite(result.report.epoch_train_loss[0])
 
-    def test_freeze_shallow(self, small_dataset):
-        cfg = fast_config(small_dataset, epochs=1, freeze_shallow=True)
-        dataset = load_dataset(str(small_dataset))
-        from wavfusion.train import build_model
-        reference = build_model(cfg, dataset)
-        result = train(cfg, dataset=dataset, write_artifacts=False)
-        ref = dict(reference.named_parameters())
-        for name, p in result.model.named_parameters():
-            if name.startswith("shallow."):
-                npt.assert_array_equal(p.data, ref[name].data, err_msg=name)
-        moved = [name for name, p in result.model.named_parameters()
-                 if not name.startswith("shallow.")
-                 and not np.array_equal(p.data, ref[name].data)]
-        assert moved
-
 
 class TestOptimizer:
     def test_zero_gradient_step_is_identity(self):
@@ -177,16 +163,6 @@ class TestOptimizer:
         p.grad = np.array([1.0, -1.0])
         opt.step()
         assert p.data[0] < 1.0 and p.data[1] > 1.0
-
-    def test_frozen_prefix_skipped(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
-        q = Tensor(np.array([1.0]), requires_grad=True)
-        opt = Adam([("shallow.0.w", p), ("deep.0.w", q)], lr=0.1,
-                   freeze_prefixes=("shallow.",))
-        p.grad = np.array([1.0])
-        q.grad = np.array([1.0])
-        opt.step()
-        assert p.data[0] == 1.0 and q.data[0] != 1.0
 
 
 class TestGradcheckHarness:
@@ -285,6 +261,11 @@ class TestAblationSuites:
         with pytest.raises(ConfigError):
             run_suite("nope", quick, seeds=[0])
 
+    def test_repeated_seed_rejected(self, quick):
+        # a repeated seed trains the same run twice and counts it twice in the mean
+        with pytest.raises(ConfigError, match=r"\[0\] repeat in \[0, 1, 0\]"):
+            run_suite("lvc", quick, seeds=[0, 1, 0])
+
 
 class TestConfig:
     def test_text_roundtrip(self, tmp_path):
@@ -299,8 +280,10 @@ class TestConfig:
         assert cfg.d == 32 and cfg.balance == 2.5 and cfg.lvc_enabled is False
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown key"):
-            parse_config_text("nope = 1\n")
+        # including keys that a config file written by an older version may still set
+        for key, value in (("nope", "1"), ("freeze_shallow", "false"), ("stop_train_acc", "0.0")):
+            with pytest.raises(ConfigError, match=f"^config line 2: unknown key '{key}'$"):
+                parse_config_text(f"d = 16\n{key} = {value}\n")
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):
@@ -329,18 +312,12 @@ class TestConfig:
             ExperimentConfig(**{field: value}).validate()
         ExperimentConfig(lr=0.0, beta1=0.0, beta2=0.0, eps=1e-300).validate()
 
-    @pytest.mark.parametrize("field,value", [
-        ("balance", float("nan")), ("balance", float("inf")), ("stop_train_acc", float("nan")),
-        ("stop_train_acc", -0.1), ("stop_train_acc", 1.5),
-    ])
+    @pytest.mark.parametrize("field,value", [("balance", float("nan")), ("balance", float("inf"))])
     def test_objective_and_stop_settings_validated(self, field, value):
-        # a non-finite balance makes every loss non-finite; a stop_train_acc
-        # outside [0, 1] (or nan) silently disables early stopping or never
-        # reaches it
+        # a non-finite balance makes every loss non-finite
         with pytest.raises(ConfigError, match=f"^{field} "):
             ExperimentConfig(**{field: value}).validate()
-        for ok in (0.0, 1.0):
-            ExperimentConfig(balance=0.0, stop_train_acc=ok).validate()
+        ExperimentConfig(balance=0.0).validate()
 
     def test_env_var_out_dir(self, monkeypatch):
         monkeypatch.setenv("WAVFUSION_OUT_DIR", "/tmp/elsewhere")
