@@ -71,10 +71,8 @@ def _suite_configs(suite: str, base: ExperimentConfig):
             yield (f"{balance:g}",), {"balance": balance}
     elif suite == "layers":
         for method, shallow, deep in LAYER_ROWS:
-            overrides = {"n_shallow": shallow, "n_deep": deep,
-                         "fusion_mode": "concat" if method == "concat" else "per_layer",
-                         "modalities": "avt"}
-            yield (method, str(shallow), str(deep)), overrides
+            yield (method, str(shallow), str(deep)), {"n_shallow": shallow, "n_deep": deep,
+                                                      "modalities": "avt"}
 
 
 _HEADERS = {

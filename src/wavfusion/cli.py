@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .ablate import SUITES, run_suite
 from .config import ExperimentConfig, load_config, set_value
-from .data import SynthSpec, generate_synthetic, read_text
+from .data import SynthSpec, generate_synthetic, load_dataset, read_text
 from .errors import ConfigError, DataError, FormatError, GraphError
 from .gradcheck import run_gradcheck, tiny_config
 from .losses import build_triplets, margin_loss
@@ -136,7 +136,8 @@ def _cmd_ablate(args) -> int:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
     except ValueError:
         raise ConfigError(f"--seeds expects comma-separated integers; got {args.seeds!r}") from None
-    table = run_suite(args.suite, cfg, seeds, out_dir=cfg.resolved_out_dir())
+    dataset = load_dataset(cfg.data_dir, cfg.num_classes or None)
+    table = run_suite(args.suite, cfg, seeds, dataset, out_dir=cfg.resolved_out_dir())
     print(table.to_text(), end="")
     return 0
 

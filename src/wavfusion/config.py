@@ -26,9 +26,7 @@ class ExperimentConfig:
     n_shallow: int = 9
     n_deep: int = 3
     lvc_centers: int = 8
-    conv_kernel: int = 3
     lvc_enabled: bool = True
-    fusion_mode: str = "per_layer"    # per_layer | concat
     # objective
     alpha: float = 0.5
     balance: float = 1.0              # weight of the margin loss
@@ -54,7 +52,7 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         check_architecture(self.modalities, self.d, self.heads, self.n_shallow, self.n_deep,
-                           self.lvc_centers, self.conv_kernel, self.fusion_mode)
+                           self.lvc_centers)
         if not 0.0 < self.alpha <= 2.0:
             raise ConfigError(f"alpha must lie in (0, 2]; got {self.alpha}")
         if not 0.0 <= self.balance < math.inf:

@@ -207,6 +207,8 @@ def load_dataset(root, num_classes: int | None = None) -> Dataset:
 
 # -- synthetic generator -------------------------------------------------------------
 
+LATENT_DIM = 8    # width of the per-utterance latent that the modalities share
+
 
 @dataclass
 class SynthSpec:
@@ -228,7 +230,6 @@ class SynthSpec:
     rho: float = 0.5
     sigma: float = 1.0
     seed: int = 0
-    latent_dim: int = 8
     mean_groups: dict = field(default_factory=dict)   # modality -> list of class groups
     mu_scale: dict = field(default_factory=dict)      # modality -> factor (default 1.0)
 
@@ -243,8 +244,6 @@ class SynthSpec:
         for m, factor in self.mu_scale.items():
             if not np.isfinite(factor):
                 raise ConfigError(f"mu_scale[{m!r}] must be finite; got {factor}")
-        if self.latent_dim < 1:
-            raise ConfigError("latent_dim must be positive")
         for name, keys in (("dims", self.dims), ("mean_groups", self.mean_groups),
                            ("mu_scale", self.mu_scale)):
             unknown = sorted(set(keys) - set(MODALITIES))
@@ -275,12 +274,12 @@ def _class_group(spec: SynthSpec, modality: str, klass: int) -> int:
     raise ConfigError(f"class {klass} missing from mean_groups[{modality!r}]")
 
 
+@np.errstate(over="ignore", invalid="ignore")    # overflow is an error below, not a warning
 def generate_synthetic(spec: SynthSpec, out_dir) -> Path:
-    """Write a complete dataset directory; identical spec => identical bytes."""
+    """Write a complete dataset directory; identical spec => identical bytes.
+    A spec rejected for a knob, or for features that overflow float32
+    (``ConfigError``), writes no file or directory."""
     spec.validate()
-    out_dir = Path(out_dir)
-    (out_dir / "features").mkdir(parents=True, exist_ok=True)
-
     root = Prng(spec.seed)
     modality_list = sorted(spec.dims)
     means = {}
@@ -295,27 +294,34 @@ def generate_synthetic(spec: SynthSpec, out_dir) -> Path:
             if gi not in group_means:
                 group_means[gi] = mean_rng.child(gi).normal(dim) * scale
             means[(m, klass)] = group_means[gi]
-        proj = root.child(2000 + mi).normal(spec.latent_dim * dim)
-        projections[m] = proj.reshape(spec.latent_dim, dim) / np.sqrt(spec.latent_dim)
+        proj = root.child(2000 + mi).normal(LATENT_DIM * dim)
+        projections[m] = proj.reshape(LATENT_DIM, dim) / np.sqrt(LATENT_DIM)
 
-    entries = []
-    total = spec.classes * spec.per_class
-    for idx in range(total):
+    entries, files = [], []
+    for idx in range(spec.classes * spec.per_class):
         klass = idx // spec.per_class
         uid = f"utt{idx:05d}"
         srng = root.child(idx)
-        latent = srng.child(0).normal(spec.latent_dim)
+        latent = srng.child(0).normal(LATENT_DIM)
         paths = {}
         for mi, m in enumerate(modality_list):
             mrng = srng.child(1 + mi)
             lo, hi = spec.seq_len[m]
             t_len = mrng.randint(lo, hi + 1)
             noise = mrng.normal(t_len * spec.dims[m]).reshape(t_len, spec.dims[m])
-            rows = means[(m, klass)] + spec.rho * (latent @ projections[m]) + spec.sigma * noise
-            rel = f"features/{uid}.{m}.wftf"
-            write_feature(out_dir / rel, rows.astype("<f4"))
-            paths[m] = rel
+            rows = (means[(m, klass)] + spec.rho * (latent @ projections[m])
+                    + spec.sigma * noise).astype("<f4")
+            if not np.isfinite(rows).all():
+                raise ConfigError(f"synthetic {m!r} features overflow float32; "
+                                  f"lower --mu, --sigma or --mu-scale")
+            paths[m] = f"features/{uid}.{m}.wftf"
+            files.append((paths[m], rows))
         entries.append(ManifestEntry(uid, klass, paths))
+
+    out_dir = Path(out_dir)
+    (out_dir / "features").mkdir(parents=True, exist_ok=True)
+    for rel, rows in files:
+        write_feature(out_dir / rel, rows)
     write_manifest(out_dir / "manifest.tsv", entries)
     return out_dir
 

@@ -18,9 +18,8 @@ from .train import batch_objective, build_model
 
 def tiny_config(**overrides) -> ExperimentConfig:
     """Defaults sized for fast finite differences (seconds, not minutes)."""
-    base = dict(d=8, heads=2, n_shallow=2, n_deep=1, lvc_centers=3, conv_kernel=3,
-                alpha=0.5, balance=1.0, batch_size=3, epochs=1, seed=0,
-                modalities="avt", precision="float64")
+    base = dict(d=8, heads=2, n_shallow=2, n_deep=1, lvc_centers=3, alpha=0.5, balance=1.0,
+                batch_size=3, epochs=1, seed=0, modalities="avt", precision="float64")
     base.update(overrides)
     return ExperimentConfig(**base)
 

@@ -1,6 +1,6 @@
 """Neural building blocks: linear, 1-D convolution, GRU, multi-head
 attention, layer normalization, and the learnable-center gating block used
-on the visual stream.
+on the visual stream. ``LayerNorm.EPS`` and ``LvcBlock.KERNEL`` are constants.
 
 Layers own their parameters as ``Tensor``s with ``requires_grad=True`` and
 are callable on activation tensors; ``Module.named_parameters`` finds those
@@ -161,17 +161,13 @@ class Conv1d(Module):
     """
 
     def __init__(self, d_in: int, d_out: int, k: int, rng: Prng):
-        self.check(k)
+        if k < 1 or k % 2 == 0:
+            raise ConfigError(f"conv kernel width must be odd and positive; got {k}")
         self.k = k
         fan_in = k * d_in
         self.weight = _param(np.concatenate(
             [xavier_uniform(rng.child(o), fan_in, d_out, (d_in, d_out)) for o in range(k)]))
         self.bias = _param(np.zeros(d_out))
-
-    @staticmethod
-    def check(k: int) -> None:
-        if k < 1 or k % 2 == 0:
-            raise ConfigError(f"conv kernel width must be odd and positive; got {k}")
 
     def __call__(self, x: Tensor, seg: Segments) -> Tensor:
         # zero padding at each sequence's ends: no window crosses into a neighbour.
@@ -279,9 +275,11 @@ class LvcBlock(Module):
     ``tensor.sequence_gate``.
     """
 
-    def __init__(self, d_in: int, d: int, k_conv: int, n_centers: int, rng: Prng):
+    KERNEL = 3    # width of the conv stem
+
+    def __init__(self, d_in: int, d: int, n_centers: int, rng: Prng):
         self.check(n_centers)
-        self.stem = Conv1d(d_in, d, k_conv, rng.child(0))
+        self.stem = Conv1d(d_in, d, self.KERNEL, rng.child(0))
         self.centers = _param((rng.child(1).normal(n_centers * d) * 0.1).reshape(n_centers, d))
         self.scales = _param(np.ones(n_centers))
         self.proj = Linear(d, d, rng.child(2))

@@ -147,13 +147,8 @@ def margin_loss(embeddings, triplets, alpha: float, strict: bool = False) -> Ten
 def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean negative log-likelihood over rows of ``logits`` [N x c],
     stabilized through max-subtracted log-sum-exp: one
-    ``tensor.softmax_nll`` node. Each label must be a whole number in
-    [0, c)."""
-    labels = list(labels)
-    if logits.ndim != 2 or logits.shape[0] != len(labels):
-        raise DataError(f"cross_entropy: logits {list(logits.shape)} vs {len(labels)} labels")
-    if not labels:
-        raise DataError("cross_entropy needs at least one row")
+    ``tensor.softmax_nll`` node, which checks the shapes and that each label
+    is a whole number in [0, c)."""
     return T.softmax_nll(logits, labels)
 
 

@@ -9,7 +9,8 @@ Audio is the primary stream: every layer of the primary stack maps
 One forward pass takes a whole batch. Each modality's sequences are packed
 into one [sum(T) x d] matrix with a ``Segments`` layout (see ``layers``);
 pooling turns each into [B x d] rows, one per utterance. A single utterance
-is the batch of one.
+is the batch of one. A trimodal model with no deep layer is the concat
+baseline (``fusion_mode`` ``concat``); every other fuses in its deep layers.
 
 The model decides once. ``WavFusionModel`` chooses the precision: its layers
 build float64 parameters and it casts each of them to its ``dtype``. Its
@@ -25,44 +26,33 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DataError
-from .layers import Attention, Conv1d, Gru, LayerNorm, Linear, LvcBlock, Module, Segments
+from .layers import Attention, Gru, LayerNorm, Linear, LvcBlock, Module, Segments
 from .rng import Prng
 from .tensor import Tensor
 
 MODALITIES = ("a", "t", "v")
 
-FUSION_MODES = ("per_layer", "concat")
 
-
-def check_modalities(modalities, fusion_mode=None, error=ConfigError) -> tuple:
-    """The modality letters in ``MODALITIES`` order. ``fusion_mode`` is the
-    mode that fuses them (None: nothing is fused). An unknown letter or an
-    empty set raises ``error``; fusing without audio, or concat fusion of
-    fewer than all three, raises ``ConfigError``."""
+def check_modalities(modalities) -> tuple:
+    """The modality letters in ``MODALITIES`` order. An unknown letter, an
+    empty set, or two or more without audio raises ``ConfigError``."""
     wanted = set(modalities)
     mask = tuple(m for m in MODALITIES if m in wanted)
     if not mask or len(mask) != len(wanted):
-        raise error(f"modalities must be a non-empty subset of {MODALITIES}; got {sorted(wanted)}")
+        raise ConfigError(f"modalities must be a non-empty subset of {MODALITIES}; got {sorted(wanted)}")
     if len(mask) > 1 and "a" not in mask:
         raise ConfigError(f"multimodal mode {''.join(mask)!r} requires the audio stream")
-    if fusion_mode == "concat" and mask != MODALITIES:
-        raise ConfigError("concat fusion needs all three modalities")
     return mask
 
 
 def check_architecture(modalities, d: int, heads: int, n_shallow: int, n_deep: int,
-                       lvc_centers: int, conv_kernel: int, fusion_mode: str) -> None:
+                       lvc_centers: int) -> None:
     """Raise ``ConfigError`` unless these settings build a model."""
     Attention.check(d, heads)
     if n_shallow < 0 or n_deep < 0 or n_shallow + n_deep < 1:
         raise ConfigError(f"need layer counts >= 0 and at least one layer; got {n_shallow}+{n_deep}")
     LvcBlock.check(lvc_centers)
-    Conv1d.check(conv_kernel)
-    if fusion_mode not in FUSION_MODES:
-        raise ConfigError(f"fusion_mode must be one of {FUSION_MODES}; got {fusion_mode!r}")
-    if fusion_mode == "concat" and n_deep != 0:
-        raise ConfigError("concat fusion is the zero-deep-layer baseline; set n_deep=0")
-    check_modalities(modalities, fusion_mode)
+    check_modalities(modalities)
 
 
 def gated_fuse(first: Tensor, second: Tensor, gate: Linear):
@@ -213,12 +203,10 @@ class WavFusionModel(Module):
 
     def __init__(self, num_classes: int, feature_dims: dict, d: int = 64, heads: int = 4,
                  n_shallow: int = 9, n_deep: int = 3, lvc_centers: int = 8,
-                 conv_kernel: int = 3, lvc_enabled: bool = True, fusion_mode: str = "per_layer",
-                 seed: int = 0, dtype=np.float64):
+                 lvc_enabled: bool = True, seed: int = 0, dtype=np.float64):
         if num_classes < 2:
             raise ConfigError(f"need at least 2 classes; got {num_classes}")
-        check_architecture(feature_dims, d, heads, n_shallow, n_deep, lvc_centers, conv_kernel,
-                           fusion_mode)
+        check_architecture(feature_dims, d, heads, n_shallow, n_deep, lvc_centers)
 
         self.num_classes = num_classes
         self.feature_dims = dict(feature_dims)
@@ -227,7 +215,8 @@ class WavFusionModel(Module):
         self.n_shallow = n_shallow
         self.n_deep = n_deep
         self.lvc_enabled = lvc_enabled
-        self.fusion_mode = fusion_mode
+        trimodal = self.feature_dims.keys() == set(MODALITIES)
+        self.fusion_mode = "concat" if n_deep == 0 and trimodal else "per_layer"
         self.dtype = dtype
 
         rng = Prng(seed)
@@ -242,13 +231,13 @@ class WavFusionModel(Module):
             r = rng.child(2)
             self.vis_gru = Gru(feature_dims["v"], d, r.child(0))
             self.vis_attn = Attention(d, heads, r.child(1))
-            self.lvc = LvcBlock(feature_dims["v"], d, conv_kernel, lvc_centers, r.child(2))
+            self.lvc = LvcBlock(feature_dims["v"], d, lvc_centers, r.child(2))
             self.vis_proj = Linear(2 * d if lvc_enabled else d, d, r.child(3))
         self.shallow = [TransformerEncoderLayer(d, heads, rng.child(10 + i)) for i in range(n_shallow)]
         self.deep = [GatedCrossModalLayer(d, heads, rng.child(100 + i)) for i in range(n_deep)]
         self.shared_encoder = Linear(d, d, rng.child(3))
         self.classifier = Linear(d, num_classes, rng.child(4))
-        if fusion_mode == "concat":
+        if self.fusion_mode == "concat":
             self.concat_head = Linear(3 * d, d, rng.child(5))
         if dtype != np.float64:
             # initial values are drawn in float64: each precision starts from the same numbers
@@ -307,10 +296,12 @@ class WavFusionModel(Module):
         if not samples:
             raise DataError("forward pass over an empty batch")
         wanted = set(self.feature_dims) if mask is None else set(mask)
-        # a pass without audio is one branch straight into the classifier: nothing is fused
-        mask = check_modalities(wanted, self.fusion_mode if "a" in wanted else None, DataError)
+        mask = check_modalities(wanted)
         if not wanted <= self.feature_dims.keys():
             raise ConfigError(f"model has no branch for {sorted(wanted - self.feature_dims.keys())}")
+        # a pass without audio is one branch straight into the classifier: nothing is fused
+        if "a" in mask and self.fusion_mode == "concat" and mask != MODALITIES:
+            raise ConfigError("concat fusion needs all three modalities")
 
         trace = FusionTrace(mask=mask)
         encoders = {"a": self.audio_stack, "t": self.text_branch, "v": self.visual_branch}

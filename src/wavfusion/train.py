@@ -41,9 +41,8 @@ def build_model(cfg: ExperimentConfig, dataset: Dataset) -> WavFusionModel:
         dims[m] = dataset.feature_dims[m]
     return WavFusionModel(
         dataset.num_classes, dims, d=cfg.d, heads=cfg.heads, n_shallow=cfg.n_shallow,
-        n_deep=cfg.n_deep, lvc_centers=cfg.lvc_centers, conv_kernel=cfg.conv_kernel,
-        lvc_enabled=cfg.lvc_enabled, fusion_mode=cfg.fusion_mode, seed=cfg.seed,
-        dtype=np.dtype(cfg.precision).type)
+        n_deep=cfg.n_deep, lvc_centers=cfg.lvc_centers, lvc_enabled=cfg.lvc_enabled,
+        seed=cfg.seed, dtype=np.dtype(cfg.precision).type)
 
 
 def batch_objective(model: WavFusionModel, samples, mask, alpha: float, balance: float,

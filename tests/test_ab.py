@@ -1,7 +1,9 @@
 """The A/B step tool (``tools/ab.py``) against itself: one tree imported
-twice computes the same numbers in about the same time."""
+twice computes the same numbers in about the same time, and a copy whose
+checkpoint header differs is refused."""
 
 import importlib.util
+import shutil
 import subprocess
 from pathlib import Path
 
@@ -24,6 +26,19 @@ def test_same_tree_is_exact_and_as_fast():
     assert result["loss_diff"] == 0.0 and result["grad_diff"] == 0.0
     assert result["logit_diff"] == 0.0
     assert 0.5 < result["ratio"] < 2.0
+
+
+def test_refuses_trees_with_different_checkpoint_headers(tmp_path):
+    # same parameter names, but a header that an older reader would reject
+    edited = tmp_path / "src"
+    shutil.copytree(ROOT / "src", edited, ignore=shutil.ignore_patterns("__pycache__"))
+    checkpoint = edited / "wavfusion" / "checkpoint.py"
+    text = checkpoint.read_text()
+    assert '"fusion_mode": model.fusion_mode}' in text
+    checkpoint.write_text(text.replace('"fusion_mode": model.fusion_mode}',
+                                       '"fusion_mode": "concat"}'))
+    with pytest.raises(SystemExit, match="different checkpoint headers"):
+        load_ab().compare(edited, ROOT / "src", "margin-b16", steps=2, seed=3)
 
 
 def test_extracts_a_revision(tmp_path):

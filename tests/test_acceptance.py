@@ -57,10 +57,9 @@ def trend_spec(seed=100):
 
 
 def trend_config(data_dir, **overrides):
-    base = dict(d=16, heads=2, n_shallow=2, n_deep=1, lvc_centers=4, conv_kernel=3,
-                alpha=0.5, balance=1.0, lr=3e-3, batch_size=8, epochs=18,
-                modalities="avt", train_frac=0.35, val_frac=0.125, test_frac=0.525,
-                data_dir=str(data_dir))
+    base = dict(d=16, heads=2, n_shallow=2, n_deep=1, lvc_centers=4, alpha=0.5, balance=1.0,
+                lr=3e-3, batch_size=8, epochs=18, modalities="avt", train_frac=0.35,
+                val_frac=0.125, test_frac=0.525, data_dir=str(data_dir))
     base.update(overrides)
     return ExperimentConfig(**base)
 

@@ -1,11 +1,16 @@
 import shutil
+import warnings
 
 import pytest
 
+import wavfusion.cli as cli
 import wavfusion.gradcheck as gradcheck
+import wavfusion.train as train_module
+from wavfusion.ablate import run_suite
+from wavfusion.checkpoint import read_records
 from wavfusion.cli import _config_from_args, build_parser, main
 from wavfusion.config import load_config, parse_config_text
-from wavfusion.data import SynthSpec, generate_synthetic
+from wavfusion.data import SynthSpec, generate_synthetic, load_dataset
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +71,30 @@ class TestGenData:
         assert f"error: {name} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value", [("--mu", "1e308"), ("--mu-scale", "v=1e39")])
+    def test_overflowing_scale_writes_nothing(self, tmp_path, capsys, flag, value):
+        # finite scales whose features overflow float32 are rejected before
+        # any file or directory is made, and numpy warns of nothing
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["gen-data", "--out", str(out), "--classes", "2", "--per-class", "2",
+                       flag, value])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "overflow float32" in err
+        assert all(name in err for name in ("--mu,", "--sigma", "--mu-scale"))
+        assert not out.exists()
+
+    def test_removed_flag_is_usage_error(self, tmp_path, capsys):
+        # the latent width is a constant, data.LATENT_DIM
+        out = tmp_path / "l"
+        with pytest.raises(SystemExit) as exit_:
+            main(["gen-data", "--out", str(out), "--latent-dim", "4"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --latent-dim 4" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag,value,modality", [("--dim-v", "-1", "v"), ("--dim-a", "0", "a")])
     def test_width_below_one_is_validation_error(self, tmp_path, capsys, flag, value, modality):
         out = tmp_path / "w"
@@ -106,19 +135,23 @@ class TestMissingInput:
 
 class TestTrainEval:
     def test_train_then_eval(self, dataset_dir, tmp_path, capsys):
-        out = tmp_path / "run"
-        rc = main(["train", "--data-dir", str(dataset_dir), "--out-dir", str(out)] + FAST)
-        assert rc == 0
-        stdout = capsys.readouterr().out
-        assert "test ACC" in stdout
-        assert (out / "model.wvfn").exists()
+        # with no deep layer the trimodal model is the concat baseline: its
+        # config and checkpoint round-trip as well
+        for n_deep, fusion_mode in (("1", "per_layer"), ("0", "concat")):
+            out = tmp_path / f"run{n_deep}"
+            rc = main(["train", "--data-dir", str(dataset_dir), "--out-dir", str(out)] + FAST
+                      + ["--n-deep", n_deep])
+            assert rc == 0
+            stdout = capsys.readouterr().out
+            assert "test ACC" in stdout
+            assert read_records(out / "model.wvfn")[0]["fusion_mode"] == fusion_mode
 
-        rc = main(["eval", "--config", str(out / "config.cfg"),
-                   "--checkpoint", str(out / "model.wvfn"),
-                   "--dump", str(tmp_path / "preds.tsv")])
-        assert rc == 0
-        assert "ACC" in capsys.readouterr().out
-        assert (tmp_path / "preds.tsv").exists()
+            dump = tmp_path / f"preds{n_deep}.tsv"
+            rc = main(["eval", "--config", str(out / "config.cfg"),
+                       "--checkpoint", str(out / "model.wvfn"), "--dump", str(dump)])
+            assert rc == 0
+            assert "ACC" in capsys.readouterr().out
+            assert dump.exists()
 
     def test_checkpoint_of_other_architecture_is_validation_error(self, dataset_dir, tmp_path,
                                                                   capsys):
@@ -217,7 +250,9 @@ class TestTrainEval:
         assert flag in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,value", [("--freeze-shallow", "true"),
-                                            ("--stop-train-acc", "1.0")])
+                                            ("--stop-train-acc", "1.0"),
+                                            ("--fusion-mode", "concat"),
+                                            ("--conv-kernel", "3")])
     def test_removed_config_flag_is_usage_error(self, dataset_dir, tmp_path, capsys, flag, value):
         with pytest.raises(SystemExit) as exit_:
             main(["train", "--data-dir", str(dataset_dir), "--out-dir", str(tmp_path / "run"),
@@ -235,6 +270,24 @@ class TestAblateCli:
         out = capsys.readouterr().out
         assert "w/o LVC block" in out and "w/ LVC block" in out
         assert (tmp_path / "ab" / "lvc.tsv").exists()
+
+    def test_dataset_is_loaded_once(self, dataset_dir, tmp_path, capsys, monkeypatch):
+        loads = []
+
+        def counted(*args, **kwargs):
+            loads.append(args)
+            return load_dataset(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_dataset", counted)
+        monkeypatch.setattr(train_module, "load_dataset", counted)
+        argv = ["ablate", "--suite", "lambda", "--data-dir", str(dataset_dir),
+                "--out-dir", str(tmp_path / "ab"), "--seeds", "0,1"] + FAST
+        assert main(argv) == 0
+        assert len(loads) == 1
+        # the table is the one each run loading the data itself gives
+        cfg = _config_from_args(build_parser().parse_args(argv))
+        assert capsys.readouterr().out == run_suite("lambda", cfg, [0, 1]).to_text()
+        assert len(loads) == 1 + 10
 
     def test_malformed_seed_list_names_the_flag(self, dataset_dir, capsys):
         rc = main(["ablate", "--suite", "lvc", "--data-dir", str(dataset_dir),

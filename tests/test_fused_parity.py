@@ -180,7 +180,7 @@ class TestGraphSize:
             assert graph_nodes(cross_entropy(logits, [i % 4 for i in range(n)])) == 1
         a, b = (Tensor(rand((6, 8), seed=s), requires_grad=True) for s in (9, 10))
         assert graph_nodes(gated_fuse(a, b, Linear(16, 8, Prng(1)))[0]) == 3
-        block, seg = LvcBlock(3, 8, 3, 4, Prng(2)), Segments([1, 4, 2])
+        block, seg = LvcBlock(3, 8, 4, Prng(2)), Segments([1, 4, 2])
         x = Tensor(rand((7, 3), seed=11), requires_grad=True)
         assert graph_nodes(block(x, seg)) - graph_nodes(block.stem(x, seg)) == 3
 

@@ -275,7 +275,7 @@ class TestLvcBlock:
     def test_zero_residual_case(self):
         # stem output constant and equal to the single center: descriptor = 0,
         # gate = sigmoid(projection bias)
-        block = LvcBlock(3, 4, 3, 1, Prng(0))
+        block = LvcBlock(3, 4, 1, Prng(0))
         block.stem.weight.data = np.zeros_like(block.stem.weight.data)
         block.stem.bias.data = np.array([0.3, -0.2, 0.9, 0.1])
         block.centers.data = block.stem.bias.data[None, :].copy()
@@ -290,12 +290,12 @@ class TestLvcBlock:
 
     def test_output_shape(self):
         for t_len, d in ((1, 2), (4, 6), (9, 4)):
-            block = LvcBlock(3, d, 3, 4, Prng(1))
+            block = LvcBlock(3, d, 4, Prng(1))
             x = rand((t_len, 3), seed=t_len)
             assert block(Tensor(x), whole(x)).shape == (t_len, d)
 
     def test_against_loop_oracle(self):
-        block = LvcBlock(3, 5, 3, 4, Prng(2))
+        block = LvcBlock(3, 5, 4, Prng(2))
         x = rand((6, 3), seed=25)
         out, weights, gate = block(Tensor(x), whole(x), return_parts=True)
         expect_out, expect_weights, expect_gate = lvc_oracle(x, block)
@@ -304,14 +304,14 @@ class TestLvcBlock:
         npt.assert_allclose(out.data, expect_out, atol=1e-10)
 
     def test_codeword_weights_normalize(self):
-        block = LvcBlock(2, 4, 3, 5, Prng(3))
+        block = LvcBlock(2, 4, 5, Prng(3))
         for seed in range(4):
             x = rand((5, 2), seed=30 + seed, scale=2.0)
             _, weights, _ = block(Tensor(x), whole(x), return_parts=True)
             npt.assert_allclose(weights.data.sum(axis=-1), np.ones(5), atol=1e-6)
 
     def test_gate_strictly_inside_unit_interval(self):
-        block = LvcBlock(2, 4, 3, 3, Prng(4))
+        block = LvcBlock(2, 4, 3, Prng(4))
         for seed in range(4):
             x = rand((4, 2), seed=40 + seed, scale=4.0)
             _, _, gate = block(Tensor(x), whole(x), return_parts=True)
@@ -319,10 +319,10 @@ class TestLvcBlock:
 
     def test_empty_codebook_rejected(self):
         with pytest.raises(ConfigError):
-            LvcBlock(3, 4, 3, 0, Prng(0))
+            LvcBlock(3, 4, 0, Prng(0))
 
     def test_gradients(self):
-        block = LvcBlock(2, 3, 3, 2, Prng(5))
+        block = LvcBlock(2, 3, 2, Prng(5))
         x = Tensor(rand((3, 2), seed=26), requires_grad=True)
         params = [x, block.centers, block.scales, block.proj.weight, block.proj.bias,
                   block.stem.bias, block.stem.weight]
@@ -343,7 +343,7 @@ class TestInputShapes:
         (Attention(4, 2, Prng(0)), [(3, 6), (3, 6)], "attention"),
         (Attention(4, 2, Prng(0)), [(3, 4), (2, 6)], "attention"),
         (LayerNorm(5), [(4, 3), (4, 3)], "layer_norm"),
-        (LvcBlock(3, 4, 3, 2, Prng(0)), [(5, 2)], "affine"),
+        (LvcBlock(3, 4, 2, Prng(0)), [(5, 2)], "affine"),
     ])
     def test_mismatch_raises(self, layer, shapes, where):
         xs = [Tensor(np.zeros(s)) for s in shapes]

@@ -122,7 +122,7 @@ class TestPackedParity:
         assert any(g is not None and np.abs(g).sum() > 0 for g in got.values())
 
     def test_concat_fusion(self):
-        model = tiny_model(n_deep=0, fusion_mode="concat")
+        model = tiny_model(n_deep=0)
         check_parity(model, make_batch(MIXED, seed=2), ("a", "t", "v"))
 
     def test_without_lvc(self):

@@ -6,8 +6,10 @@ The parent is ``src/`` of a git revision, unpacked with ``git archive``; the
 change is this checkout's ``src/``. Both are imported as separately named
 packages, build the workload's model and optimizer (``perfbench/workloads.py``,
 read as plain data) and run the same training steps alternately, the side
-that goes first alternating too. Before each step the parent's parameters
-are set to the change's, so the differences printed are one step's.
+that goes first alternating too. Two trees whose models name their
+parameters differently, or write different checkpoint headers, are refused.
+Before each step the parent's parameters are set to the change's, so the
+differences printed are one step's.
 
 Prints each side's median and quartiles of step time (forward, backward and
 Adam, as ``perfbench`` times a step), the steps the change won, and the
@@ -45,9 +47,12 @@ def load_module(name: str, path: Path, package_dir: Path | None = None):
 
 
 def import_tree(src: Path, alias: str):
-    """The program under ``src`` as the package ``alias``."""
+    """The program under ``src`` as the package ``alias``, none of its
+    modules left from an earlier import under that alias."""
+    for name in [n for n in sys.modules if n == alias or n.startswith(alias + ".")]:
+        del sys.modules[name]
     pkg = load_module(alias, src / "wavfusion" / "__init__.py", src / "wavfusion")
-    for name in ("optim", "rng", "train"):
+    for name in ("checkpoint", "optim", "rng", "train"):
         importlib.import_module(f"{alias}.{name}")
     return pkg
 
@@ -117,6 +122,8 @@ def compare(parent_src: Path, change_src: Path, workload_name: str, steps: int, 
     a, b = sides = [Side(pkg, workload, bench.COMMON, seed, dataset) for pkg in (parent, change)]
     if a.params.keys() != b.params.keys():
         raise SystemExit("ab: the two trees name their parameters differently")
+    if parent.checkpoint.architecture(a.model) != change.checkpoint.architecture(b.model):
+        raise SystemExit("ab: the two trees write different checkpoint headers")
     train_set, val_set, test_set = change.data.split(dataset.samples, b.cfg.split_policy())
     loss_diff, grad_diff, worst = 0.0, 0.0, ""
     for i, chunk in zip(range(steps), batches(change.rng, train_set, b.cfg.batch_size, seed)):
