@@ -166,9 +166,6 @@ class Dataset:
     num_classes: int
     feature_dims: dict = field(default_factory=dict)
 
-    def __len__(self):
-        return len(self.samples)
-
 
 def load_dataset(root, num_classes: int | None = None) -> Dataset:
     """Load every sample referenced by ``<root>/manifest.tsv``; verifies that

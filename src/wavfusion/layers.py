@@ -240,13 +240,6 @@ class Attention(Module):
     def __call__(self, x: Tensor, ctx: Tensor, seg: Segments, ctx_seg: Segments) -> Tensor:
         return T.attention(x, ctx, self.wq, self.wk, self.wv, self.wo, self.heads, seg, ctx_seg)[0]
 
-    def attention_weights(self, x: Tensor, ctx: Tensor) -> list[np.ndarray]:
-        """Per-head [T x T_ctx] weights (values) of one sequence's forward
-        pass from ``x`` into ``ctx``; self-attention passes ``x`` twice."""
-        with T.no_grad():
-            return list(T.attention(x, ctx, self.wq, self.wk, self.wv, self.wo, self.heads,
-                                    Segments([x.shape[0]]), Segments([ctx.shape[0]]))[1])
-
 
 class LayerNorm(Module):
     """Per-row normalization of a residual sum x + y over the last
@@ -289,12 +282,8 @@ class LvcBlock(Module):
         if n_centers < 1:
             raise ConfigError(f"codebook needs at least one center; got {n_centers}")
 
-    def __call__(self, x: Tensor, seg: Segments, return_parts: bool = False):
-        """The gated stem output; with ``return_parts``, also the codeword
-        weights [sum(T) x K] and the gates [B x d] (values only)."""
+    def __call__(self, x: Tensor, seg: Segments) -> Tensor:
+        """The gated stem output."""
         stem_out = self.stem(x, seg)
-        descriptor, weights = T.codebook_pool(stem_out, self.centers, self.scales, seg)
-        out, gate = T.sequence_gate(stem_out, self.proj(descriptor), seg)
-        if return_parts:
-            return out, Tensor(weights), Tensor(gate)
-        return out
+        descriptor = T.codebook_pool(stem_out, self.centers, self.scales, seg)[0]
+        return T.sequence_gate(stem_out, self.proj(descriptor), seg)[0]

@@ -91,8 +91,8 @@ def _columns(mask: np.ndarray) -> np.ndarray:
 class Embeddings:
     """The [N x d] embedding matrix of a margin-loss batch, standing in for
     its list of [1 x d] rows: it has a length and iterates (or indexes) as
-    rows taken with ``slice_rows``, while ``margin_loss`` reads ``matrix``
-    directly."""
+    rows taken with ``take_rows``, one node per row, while ``margin_loss``
+    reads ``matrix`` directly."""
 
     __slots__ = ("matrix",)
 
@@ -106,7 +106,7 @@ class Embeddings:
 
     def __getitem__(self, i: int) -> Tensor:
         i = range(len(self))[i]
-        return self.matrix.slice_rows(i, i + 1)
+        return self.matrix.take_rows([i])
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))

@@ -148,7 +148,6 @@ class GatedCrossModalLayer(Module):
 class FusionTrace:
     """Every intermediate of one forward pass over a batch of B utterances,
     for inspection and testing. Sequences are packed (see ``segments``)."""
-    mask: tuple
     branch: dict = field(default_factory=dict)        # modality -> encoded packed sequences
     segments: dict = field(default_factory=dict)      # modality -> Segments of its branch
     deep: list = field(default_factory=list)          # DeepLayerTrace per deep layer
@@ -303,7 +302,7 @@ class WavFusionModel(Module):
         if "a" in mask and self.fusion_mode == "concat" and mask != MODALITIES:
             raise ConfigError("concat fusion needs all three modalities")
 
-        trace = FusionTrace(mask=mask)
+        trace = FusionTrace()
         encoders = {"a": self.audio_stack, "t": self.text_branch, "v": self.visual_branch}
         for m in mask:
             x, seg = self._pack(samples, m)

@@ -20,7 +20,7 @@ input's, so a ``grad`` may share memory with an adjoint or another ``grad``,
 or be a read-only broadcast view: nothing writes into a gradient.
 
 The ops are a few structural ones (``+``, ``scale``, ``@``, ``reshape``,
-``slice_rows``, ``take_rows``, ``concat``) and one node per layer, each
+``take_rows``, ``concat``) and one node per layer, each
 with a closed-form adjoint: ``affine``, ``feed_forward``, ``layer_norm``,
 ``attention`` (with its projections), ``gru``, ``gated_mix``,
 ``codebook_pool``, ``sequence_gate`` and the losses ``cosine_margin`` and
@@ -178,17 +178,6 @@ class Tensor:
         before = self.data.shape
         # a view when the layout allows; safe because no op writes into an input
         return _result(self.data.reshape(shape), (self,), lambda g: (g.reshape(before),))
-
-    def slice_rows(self, start: int, stop: int) -> "Tensor":
-        if self.data.ndim < 1 or not 0 <= start < stop <= self.data.shape[0]:
-            raise ShapeError(f"slice_rows[{start}:{stop}] invalid for shape {_shape(self)}")
-        x = self.data
-
-        def vjp(g):
-            z = np.zeros_like(x)
-            z[start:stop] = g
-            return (z,)
-        return _result(x[start:stop].copy(), (self,), vjp)
 
     def take_rows(self, index) -> "Tensor":
         """Rows picked by an integer array of any shape: with the tensor seen

@@ -1,6 +1,7 @@
 """The A/B step tool (``tools/ab.py``) against itself: one tree imported
-twice computes the same numbers in about the same time, and a copy whose
-checkpoint header differs is refused."""
+twice computes the same numbers in about the same time, a copy whose
+checkpoint header differs is refused, and an unknown workload or revision
+is a usage error."""
 
 import importlib.util
 import shutil
@@ -47,3 +48,23 @@ def test_extracts_a_revision(tmp_path):
         pytest.skip("not a git checkout")
     src = load_ab().extract_src("HEAD", tmp_path)
     assert (src / "wavfusion" / "tensor.py").is_file()
+
+
+def test_unknown_workload_is_a_usage_error_before_any_unpacking(monkeypatch, capsys):
+    ab = load_ab()
+    monkeypatch.setattr(ab, "extract_src", lambda *args: pytest.fail("unpacked a tree"))
+    with pytest.raises(SystemExit) as exit_info:
+        ab.main(["--parent", "HEAD", "--workload", "nope"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "'nope'" in err and "margin-b16" in err and "paper-b8" in err
+
+
+def test_unknown_revision_is_a_usage_error(capsys):
+    if subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"],
+                      capture_output=True).returncode != 0:
+        pytest.skip("not a git checkout")
+    with pytest.raises(SystemExit) as exit_info:
+        load_ab().main(["--parent", "no-such-ref", "--workload", "margin-b16"])
+    assert exit_info.value.code == 2
+    assert "'no-such-ref'" in capsys.readouterr().err

@@ -41,7 +41,7 @@ class LegacyConv1d:
         pad = (self.k - 1) // 2
         zeros = Tensor(np.zeros((pad, x.shape[1])))
         xp = T.concat([zeros, x, zeros], axis=0)
-        terms = [xp.slice_rows(o, o + t_len) @ tap for o, tap in enumerate(self.taps)]
+        terms = [xp.take_rows(np.arange(o, o + t_len)) @ tap for o, tap in enumerate(self.taps)]
         return R.add_row(functools.reduce(operator.add, terms), self.bias)
 
 
@@ -60,9 +60,9 @@ class LegacyGru:
         h = Tensor(np.zeros((1, self.d_h)))
         steps = []
         for t in range(x.shape[0]):
-            z = R.sigmoid(pre["z"].slice_rows(t, t + 1) + h @ self.u["z"])
-            r = R.sigmoid(pre["r"].slice_rows(t, t + 1) + h @ self.u["r"])
-            cand = R.tanh(pre["h"].slice_rows(t, t + 1) + R.mul(r, h) @ self.u["h"])
+            z = R.sigmoid(pre["z"].take_rows(np.arange(t, t + 1)) + h @ self.u["z"])
+            r = R.sigmoid(pre["r"].take_rows(np.arange(t, t + 1)) + h @ self.u["r"])
+            cand = R.tanh(pre["h"].take_rows(np.arange(t, t + 1)) + R.mul(r, h) @ self.u["h"])
             h = R.mul(R.shift(z.scale(-1.0), 1.0), h) + R.mul(z, cand)
             steps.append(h)
         return T.concat(steps, axis=0)

@@ -130,7 +130,9 @@ class TestCrossModalAttention:
         layer = GatedCrossModalLayer(8, 2, Prng(2))
         x = Tensor(rand((3, 8), seed=7))
         ctx = Tensor(rand((1, 8), seed=8))
-        for w in layer.attn_text.attention_weights(x, ctx):
+        attn = layer.attn_text
+        for w in T.attention(x, ctx, attn.wq, attn.wk, attn.wv, attn.wo, attn.heads, whole(x),
+                             whole(ctx))[1]:
             npt.assert_array_equal(w, np.ones((3, 1)))
 
     def test_against_dense_oracle(self):
@@ -464,7 +466,7 @@ class TestSharedEncoder:
     def test_weight_sharing(self):
         model = tiny_model()
         x = rand((3, 8), seed=21)
-        trace = FusionTrace(mask=("t", "v"), branch={"t": Tensor(x), "v": Tensor(x.copy())},
+        trace = FusionTrace(branch={"t": Tensor(x), "v": Tensor(x.copy())},
                             segments={"t": whole(x), "v": whole(x)})
         shared = model.shared_encode(trace)
         npt.assert_array_equal(shared["t"].data, shared["v"].data)

@@ -117,7 +117,7 @@ class TestMarginLoss:
     def test_empty_set_reads_the_matrix_dtype(self, monkeypatch):
         # no row of an Embeddings matrix is built just to read its dtype
         matrix = Tensor(rand((3, 4), seed=5).astype(np.float32))
-        monkeypatch.setattr(Tensor, "slice_rows", lambda *args: pytest.fail("built a row"))
+        monkeypatch.setattr(Tensor, "take_rows", lambda *args: pytest.fail("built a row"))
         loss = margin_loss(Embeddings(matrix), build_triplets([("a", 0), ("t", 1), ("v", 2)]), 0.5)
         assert loss.data.dtype == np.float32 and float(loss.data) == 0.0
 

@@ -87,10 +87,10 @@ def composite_gru(pre, u_zr, u_h, seg):
     h = Tensor(np.zeros((b, d), dtype=pre.data.dtype))
     steps = []
     for t in range(seg.t_max):
-        rows = (t * b, (t + 1) * b)
-        zr = R.sigmoid(pre_zr.slice_rows(*rows) + h @ u_zr)
+        rows = np.arange(t * b, (t + 1) * b)
+        zr = R.sigmoid(pre_zr.take_rows(rows) + h @ u_zr)
         z, r = columns(zr, 0, d), columns(zr, d, 2 * d)
-        cand = R.tanh(pre_h.slice_rows(*rows) + R.mul(r, h) @ u_h)
+        cand = R.tanh(pre_h.take_rows(rows) + R.mul(r, h) @ u_h)
         h = R.mul(R.shift(z.scale(-1.0), 1.0), h) + R.mul(z, cand)
         steps.append(h)
     return T.concat(steps, axis=0).take_rows(seg.from_time_major)

@@ -191,8 +191,8 @@ class TestConcatSlice:
         a = rand((3, 4), seed=20)
         b = rand((5, 4), seed=21)
         joined = T.concat([Tensor(a), Tensor(b)], axis=0)
-        npt.assert_array_equal(joined.slice_rows(0, 3).data, a)
-        npt.assert_array_equal(joined.slice_rows(3, 8).data, b)
+        npt.assert_array_equal(joined.take_rows(np.arange(0, 3)).data, a)
+        npt.assert_array_equal(joined.take_rows(np.arange(3, 8)).data, b)
 
     def test_concat_gradient_is_all_ones(self):
         a = Tensor(rand((4, 3), seed=22), requires_grad=True)
@@ -209,7 +209,7 @@ class TestConcatSlice:
         rows = [Tensor(rand((1, 3), seed=s), requires_grad=True) for s in range(3)]
         stacked = T.concat(rows, axis=0)
         assert stacked.shape == (3, 3)
-        R.sum(stacked.slice_rows(1, 2)).backward()
+        R.sum(stacked.take_rows(np.arange(1, 2))).backward()
         npt.assert_array_equal(rows[0].grad, np.zeros((1, 3)))
         npt.assert_array_equal(rows[1].grad, np.ones((1, 3)))
 
@@ -545,7 +545,6 @@ OPS = {
     "matmul": ([(3, 4), (4, 2)], lambda a, b: a @ b),
     "matmul_batched": ([(2, 3, 4), (2, 4, 5)], lambda a, b: a @ b),
     "reshape": ([(3, 4)], lambda a: a.reshape((2, 6))),
-    "slice_rows": ([(3, 4)], lambda a: a.slice_rows(1, 3)),
     # zero-padding rows, the layout packed sequences use
     "pad_rows": ([(3, 4)], lambda a: a.take_rows([-1, 0, 1, 2, -1, -1])),
     "take_rows": ([(2, 3, 4)], lambda a: a.take_rows([[5, 0, -1], [0, 0, 2]])),

@@ -35,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
 def load_module(name: str, path: Path, package_dir: Path | None = None):
@@ -111,7 +112,7 @@ def batches(rng, train_set, size: int, seed: int):
 
 def compare(parent_src: Path, change_src: Path, workload_name: str, steps: int, seed: int) -> dict:
     """Run ``steps`` alternating steps per side; returns the summary figures."""
-    bench = load_module("ab_workloads", ROOT / "perfbench" / "workloads.py")
+    bench = load_module("ab_workloads", WORKLOADS)
     workload = bench.WORKLOADS[workload_name]
     parent, change = import_tree(parent_src, "ab_parent"), import_tree(change_src, "ab_change")
     with tempfile.TemporaryDirectory() as tmp:
@@ -156,7 +157,9 @@ def compare(parent_src: Path, change_src: Path, workload_name: str, steps: int, 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent tree")
-    parser.add_argument("--workload", required=True, help="a name in perfbench/workloads.py")
+    parser.add_argument("--workload", required=True,
+                        choices=sorted(load_module("ab_workloads", WORKLOADS).WORKLOADS),
+                        help="a name in perfbench/workloads.py")
     parser.add_argument("--steps", type=int, default=100, help="training steps per side")
     parser.add_argument("--seed", type=int, default=1, help="seed of the data and the model")
     parser.add_argument("--exact", action="store_true",
@@ -166,8 +169,12 @@ def main(argv=None) -> int:
     if args.steps < 2:
         parser.error("--steps must be at least 2")
     with tempfile.TemporaryDirectory() as tmp:
-        r = compare(extract_src(args.parent, Path(tmp)), ROOT / "src", args.workload,
-                    args.steps, args.seed)
+        try:
+            parent_src = extract_src(args.parent, Path(tmp))
+        except subprocess.CalledProcessError as e:
+            parser.error(f"--parent {args.parent!r}: git archive failed: "
+                         f"{e.stderr.decode(errors='replace').strip()}")
+        r = compare(parent_src, ROOT / "src", args.workload, args.steps, args.seed)
     print(f"ab {args.workload} seed={args.seed} steps={args.steps} parent={args.parent}")
     for side in ("parent", "change"):
         q1, q2, q3 = statistics.quantiles(r[side], n=4)
