@@ -113,6 +113,7 @@ def _cmd_train(args) -> int:
     print(f"run dir: {result.run_dir}")
     print(f"epochs run: {len(report.epoch_train_loss)}")
     print(f"test ACC = {report.test_acc:.4f}  WF1 = {report.test_wf1:.4f}")
+    print(f"wall clock: {report.wall_clock_s:.3f} s")
     return 0
 
 
@@ -145,9 +146,6 @@ def _cmd_ablate(args) -> int:
 def _cmd_gradcheck(args) -> int:
     cfg = (load_config(_input_file(args.config, "--config"), tiny_config()) if args.config
            else tiny_config())
-    for key in ("modalities", "n_shallow", "n_deep", "batch_size"):
-        if getattr(args, key) not in (None, ""):
-            setattr(cfg, key, getattr(args, key))
     report = run_gradcheck(cfg, tolerance=args.tolerance, eps=args.eps, corrupt=args.corrupt)
     print(report.to_text(), end="")
     if not report.passed:
@@ -232,10 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--config", help="key=value config file (defaults: tiny 64-bit setup)")
     gc.add_argument("--tolerance", type=float, default=1e-3)
     gc.add_argument("--eps", type=float, default=1e-4)
-    gc.add_argument("--modalities", default="")
-    gc.add_argument("--n-shallow", type=int, default=None)
-    gc.add_argument("--n-deep", type=int, default=None)
-    gc.add_argument("--batch-size", type=int, default=None)
     gc.add_argument("--corrupt", default=None, help=argparse.SUPPRESS)
     gc.set_defaults(func=_cmd_gradcheck)
 

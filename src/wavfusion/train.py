@@ -111,7 +111,8 @@ class RunReport:
     first_epoch_step_losses: list = field(default_factory=list)
     test_acc: float = float("nan")
     test_wf1: float = float("nan")
-    wall_clock_s: float = 0.0
+    wall_clock_s: float = 0.0         # printed by `wavfusion train`; not in to_text, so
+                                      # identical runs write identical report.txt bytes
 
     def to_text(self) -> str:
         lines = ["# run report",
@@ -119,7 +120,6 @@ class RunReport:
                  f"epochs_run = {len(self.epoch_train_loss)}",
                  f"test_acc = {self.test_acc!r}",
                  f"test_wf1 = {self.test_wf1!r}",
-                 f"wall_clock_s = {self.wall_clock_s:.3f}",
                  "",
                  "[epochs]  epoch\ttrain_loss\tval_loss"]
         for i, (tr, va) in enumerate(zip(self.epoch_train_loss, self.epoch_val_loss), start=1):

@@ -71,6 +71,14 @@ def trend_data(tmp_path_factory):
     return root, load_dataset(root)
 
 
+@pytest.fixture(scope="module")
+def balance_sweep(trend_data, tmp_path_factory):
+    """Criterion 5's table, trained once; its balance = 1 row holds criterion 4's AVT runs."""
+    root, dataset = trend_data
+    out = tmp_path_factory.mktemp("accept") / "lambda"
+    return run_suite("lambda", trend_config(root), SEEDS, dataset=dataset, out_dir=out), out
+
+
 class TestAcceptance:
     def test_01_gradient_fidelity(self):
         cfg = tiny_config()  # d=8, 2 shallow + 1 deep, trimodal, alpha=0.5, balance=1
@@ -140,10 +148,13 @@ class TestAcceptance:
         report(3, f"overfit train ACC per seed {[f'{a:.2f}' for a in train_accs]} "
                   f">= 0.95 in {elapsed:.0f}s", check)
 
-    def test_04_multimodal_benefit(self, trend_data):
+    def test_04_multimodal_benefit(self, trend_data, balance_sweep):
         root, dataset = trend_data
-        mean_acc = {}
-        for mode in ("a", "at", "av", "avt"):
+        # the AVT runs are the sweep's balance = 1 row: same config, seeds and data
+        table, _ = balance_sweep
+        avt = next(row for row in table.rows if row.label == ("1",))
+        mean_acc = {"avt": float(np.mean([acc for _, acc, _ in avt.per_seed]))}
+        for mode in ("a", "at", "av"):
             accs = [train(trend_config(root, modalities=mode, seed=s), dataset=dataset,
                           write_artifacts=False).report.test_acc for s in SEEDS]
             mean_acc[mode] = float(np.mean(accs))
@@ -156,11 +167,8 @@ class TestAcceptance:
         report(4, "mean test ACC " + " ".join(f"{m.upper()}={mean_acc[m]:.3f}"
                                               for m in ("a", "at", "av", "avt")), check)
 
-    def test_05_balance_factor_trend(self, trend_data, tmp_path_factory):
-        root, dataset = trend_data
-        out = tmp_path_factory.mktemp("accept") / "lambda"
-        table = run_suite("lambda", trend_config(root), SEEDS, dataset=dataset,
-                          out_dir=out)
+    def test_05_balance_factor_trend(self, balance_sweep):
+        table, out = balance_sweep
         by_balance = {row.label[0]: row.mean_acc() for row in table.rows}
 
         def check():

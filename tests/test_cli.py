@@ -143,7 +143,7 @@ class TestTrainEval:
                       + ["--n-deep", n_deep])
             assert rc == 0
             stdout = capsys.readouterr().out
-            assert "test ACC" in stdout
+            assert "test ACC" in stdout and "wall clock: " in stdout
             assert read_records(out / "model.wvfn")[0]["fusion_mode"] == fusion_mode
 
             dump = tmp_path / f"preds{n_deep}.tsv"
@@ -303,28 +303,33 @@ class TestAblateCli:
         assert not (tmp_path / "ab").exists()
 
 
+@pytest.fixture
+def audio_only(tmp_path):
+    """A one-layer audio-only gradcheck config file, laid over the tiny defaults."""
+    path = tmp_path / "gradcheck.cfg"
+    path.write_text("modalities = a\nn_shallow = 1\nn_deep = 0\nbatch_size = 2\n")
+    return str(path)
+
+
 class TestGradcheckCli:
-    def test_pass(self, capsys):
-        rc = main(["gradcheck", "--modalities", "a", "--n-shallow", "1",
-                   "--n-deep", "0", "--batch-size", "2"])
+    def test_pass(self, audio_only, capsys):
+        rc = main(["gradcheck", "--config", audio_only])
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
 
-    def test_corrupt_fails_naming_layer(self, capsys):
-        rc = main(["gradcheck", "--modalities", "a", "--n-shallow", "1",
-                   "--n-deep", "0", "--batch-size", "2",
-                   "--corrupt", "classifier.bias"])
+    def test_corrupt_fails_naming_layer(self, audio_only, capsys):
+        rc = main(["gradcheck", "--config", audio_only, "--corrupt", "classifier.bias"])
         assert rc == 1
         captured = capsys.readouterr()
         assert "classifier.bias" in captured.err
 
     @pytest.mark.parametrize("flag,value", [("--eps", "0"), ("--eps", "nan"), ("--eps", "-1e-4"),
                                             ("--tolerance", "0"), ("--tolerance", "inf")])
-    def test_bad_step_or_tolerance_names_the_flag(self, flag, value, capsys, monkeypatch):
+    def test_bad_step_or_tolerance_names_the_flag(self, flag, value, audio_only, capsys,
+                                                  monkeypatch):
         # rejected before the model is built, so before any gradient pass
         monkeypatch.setattr(gradcheck, "build_model", None)
-        rc = main(["gradcheck", "--modalities", "a", "--n-shallow", "1", "--n-deep", "0",
-                   f"{flag}={value}"])
+        rc = main(["gradcheck", "--config", audio_only, f"{flag}={value}"])
         assert rc == 2
         err = capsys.readouterr().err
         assert flag in err and "Traceback" not in err

@@ -8,7 +8,7 @@ import pytest
 import refops as R
 from helpers import make_sample, rand, whole
 from test_layers import attention_oracle, self_attention
-from wavfusion.ablate import LAYER_ROWS, LVC_ROWS, MODALITY_ROWS
+from wavfusion.ablate import SUITES
 from wavfusion import tensor as T
 from wavfusion.checkpoint import architecture, load_model, read_records, save_model, write_records
 from wavfusion.config import ExperimentConfig
@@ -435,11 +435,16 @@ def listed_parameters(model):
     return out
 
 
+def ablation_model(overrides):
+    """``tiny_model`` arguments for one ablation row's config overrides."""
+    args = {k: v for k, v in overrides.items() if k in ("lvc_enabled", "n_shallow", "n_deep")}
+    return dict(args, feature_dims={m: DIMS[m] for m in overrides["modalities"]})
+
+
 # the model of every ablation row: each modality set, LVC on and off, and
-# each shallow/deep split, concat included
-ABLATION_MODELS = ([dict(feature_dims={m: DIMS[m] for m in mods}) for _, mods in MODALITY_ROWS]
-                   + [dict(lvc_enabled=enabled) for _, enabled in LVC_ROWS]
-                   + [dict(n_shallow=shallow, n_deep=deep) for _, shallow, deep in LAYER_ROWS])
+# each shallow/deep split, concat included (the lambda rows share one model)
+ABLATION_MODELS = [ablation_model(overrides) for suite in ("modality", "lvc", "layers")
+                   for _, overrides in SUITES[suite][1]]
 
 
 class TestParameterNames:

@@ -97,6 +97,15 @@ class TestTrainingLoop:
         text = (out / "report.txt").read_text()
         assert "test_acc" in text and "[first_epoch_steps]" in text
 
+    def test_identical_runs_write_identical_artifacts(self, small_dataset, tmp_path):
+        cfg = fast_config(small_dataset, out_dir=str(tmp_path / "run"))
+        names = ("report.txt", "config.cfg", "model.wvfn", "predictions.tsv")
+        runs = []
+        for _ in range(2):
+            train(cfg)
+            runs.append([(tmp_path / "run" / name).read_bytes() for name in names])
+        assert runs[0] == runs[1]
+
     def test_report_metrics_reproducible_from_checkpoint(self, small_dataset, tmp_path):
         out = tmp_path / "run"
         cfg = fast_config(small_dataset, out_dir=str(out))
@@ -228,24 +237,34 @@ def quick(tmp_path_factory):
                             train_frac=0.6, val_frac=0.2, test_frac=0.2)
 
 
+def header_line(table):
+    return table.to_text().splitlines()[0]
+
+
+SEED0_COLUMNS = "ACC(%)\tWF1(%)\tseed0 ACC(%)\tseed0 WF1(%)"
+
+
 class TestAblationSuites:
     def test_modality_suite_rows(self, quick):
         table = run_suite("modality", quick, seeds=[0])
         assert [row.label[0] for row in table.rows] == ["A", "T", "V", "A+T", "A+V", "A+V+T"]
-        text = table.to_text()
-        assert text.startswith("Modality\tACC(%)\tWF1(%)")
-        assert len(text.strip().splitlines()) == 7
+        assert header_line(table) == "Modality\t" + SEED0_COLUMNS
+        assert len(table.to_text().strip().splitlines()) == 7
 
     def test_lambda_suite_rows(self, quick):
         table = run_suite("lambda", quick, seeds=[0])
         assert [row.label[0] for row in table.rows] == ["0", "0.01", "0.1", "1", "10"]
+        assert header_line(table) == "lambda\t" + SEED0_COLUMNS
 
     def test_lvc_suite_rows(self, quick):
         table = run_suite("lvc", quick, seeds=[0])
         assert [row.label[0] for row in table.rows] == ["w/o LVC block", "w/ LVC block"]
+        assert header_line(table) == "Models\t" + SEED0_COLUMNS
 
     def test_layers_suite_rows_sum_to_twelve(self, quick):
         table = run_suite("layers", quick, seeds=[0])
+        assert header_line(table) == ("method\tShallow transformer\tDeep transformer\t"
+                                      + SEED0_COLUMNS)
         labels = [row.label for row in table.rows]
         assert labels[0] == ("concat", "12", "0")
         assert [lab[:1] for lab in labels[1:]] == [("Attention",)] * 4
