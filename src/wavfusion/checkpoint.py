@@ -116,10 +116,14 @@ def _utf8(raw: bytes, offset: int, what: str) -> str:
 def load_model(path, model) -> None:
     """Install checkpoint parameters into ``model`` (cast to its dtype).
 
-    The record set must match the model's parameter names and shapes
-    exactly, and the header the model's ``architecture``.
+    The header, checked first, must match the model's ``architecture`` and
+    the records its parameter names and shapes; a failed check loads nothing.
     """
     header, records = read_records(path)
+    for key, value in architecture(model).items():
+        if header.get(key) != value:
+            raise CheckpointError(f"checkpoint {key} = {header.get(key, '(absent)')} "
+                                  f"but the model has {key} = {value}")
     params = dict(model.named_parameters())
     seen = set()
     for name, arr in records:
@@ -134,9 +138,5 @@ def load_model(path, model) -> None:
     missing = sorted(set(params) - seen)
     if missing:
         raise CheckpointError(f"checkpoint lacks parameters: {missing[:5]}{'...' if len(missing) > 5 else ''}")
-    for key, value in architecture(model).items():
-        if header.get(key) != value:
-            raise CheckpointError(f"checkpoint {key} = {header.get(key, '(absent)')} "
-                                  f"but the model has {key} = {value}")
     for name, arr in records:
         params[name].data = arr.astype(model.dtype)

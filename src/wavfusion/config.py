@@ -72,6 +72,10 @@ class ExperimentConfig:
             raise ConfigError(f"precision must be one of {PRECISIONS}; got {self.precision!r}")
         if self.num_classes < 0:
             raise ConfigError("num_classes must be non-negative (0 = infer)")
+        for key, value in vars(self).items():   # the file holds one stripped value per line
+            if isinstance(value, str) and (value != value.strip() or len(value.splitlines()) > 1):
+                raise ConfigError(f"{key} must not hold a line break or start or end with a blank; "
+                                  f"got {value!r}")
         self.split_policy().check()
         return self
 
@@ -116,8 +120,8 @@ def set_value(cfg: ExperimentConfig, key: str, raw: str, where: str) -> None:
 def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
     cfg = dataclasses.replace(base) if base else ExperimentConfig()
     for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
+        body = line.strip()
+        if not body or body.startswith("#"):    # a "#" after the first character is data
             continue
         if "=" not in body:
             raise ConfigError(f"config line {lineno}: expected key = value, got {line!r}")

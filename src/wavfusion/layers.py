@@ -50,21 +50,21 @@ def _named(value, name: str) -> list:
 
 
 class Module:
-    """A layer or model whose parameters are its attributes.
+    """A layer or model whose parameters are its attributes; ``Module(**parts)``
+    is a plain group of parts.
 
     ``named_parameters`` walks the attributes in assignment order and yields
     each trainable ``Tensor``, the parameters of each ``Module`` attribute,
-    and those of each ``Module`` in a list attribute, named by position. An
-    attribute's part of a name is the attribute's own, or its entry in
-    ``NAMES`` where the two differ.
+    and those of each ``Module`` in a list attribute, named by position: a
+    parameter's name is its attribute path.
     """
 
-    NAMES: dict = {}
+    def __init__(self, **parts):
+        vars(self).update(parts)
 
     def named_parameters(self, prefix: str = "") -> list:
         """``(name, tensor)`` per parameter, each name behind ``prefix``."""
-        return [p for attr, value in vars(self).items()
-                for p in _named(value, prefix + self.NAMES.get(attr, attr))]
+        return [p for attr, value in vars(self).items() for p in _named(value, prefix + attr)]
 
 
 class Segments:
@@ -210,7 +210,7 @@ class Attention(Module):
     (layout ``seg``) into the context rows ``ctx`` (layout ``ctx_seg``);
     self-attention passes ``x`` and its layout twice.
 
-    Each of ``wq``, ``wk``, ``wv`` and ``wo`` is one [d x d] matrix. The
+    Each of ``q``, ``k``, ``v`` and ``out`` is one [d x d] matrix. The
     columns of the first three are head-major: head i owns columns
     [i*d_head, (i+1)*d_head). A call, projections included, is one
     ``tensor.attention`` node at any head count; it works per sequence and
@@ -218,19 +218,17 @@ class Attention(Module):
     [sum(T) x sum(T_ctx)].
     """
 
-    NAMES = {"wq": "q", "wk": "k", "wv": "v", "wo": "out"}
-
     def __init__(self, d: int, heads: int, rng: Prng):
         self.check(d, heads)
         self.heads = heads
         self.d_head = d // heads
         # head i of role j (q, k, v) is drawn from rng.child(3i + j)
-        self.wq, self.wk, self.wv = (
+        self.q, self.k, self.v = (
             _param(np.concatenate([xavier_uniform(rng.child(3 * i + j), d, self.d_head,
                                                   (d, self.d_head))
                                    for i in range(heads)], axis=1))
             for j in range(3))
-        self.wo = _param(xavier_uniform(rng.child(3 * heads), d, d, (d, d)))
+        self.out = _param(xavier_uniform(rng.child(3 * heads), d, d, (d, d)))
 
     @staticmethod
     def check(d: int, heads: int) -> None:
@@ -238,7 +236,7 @@ class Attention(Module):
             raise ConfigError(f"model width {d} must be a positive multiple of heads={heads}")
 
     def __call__(self, x: Tensor, ctx: Tensor, seg: Segments, ctx_seg: Segments) -> Tensor:
-        return T.attention(x, ctx, self.wq, self.wk, self.wv, self.wo, self.heads, seg, ctx_seg)[0]
+        return T.attention(x, ctx, self.q, self.k, self.v, self.out, self.heads, seg, ctx_seg)[0]
 
 
 class LayerNorm(Module):

@@ -120,26 +120,20 @@ class GatedCrossModalLayer(Module):
         self.ff = FeedForward(d, rng.child(3))
         self.norm_ff = LayerNorm(d)
 
-    def cross_text(self, x: Tensor, ctx: Tensor, seg: Segments, ctx_seg: Segments) -> Tensor:
-        return self.norm_text(x, self.attn_text(x, ctx, seg, ctx_seg))
-
-    def cross_visual(self, x: Tensor, ctx: Tensor, seg: Segments, ctx_seg: Segments) -> Tensor:
-        return self.norm_vis(x, self.attn_vis(x, ctx, seg, ctx_seg))
-
     def __call__(self, x: Tensor, aux_text: Tensor | None, aux_vis: Tensor | None,
                  seg: Segments, text_seg: Segments | None, vis_seg: Segments | None):
-        text_aug = self.cross_text(x, aux_text, seg, text_seg) if aux_text is not None else None
-        vis_aug = self.cross_visual(x, aux_vis, seg, vis_seg) if aux_vis is not None else None
-        gate_vals = None
+        text_aug = vis_aug = gate_vals = None
+        if aux_text is not None:
+            text_aug = self.norm_text(x, self.attn_text(x, aux_text, seg, text_seg))
+        if aux_vis is not None:
+            vis_aug = self.norm_vis(x, self.attn_vis(x, aux_vis, seg, vis_seg))
         if text_aug is not None and vis_aug is not None:
             fused, gate_vals = gated_fuse(text_aug, vis_aug, self.gate)
-        elif text_aug is not None:
-            fused = text_aug
-        elif vis_aug is not None:
-            fused = vis_aug
+        elif text_aug is None and vis_aug is None:
+            # no auxiliaries: the text pair attends over x, a plain self-attention layer
+            fused = self.norm_text(x, self.attn_text(x, x, seg, seg))
         else:
-            # no auxiliaries: degrade to a plain self-attention layer
-            fused = self.cross_text(x, x, seg, seg)
+            fused = vis_aug if text_aug is None else text_aug
         out = self.norm_ff(fused, self.ff(fused))
         return out, DeepLayerTrace(text_aug, vis_aug, gate_vals, fused, out)
 
@@ -192,13 +186,9 @@ class WavFusionModel(Module):
     feature width; branches are built only for those. ``dtype`` is the
     precision of every parameter and activation. A model instance is
     exclusively owned during a training step; concurrent evaluation requires
-    deep-copied parameters. Parameter names group each branch's layers under
-    ``text.`` and ``visual.``.
+    deep-copied parameters. The text and visual branches are the ``Module``
+    groups ``text`` and ``visual``.
     """
-
-    NAMES = {"text_gru": "text.gru", "text_attn": "text.attn", "text_proj": "text.proj",
-             "vis_gru": "visual.gru", "vis_attn": "visual.attn", "lvc": "visual.lvc",
-             "vis_proj": "visual.proj"}
 
     def __init__(self, num_classes: int, feature_dims: dict, d: int = 64, heads: int = 4,
                  n_shallow: int = 9, n_deep: int = 3, lvc_centers: int = 8,
@@ -223,15 +213,14 @@ class WavFusionModel(Module):
             self.audio_proj = Linear(feature_dims["a"], d, rng.child(0))
         if "t" in feature_dims:
             r = rng.child(1)
-            self.text_gru = Gru(feature_dims["t"], d, r.child(0))
-            self.text_attn = Attention(d, heads, r.child(1))
-            self.text_proj = Linear(d, d, r.child(2))
+            self.text = Module(gru=Gru(feature_dims["t"], d, r.child(0)),
+                               attn=Attention(d, heads, r.child(1)), proj=Linear(d, d, r.child(2)))
         if "v" in feature_dims:
             r = rng.child(2)
-            self.vis_gru = Gru(feature_dims["v"], d, r.child(0))
-            self.vis_attn = Attention(d, heads, r.child(1))
-            self.lvc = LvcBlock(feature_dims["v"], d, lvc_centers, r.child(2))
-            self.vis_proj = Linear(2 * d if lvc_enabled else d, d, r.child(3))
+            self.visual = Module(gru=Gru(feature_dims["v"], d, r.child(0)),
+                                 attn=Attention(d, heads, r.child(1)),
+                                 lvc=LvcBlock(feature_dims["v"], d, lvc_centers, r.child(2)),
+                                 proj=Linear(2 * d if lvc_enabled else d, d, r.child(3)))
         self.shallow = [TransformerEncoderLayer(d, heads, rng.child(10 + i)) for i in range(n_shallow)]
         self.deep = [GatedCrossModalLayer(d, heads, rng.child(100 + i)) for i in range(n_deep)]
         self.shared_encoder = Linear(d, d, rng.child(3))
@@ -248,17 +237,17 @@ class WavFusionModel(Module):
     def text_branch(self, x: Tensor, seg: Segments) -> Tensor:
         """Packed text features [sum(T) x D] with their required layout
         ``seg`` (see ``_pack``) to [sum(T) x d]; likewise the other branches."""
-        h = self.text_gru(x, seg)
-        return self.text_proj(self.text_attn(h, h, seg, seg))
+        text = self.text
+        h = text.gru(x, seg)
+        return text.proj(text.attn(h, h, seg, seg))
 
     def visual_branch(self, x: Tensor, seg: Segments) -> Tensor:
-        h = self.vis_gru(x, seg)
-        global_path = self.vis_attn(h, h, seg, seg)
+        visual = self.visual
+        h = visual.gru(x, seg)
+        h = visual.attn(h, h, seg, seg)
         if self.lvc_enabled:
-            h = T.concat([global_path, self.lvc(x, seg)], axis=-1)
-        else:
-            h = global_path
-        return self.vis_proj(h)
+            h = T.concat([h, visual.lvc(x, seg)], axis=-1)
+        return visual.proj(h)
 
     def audio_stack(self, x: Tensor, seg: Segments) -> Tensor:
         x = self.audio_proj(x)

@@ -78,28 +78,34 @@ def evaluate(model: WavFusionModel, samples, mask):
     return acc, wf1, predictions, labels
 
 
-def _dataset_loss(model, samples, mask, cfg) -> float:
+def _dataset_loss(model, samples, mask, cfg, epoch: int) -> float:
     total = 0.0
     with T.no_grad():
-        for start in range(0, len(samples), cfg.batch_size):
+        for bi, start in enumerate(range(0, len(samples), cfg.batch_size)):
             chunk = samples[start:start + cfg.batch_size]
             loss, _, _, _ = batch_objective(model, chunk, mask, cfg.alpha, cfg.balance,
                                             cfg.strict_cosine)
-            total += float(loss.data) * len(chunk)
+            total += len(chunk) * _finite_loss(loss, f"validation loss in epoch {epoch} batch {bi}",
+                                               model, chunk, mask)
     return total / len(samples)
 
 
-def _non_finite_origin(model: WavFusionModel, samples, mask) -> str:
-    """Where a batch's non-finite loss starts: the first non-finite
-    intermediate of its forward pass, re-run without a graph, and the first
+def _finite_loss(loss: Tensor, what: str, model: WavFusionModel, samples, mask) -> float:
+    """The value of a batch's loss. A non-finite one raises ``RuntimeError``
+    naming ``what`` and where it starts: the first non-finite intermediate
+    of the batch's forward pass, re-run without a graph, and the first
     parameter with a non-finite value."""
+    value = float(loss.data)
+    if np.isfinite(value):
+        return value
     with T.no_grad():
         trace = model.forward_batch(samples, mask)
         model.shared_encode(trace)
-    value = next((name for name, v in trace.all_values() if not np.isfinite(v).all()), "none")
+    where = next((name for name, v in trace.all_values() if not np.isfinite(v).all()), "none")
     param = next((name for name, p in model.named_parameters()
                   if not np.isfinite(p.data).all()), "none")
-    return f"first non-finite value {value}, first non-finite parameter {param}"
+    raise RuntimeError(f"non-finite {what}; first non-finite value {where}, "
+                       f"first non-finite parameter {param}")
 
 
 @dataclass
@@ -168,10 +174,7 @@ def train(cfg: ExperimentConfig, dataset: Dataset | None = None,
             chunk = [train_set[i] for i in order[start:start + cfg.batch_size]]
             loss, _, _, _ = batch_objective(model, chunk, mask, cfg.alpha, cfg.balance,
                                             cfg.strict_cosine)
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise RuntimeError(f"non-finite loss in epoch {epoch} batch {bi}; "
-                                   + _non_finite_origin(model, chunk, mask))
+            value = _finite_loss(loss, f"loss in epoch {epoch} batch {bi}", model, chunk, mask)
             loss.backward()
             opt.step()
             opt.zero_grad()
@@ -179,7 +182,8 @@ def train(cfg: ExperimentConfig, dataset: Dataset | None = None,
             if epoch == 1:
                 report.first_epoch_step_losses.append(value)
         report.epoch_train_loss.append(float(np.mean(epoch_losses)))
-        val_loss = _dataset_loss(model, val_set, mask, cfg) if val_set else float(np.mean(epoch_losses))
+        val_loss = (_dataset_loss(model, val_set, mask, cfg, epoch) if val_set
+                    else float(np.mean(epoch_losses)))
         report.epoch_val_loss.append(val_loss)
         if val_loss <= best_val:
             best_val = val_loss

@@ -130,8 +130,8 @@ class TestFusedParity:
             ctx = x if ctx is None else ctx
             return new(x, ctx, whole(x), whole(ctx))
         check_parity(run, old, inputs,
-                     [(new.wq, old.wq, 1), (new.wk, old.wk, 1), (new.wv, old.wv, 1),
-                      (new.wo, [old.wo], 1)])
+                     [(new.q, old.wq, 1), (new.k, old.wk, 1), (new.v, old.wv, 1),
+                      (new.out, [old.wo], 1)])
 
     @pytest.mark.parametrize("d_in,d_h,t_len", [(10, 16, 8), (8, 64, 5), (3, 4, 1)])
     def test_gru(self, d_in, d_h, t_len):

@@ -40,23 +40,24 @@ class TestBranches:
 
     def test_visual_branch_without_lvc(self):
         model = tiny_model(lvc_enabled=False)
-        assert model.vis_proj.weight.shape[0] == 8  # reduced input width: global path only
+        assert model.visual.proj.weight.shape[0] == 8  # reduced input width: global path only
         x = rand((4, 4), seed=1)
-        expect = model.vis_proj(self_attention(model.vis_attn, model.vis_gru(Tensor(x), whole(x))))
+        expect = model.visual.proj(self_attention(model.visual.attn,
+                                                  model.visual.gru(Tensor(x), whole(x))))
         npt.assert_allclose(model.visual_branch(Tensor(x), whole(x)).data, expect.data, atol=1e-12)
 
     def test_visual_branch_composition(self):
         model = tiny_model()
         x = rand((5, 4), seed=2)
-        global_path = self_attention(model.vis_attn, model.vis_gru(Tensor(x), whole(x)))
-        local_path = model.lvc(Tensor(x), whole(x))
-        expect = model.vis_proj(T.concat([global_path, local_path], axis=-1))
+        global_path = self_attention(model.visual.attn, model.visual.gru(Tensor(x), whole(x)))
+        local_path = model.visual.lvc(Tensor(x), whole(x))
+        expect = model.visual.proj(T.concat([global_path, local_path], axis=-1))
         npt.assert_allclose(model.visual_branch(Tensor(x), whole(x)).data, expect.data, atol=1e-12)
 
     def test_text_branch_composition(self):
         model = tiny_model()
         x = rand((4, 5), seed=3)
-        expect = model.text_proj(self_attention(model.text_attn, model.text_gru(Tensor(x), whole(x))))
+        expect = model.text.proj(self_attention(model.text.attn, model.text.gru(Tensor(x), whole(x))))
         npt.assert_allclose(model.text_branch(Tensor(x), whole(x)).data, expect.data, atol=1e-12)
 
     def test_text_branch_single_step(self):
@@ -122,16 +123,16 @@ class TestCrossModalAttention:
         ctx = np.tile(rand((1, 8), seed=6), (5, 1))
         raw = layer.attn_text(Tensor(x), Tensor(ctx), whole(x), whole(ctx)).data
         npt.assert_allclose(raw, np.tile(raw[:1], (4, 1)), atol=1e-12)
-        values = np.concatenate([ctx[:1] @ layer.attn_text.wv.data[:, 4 * i:4 * (i + 1)]
+        values = np.concatenate([ctx[:1] @ layer.attn_text.v.data[:, 4 * i:4 * (i + 1)]
                                  for i in range(2)], axis=-1)
-        npt.assert_allclose(raw[:1], values @ layer.attn_text.wo.data, atol=1e-12)
+        npt.assert_allclose(raw[:1], values @ layer.attn_text.out.data, atol=1e-12)
 
     def test_single_context_position_weight_is_one(self):
         layer = GatedCrossModalLayer(8, 2, Prng(2))
         x = Tensor(rand((3, 8), seed=7))
         ctx = Tensor(rand((1, 8), seed=8))
         attn = layer.attn_text
-        for w in T.attention(x, ctx, attn.wq, attn.wk, attn.wv, attn.wo, attn.heads, whole(x),
+        for w in T.attention(x, ctx, attn.q, attn.k, attn.v, attn.out, attn.heads, whole(x),
                              whole(ctx))[1]:
             npt.assert_array_equal(w, np.ones((3, 1)))
 
@@ -145,7 +146,8 @@ class TestCrossModalAttention:
         var = ((h - mean) ** 2).mean(axis=-1, keepdims=True)
         expect = ((h - mean) / np.sqrt(var + LayerNorm.EPS)
                   * layer.norm_text.gain.data + layer.norm_text.bias.data)
-        out = layer.cross_text(Tensor(x), Tensor(ctx), whole(x), whole(ctx))
+        x_t = Tensor(x)
+        out = layer.norm_text(x_t, layer.attn_text(x_t, Tensor(ctx), whole(x), whole(ctx)))
         npt.assert_allclose(out.data, expect, atol=1e-10)
 
     def test_preserves_primary_length(self):
@@ -398,8 +400,8 @@ def listed_parameters(model):
                 (f"{prefix}.b", g.b)]
 
     def attn(prefix, a):
-        return [(f"{prefix}.q", a.wq), (f"{prefix}.k", a.wk), (f"{prefix}.v", a.wv),
-                (f"{prefix}.out", a.wo)]
+        return [(f"{prefix}.q", a.q), (f"{prefix}.k", a.k), (f"{prefix}.v", a.v),
+                (f"{prefix}.out", a.out)]
 
     def norm(prefix, n):
         return [(f"{prefix}.gain", n.gain), (f"{prefix}.bias", n.bias)]
@@ -411,14 +413,14 @@ def listed_parameters(model):
     if "a" in model.feature_dims:
         out += affine("audio_proj", model.audio_proj)
     if "t" in model.feature_dims:
-        out += (gru("text.gru", model.text_gru) + attn("text.attn", model.text_attn)
-                + affine("text.proj", model.text_proj))
+        out += (gru("text.gru", model.text.gru) + attn("text.attn", model.text.attn)
+                + affine("text.proj", model.text.proj))
     if "v" in model.feature_dims:
-        lvc = model.lvc
-        out += (gru("visual.gru", model.vis_gru) + attn("visual.attn", model.vis_attn)
+        lvc = model.visual.lvc
+        out += (gru("visual.gru", model.visual.gru) + attn("visual.attn", model.visual.attn)
                 + affine("visual.lvc.stem", lvc.stem)
                 + [("visual.lvc.centers", lvc.centers), ("visual.lvc.scales", lvc.scales)]
-                + affine("visual.lvc.proj", lvc.proj) + affine("visual.proj", model.vis_proj))
+                + affine("visual.lvc.proj", lvc.proj) + affine("visual.proj", model.visual.proj))
     for i, layer in enumerate(model.shallow):
         p = f"shallow.{i}"
         out += (attn(f"{p}.attn", layer.attn) + norm(f"{p}.norm_attn", layer.norm_attn)
@@ -571,6 +573,23 @@ class TestCheckpoint:
             load_model(path, other)
         for (_, p), old in zip(other.named_parameters(), before):
             npt.assert_array_equal(p.data, old)   # nothing half-loaded
+
+    @pytest.mark.parametrize("key,value", [
+        ("num_classes", 3), ("feature_dims", {"a": 6, "t": 5, "v": 5}), ("d", 16),
+        ("n_shallow", 2), ("lvc_enabled", False),
+    ])
+    def test_other_architecture_names_the_differing_setting(self, tmp_path, key, value):
+        # each of these settings also changes the parameter names or shapes
+        path = tmp_path / "m.wvfn"
+        base = dict(num_classes=4, n_shallow=1, n_deep=1)
+        save_model(path, tiny_model(**base))
+        other = tiny_model(**{**base, key: value})
+        before = [p.data.copy() for _, p in other.named_parameters()]
+        with pytest.raises(CheckpointError,
+                           match=f"^checkpoint {key} = .* but the model has {key} = "):
+            load_model(path, other)
+        for (_, p), old in zip(other.named_parameters(), before):
+            npt.assert_array_equal(p.data, old)
 
     def test_version_1_rejected(self, tmp_path):
         path = tmp_path / "v1.wvfn"

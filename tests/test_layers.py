@@ -40,13 +40,13 @@ def attention_oracle(x, ctx, layer):
     """Dense per-head formula, straight from the definition."""
     outs = []
     for i in range(layer.heads):
-        q = x @ head_block(layer.wq, i, layer.d_head)
-        k = ctx @ head_block(layer.wk, i, layer.d_head)
-        v = ctx @ head_block(layer.wv, i, layer.d_head)
+        q = x @ head_block(layer.q, i, layer.d_head)
+        k = ctx @ head_block(layer.k, i, layer.d_head)
+        v = ctx @ head_block(layer.v, i, layer.d_head)
         scores = q @ k.T / math.sqrt(layer.d_head)
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         outs.append((e / e.sum(axis=-1, keepdims=True)) @ v)
-    return np.concatenate(outs, axis=-1) @ layer.wo.data
+    return np.concatenate(outs, axis=-1) @ layer.out.data
 
 
 def lvc_oracle(x, block):
@@ -192,8 +192,8 @@ class TestAttention:
     def test_single_position_is_value_projection(self):
         layer = Attention(6, 2, Prng(0))
         x = rand((1, 6), seed=12)
-        values = np.concatenate([x @ head_block(layer.wv, i, 3) for i in range(2)], axis=-1)
-        npt.assert_allclose(self_attention(layer, x).data, values @ layer.wo.data, atol=1e-12)
+        values = np.concatenate([x @ head_block(layer.v, i, 3) for i in range(2)], axis=-1)
+        npt.assert_allclose(self_attention(layer, x).data, values @ layer.out.data, atol=1e-12)
 
     def test_identical_rows_give_identical_outputs(self):
         layer = Attention(4, 2, Prng(1))
@@ -221,7 +221,7 @@ class TestAttention:
     def test_weights_are_distributions(self):
         layer = Attention(6, 2, Prng(4))
         x = Tensor(rand((4, 6), seed=18))
-        for w in T.attention(x, x, layer.wq, layer.wk, layer.wv, layer.wo, layer.heads, whole(x),
+        for w in T.attention(x, x, layer.q, layer.k, layer.v, layer.out, layer.heads, whole(x),
                              whole(x))[1]:
             npt.assert_allclose(w.sum(axis=-1), np.ones(4), atol=1e-6)
             assert (w >= 0).all()
@@ -233,7 +233,7 @@ class TestAttention:
     def test_gradients(self):
         layer = Attention(4, 2, Prng(5))
         x = Tensor(rand((3, 4), seed=19), requires_grad=True)
-        params = [x, layer.wq, layer.wk, layer.wv, layer.wo]
+        params = [x, layer.q, layer.k, layer.v, layer.out]
         assert fd_max_rel_error(
             lambda: R.sum(R.mul(self_attention(layer, x), self_attention(layer, x))), params) < 1e-4
 
@@ -358,8 +358,6 @@ class TestInputShapes:
 class TestModule:
     def test_parameters_found_in_attributes(self):
         class Net(Module):
-            NAMES = {"first": "one"}
-
             def __init__(self):
                 self.width = 3
                 self.first = Linear(2, 3, Prng(0))
@@ -370,9 +368,17 @@ class TestModule:
         net = Net()
         named = net.named_parameters("net.")
         assert [name for name, _ in named] == [
-            "net.one.weight", "net.one.bias", "net.scale", "net.blocks.0.gain",
+            "net.first.weight", "net.first.bias", "net.scale", "net.blocks.0.gain",
             "net.blocks.0.bias", "net.blocks.1.gain", "net.blocks.1.bias"]
         assert [p for _, p in named] == [net.first.weight, net.first.bias, net.scale,
                                          net.blocks[0].gain, net.blocks[0].bias,
                                          net.blocks[1].gain, net.blocks[1].bias]
-        assert [name for name, _ in net.named_parameters()][:1] == ["one.weight"]
+        assert [name for name, _ in net.named_parameters()][:1] == ["first.weight"]
+
+    def test_group_names_its_parts_by_keyword_in_order(self):
+        norm, linear = LayerNorm(2), Linear(2, 2, Prng(0))
+        group = Module(norm=norm, proj=linear, steps=3)
+        assert group.norm is norm and group.proj is linear and group.steps == 3
+        assert group.named_parameters("g.") == [
+            ("g.norm.gain", norm.gain), ("g.norm.bias", norm.bias),
+            ("g.proj.weight", linear.weight), ("g.proj.bias", linear.bias)]

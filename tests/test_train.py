@@ -8,7 +8,7 @@ import pytest
 
 from wavfusion.ablate import run_suite
 from wavfusion.config import ExperimentConfig, load_config, parse_config_text, save_config
-from wavfusion.data import SynthSpec, generate_synthetic, load_dataset
+from wavfusion.data import SynthSpec, generate_synthetic, load_dataset, split
 from wavfusion.errors import CheckpointError, ConfigError, DataError
 from wavfusion.gradcheck import run_gradcheck, synthetic_batch, tiny_config
 from wavfusion.losses import build_triplets, margin_loss, metrics
@@ -81,6 +81,17 @@ class TestTrainingLoop:
                                                r"deep.0.gate, first non-finite parameter "
                                                r"deep.0.gate.weight"):
             train(cfg, write_artifacts=False)
+
+    def test_non_finite_validation_loss_stops_the_run(self, small_dataset):
+        # rather than keep the initial parameters as the best and report them
+        dataset = load_dataset(str(small_dataset))
+        cfg = fast_config(small_dataset, epochs=3, train_frac=0.6, val_frac=0.2, test_frac=0.2)
+        val_set = split(dataset.samples, cfg.split_policy())[1]
+        val_set[0].features["a"][:] = np.nan
+        with pytest.raises(RuntimeError, match=r"^non-finite validation loss in epoch 1 batch 0; "
+                                               r"first non-finite value branch.a, "
+                                               r"first non-finite parameter none$"):
+            train(cfg, dataset=dataset, write_artifacts=False)
 
     def test_run_artifacts_and_report(self, small_dataset, tmp_path):
         out = tmp_path / "run"
@@ -297,6 +308,18 @@ class TestConfig:
         cfg = parse_config_text("# comment\n d = 32 \nbalance=2.5\nlvc_enabled = false\n",
                                 ExperimentConfig())
         assert cfg.d == 32 and cfg.balance == 2.5 and cfg.lvc_enabled is False
+
+    def test_text_roundtrip_keeps_hashes_and_comment_lines(self):
+        cfg = ExperimentConfig(data_dir="/data/take#2", out_dir="runs/#best # 1")
+        assert parse_config_text(cfg.to_text()) == cfg
+        text = "  # d = 4\n# heads = 1\ndata_dir = a#b\n"
+        assert parse_config_text(text) == ExperimentConfig(data_dir="a#b")
+
+    @pytest.mark.parametrize("key,value", [("data_dir", "/data/a\nd = 4"), ("out_dir", " runs "),
+                                           ("data_dir", "data\t"), ("out_dir", "a\rb")])
+    def test_string_that_cannot_be_written_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must not hold a line break"):
+            ExperimentConfig(**{key: value}).validate()
 
     def test_unknown_key_rejected(self):
         # including keys that a config file written by an older version may still set

@@ -6,8 +6,9 @@ The parent is ``src/`` of a git revision, unpacked with ``git archive``; the
 change is this checkout's ``src/``. Both are imported as separately named
 packages, build the workload's model and optimizer (``perfbench/workloads.py``,
 read as plain data) and run the same training steps alternately, the side
-that goes first alternating too. Two trees whose models name their
-parameters differently, or write different checkpoint headers, are refused.
+that goes first alternating too. Two trees whose models name or order
+their parameters differently, or write different checkpoint headers, are
+refused: checkpoints and Adam's flat state follow the parameter order.
 Before each step the parent's parameters are set to the change's, so the
 differences printed are one step's.
 
@@ -16,7 +17,8 @@ Adam, as ``perfbench`` times a step), the steps the change won, and the
 largest difference in the loss and in any parameter gradient. After the
 steps, both sides take the same parameters and run one no-grad forward pass
 over the first 64 held-out utterances; the largest difference in their
-logits is printed too. ``--exact`` exits 1 unless all three are 0.
+logits is printed too, and whether their ``save_model`` bytes are equal.
+``--exact`` exits 1 unless all three differences are 0 and the bytes equal.
 """
 
 from __future__ import annotations
@@ -94,6 +96,11 @@ class Side:
         self.times.append(paused - started + time.perf_counter() - resumed)
         return float(loss.data), grads
 
+    def checkpoint(self, path: Path) -> bytes:
+        """The bytes ``save_model`` writes for this side's model."""
+        self.pkg.checkpoint.save_model(path, self.model)
+        return path.read_bytes()
+
     def logits(self, samples):
         """The logits of one no-grad packed forward pass over ``samples``."""
         with self.pkg.tensor.no_grad():
@@ -121,8 +128,8 @@ def compare(parent_src: Path, change_src: Path, workload_name: str, steps: int, 
             seq_len=dict(workload.seq_len), seed=seed), tmp)
         dataset = change.data.load_dataset(tmp)
     a, b = sides = [Side(pkg, workload, bench.COMMON, seed, dataset) for pkg in (parent, change)]
-    if a.params.keys() != b.params.keys():
-        raise SystemExit("ab: the two trees name their parameters differently")
+    if list(a.params) != list(b.params):
+        raise SystemExit("ab: the two trees name or order their parameters differently")
     if parent.checkpoint.architecture(a.model) != change.checkpoint.architecture(b.model):
         raise SystemExit("ab: the two trees write different checkpoint headers")
     train_set, val_set, test_set = change.data.split(dataset.samples, b.cfg.split_policy())
@@ -147,11 +154,13 @@ def compare(parent_src: Path, change_src: Path, workload_name: str, steps: int, 
     held_out = (val_set + test_set)[:64]
     logit_diff = float(np.max(np.abs(b.logits(held_out).astype(np.float64)
                                      - a.logits(held_out))))
+    with tempfile.TemporaryDirectory() as tmp:
+        same_checkpoint = a.checkpoint(Path(tmp) / "a.wvfn") == b.checkpoint(Path(tmp) / "b.wvfn")
     return {"parent": a.times, "change": b.times,
             "wins": sum(ta > tb for ta, tb in zip(a.times, b.times)),
             "ratio": statistics.median(b.times) / statistics.median(a.times),
             "loss_diff": loss_diff, "grad_diff": grad_diff, "worst": worst,
-            "logit_diff": logit_diff}
+            "logit_diff": logit_diff, "same_checkpoint": same_checkpoint}
 
 
 def main(argv=None) -> int:
@@ -163,8 +172,8 @@ def main(argv=None) -> int:
     parser.add_argument("--steps", type=int, default=100, help="training steps per side")
     parser.add_argument("--seed", type=int, default=1, help="seed of the data and the model")
     parser.add_argument("--exact", action="store_true",
-                        help="exit 1 unless the loss, every gradient and the no-grad "
-                             "logits are bit-identical")
+                        help="exit 1 unless the loss, every gradient, the no-grad "
+                             "logits and the checkpoint bytes are identical")
     args = parser.parse_args(argv)
     if args.steps < 2:
         parser.error("--steps must be at least 2")
@@ -184,7 +193,9 @@ def main(argv=None) -> int:
     print(f"  max |loss diff| {r['loss_diff']:.3e}; max |gradient diff| {r['grad_diff']:.3e}"
           + (f" ({r['worst']})" if r["worst"] else ""))
     print(f"  max |no-grad logit diff| {r['logit_diff']:.3e}")
-    return 1 if args.exact and (r["loss_diff"] or r["grad_diff"] or r["logit_diff"]) else 0
+    print(f"  checkpoint bytes {'equal' if r['same_checkpoint'] else 'differ'}")
+    return 1 if args.exact and (r["loss_diff"] or r["grad_diff"] or r["logit_diff"]
+                                or not r["same_checkpoint"]) else 0
 
 
 if __name__ == "__main__":
