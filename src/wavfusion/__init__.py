@@ -1,30 +1,3 @@
 """Multimodal fusion network with gated cross-modal attention, a shared
 cross-modal embedding objective, and a self-contained reverse-mode autodiff
 core."""
-
-from .config import ExperimentConfig
-from .data import Dataset, SynthSpec, UtteranceSample, generate_synthetic, load_dataset
-from .losses import build_triplets, cross_entropy, margin_loss, metrics, total_loss
-from .model import FusionTrace, WavFusionModel, gated_fuse
-from .tensor import Tensor, no_grad
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Dataset",
-    "ExperimentConfig",
-    "FusionTrace",
-    "SynthSpec",
-    "Tensor",
-    "UtteranceSample",
-    "WavFusionModel",
-    "build_triplets",
-    "cross_entropy",
-    "gated_fuse",
-    "generate_synthetic",
-    "load_dataset",
-    "margin_loss",
-    "metrics",
-    "no_grad",
-    "total_loss",
-]

@@ -15,7 +15,9 @@ baseline (``fusion_mode`` ``concat``); every other fuses in its deep layers.
 The model decides once. ``WavFusionModel`` chooses the precision: its layers
 build float64 parameters and it casts each of them to its ``dtype``. Its
 architecture rules live in ``check_architecture`` and ``check_modalities``;
-the config, the constructor and ``forward_batch`` all call them.
+the config, the constructor and ``forward_batch`` all call them. Every
+sample's modalities are checked by ``check_samples``, which ``train`` calls
+before it trains and ``forward_batch`` before each pass.
 """
 
 from __future__ import annotations
@@ -43,6 +45,15 @@ def check_modalities(modalities) -> tuple:
     if len(mask) > 1 and "a" not in mask:
         raise ConfigError(f"multimodal mode {''.join(mask)!r} requires the audio stream")
     return mask
+
+
+def check_samples(samples, mask) -> None:
+    """Raise ``DataError`` naming the first sample without features for a
+    modality of ``mask``."""
+    for sample in samples:
+        for m in mask:
+            if m not in sample.features:
+                raise DataError(f"sample {getattr(sample, 'uid', '?')} lacks modality {m!r}")
 
 
 def check_architecture(modalities, d: int, heads: int, n_shallow: int, n_deep: int,
@@ -190,8 +201,8 @@ class WavFusionModel(Module):
     groups ``text`` and ``visual``.
     """
 
-    def __init__(self, num_classes: int, feature_dims: dict, d: int = 64, heads: int = 4,
-                 n_shallow: int = 9, n_deep: int = 3, lvc_centers: int = 8,
+    def __init__(self, num_classes: int, feature_dims: dict, d: int, heads: int,
+                 n_shallow: int, n_deep: int, lvc_centers: int,
                  lvc_enabled: bool = True, seed: int = 0, dtype=np.float64):
         if num_classes < 2:
             raise ConfigError(f"need at least 2 classes; got {num_classes}")
@@ -262,8 +273,6 @@ class WavFusionModel(Module):
         model's precision, and their layout."""
         seqs, width = [], self.feature_dims[m]
         for sample in samples:
-            if m not in sample.features:
-                raise DataError(f"sample {getattr(sample, 'uid', '?')} lacks modality {m!r}")
             arr = np.asarray(sample.features[m])
             if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] != width:
                 raise DataError(f"sample {getattr(sample, 'uid', '?')}: {m!r} features must be a "
@@ -287,9 +296,13 @@ class WavFusionModel(Module):
         mask = check_modalities(wanted)
         if not wanted <= self.feature_dims.keys():
             raise ConfigError(f"model has no branch for {sorted(wanted - self.feature_dims.keys())}")
-        # a pass without audio is one branch straight into the classifier: nothing is fused
-        if "a" in mask and self.fusion_mode == "concat" and mask != MODALITIES:
+        # the primary stream is audio whenever present; a pass without it is
+        # one branch straight into the classifier: nothing is fused
+        primary = mask[0]
+        concat = primary == "a" and self.fusion_mode == "concat"
+        if concat and mask != MODALITIES:
             raise ConfigError("concat fusion needs all three modalities")
+        check_samples(samples, mask)
 
         trace = FusionTrace()
         encoders = {"a": self.audio_stack, "t": self.text_branch, "v": self.visual_branch}
@@ -298,25 +311,15 @@ class WavFusionModel(Module):
             trace.segments[m] = seg
             trace.branch[m] = encoders[m](x, seg)
 
-        segs = trace.segments
-        if "a" in mask:
-            if self.fusion_mode == "concat":
-                parts = [_mean_pool(trace.branch[m], segs[m]) for m in MODALITIES]
-                trace.fused_seq = trace.branch["a"]
-                trace.fused_pooled = self.concat_head(T.concat(parts, axis=-1))
-            else:
-                state = trace.branch["a"]
-                for layer in self.deep:
-                    state, layer_trace = layer(state, trace.branch.get("t"), trace.branch.get("v"),
-                                               segs["a"], segs.get("t"), segs.get("v"))
-                    trace.deep.append(layer_trace)
-                trace.fused_seq = state
-                trace.fused_pooled = _mean_pool(state, segs["a"])
-        else:
-            only = mask[0]
-            trace.fused_seq = trace.branch[only]
-            trace.fused_pooled = _mean_pool(trace.branch[only], segs[only])
-
+        segs, state = trace.segments, trace.branch[primary]
+        for layer in self.deep if primary == "a" else ():    # a concat model has none
+            state, layer_trace = layer(state, trace.branch.get("t"), trace.branch.get("v"),
+                                       segs["a"], segs.get("t"), segs.get("v"))
+            trace.deep.append(layer_trace)
+        trace.fused_seq = state
+        trace.fused_pooled = (self.concat_head(T.concat([_mean_pool(trace.branch[m], segs[m])
+                                                         for m in MODALITIES], axis=-1))
+                              if concat else _mean_pool(state, segs[primary]))
         trace.logits = self.classifier(trace.fused_pooled)
         return trace
 

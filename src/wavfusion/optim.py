@@ -32,14 +32,11 @@ class Adam:
         dtype = dtypes.pop() if dtypes else np.float64
         ends = np.cumsum([0] + [p.data.size for _, p in self.named_params]).tolist()
         self.flat_p, self.flat_m, self.flat_v = np.zeros((3, ends[-1]), dtype)
-        self.m, self.v, self._chunks = {}, {}, []
-        for (name, p), lo, hi in zip(self.named_params, ends, ends[1:]):
-            shape = p.data.shape
-            view = self.flat_p[lo:hi].reshape(shape)
+        self._chunks = []
+        for (_, p), lo, hi in zip(self.named_params, ends, ends[1:]):
+            view = self.flat_p[lo:hi].reshape(p.data.shape)
             view[...] = p.data
             p.data = view
-            self.m[name] = self.flat_m[lo:hi].reshape(shape)
-            self.v[name] = self.flat_v[lo:hi].reshape(shape)
             if not self._chunks or hi - self._chunks[-1][0] > CHUNK:   # a larger tensor: alone
                 self._chunks.append((lo, []))
             start, members = self._chunks[-1]

@@ -312,12 +312,13 @@ def layer_norm(x: Tensor, residual: Tensor, gain: Tensor, bias: Tensor, eps: flo
     return _result(val, (x, residual, gain, bias), vjp)
 
 
-def cosine_margin(x: Tensor, positives, negatives, alpha: float) -> Tensor:
+def cosine_margin(x: Tensor, positives, negatives, alpha: float):
     """Mean triplet hinge max(0, alpha - cos(x_a, x_p) + cos(x_a, x_n)) over
     every row a of x [N x d], every p in ``positives[a]`` and every n in
     ``negatives[a]`` (integer [N x P] and [N x Q], padded with -1). A zero
     row (one whose ``_square_norms`` is 0) has cosine 0 with every row and
-    gets a zero gradient.
+    gets a zero gradient. Returns the hinge and, as values only, the zero
+    rows: a boolean [N x 1] column.
 
     The rows are normalized (zero rows stay 0) into U and C = U Uᵀ; each
     anchor's hinges are one [P x Q] broadcast of two gathered rows of C, so
@@ -364,7 +365,7 @@ def cosine_margin(x: Tensor, positives, negatives, alpha: float) -> Tensor:
         du = (dc + dc.T).astype(a.dtype, copy=False) @ unit
         du *= keep
         return ((du - unit * (du * unit).sum(axis=-1, keepdims=True)) / norm,)
-    return _result(np.maximum(hinge, 0.0, out=hinge).sum() * (1.0 / count), (x,), vjp)
+    return _result(np.maximum(hinge, 0.0, out=hinge).sum() * (1.0 / count), (x,), vjp), ~keep
 
 
 def softmax_nll(logits: Tensor, labels) -> Tensor:

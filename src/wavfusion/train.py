@@ -22,7 +22,7 @@ from .config import ExperimentConfig, save_config
 from .data import Dataset, load_dataset, split, write_atomic
 from .errors import ConfigError, DataError
 from .losses import Embeddings, build_triplets, cross_entropy, margin_loss, metrics, total_loss
-from .model import WavFusionModel
+from .model import WavFusionModel, check_samples
 from .optim import Adam
 from .rng import Prng
 from .tensor import Tensor
@@ -65,14 +65,20 @@ def batch_objective(model: WavFusionModel, samples, mask, alpha: float, balance:
 
 def evaluate(model: WavFusionModel, samples, mask):
     """Argmax predictions and (ACC, WF1) over ``samples``, in packed forward
-    passes of at most ``EVAL_CHUNK`` utterances."""
+    passes of at most ``EVAL_CHUNK`` utterances. A pass with a non-finite
+    logit raises ``RuntimeError`` (see ``_non_finite``)."""
     samples = list(samples)
     predictions = []
     with T.no_grad():
         # an empty list still makes one (failing) pass
         for start in range(0, len(samples) or 1, EVAL_CHUNK):
             chunk = samples[start:start + EVAL_CHUNK]
-            predictions += model.forward_batch(chunk, mask).predictions()
+            trace = model.forward_batch(chunk, mask)
+            if not np.isfinite(trace.logits.data).all():
+                raise _non_finite(f"logits in the evaluation of utterances {start}.."
+                                  f"{start + len(chunk) - 1}", model, trace)
+            predictions += trace.predictions()
+            del trace       # free this pass's activations before the next pass
     labels = [sample.label for sample in samples]
     acc, wf1 = metrics(predictions, labels, model.num_classes)
     return acc, wf1, predictions, labels
@@ -91,21 +97,25 @@ def _dataset_loss(model, samples, mask, cfg, epoch: int) -> float:
 
 
 def _finite_loss(loss: Tensor, what: str, model: WavFusionModel, samples, mask) -> float:
-    """The value of a batch's loss. A non-finite one raises ``RuntimeError``
-    naming ``what`` and where it starts: the first non-finite intermediate
-    of the batch's forward pass, re-run without a graph, and the first
-    parameter with a non-finite value."""
+    """The value of a batch's loss. A non-finite one raises ``_non_finite``
+    over the batch's forward pass, re-run without a graph."""
     value = float(loss.data)
     if np.isfinite(value):
         return value
     with T.no_grad():
         trace = model.forward_batch(samples, mask)
         model.shared_encode(trace)
+    raise _non_finite(what, model, trace)
+
+
+def _non_finite(what: str, model: WavFusionModel, trace) -> RuntimeError:
+    """The error for a non-finite ``what``, naming where it starts: the first
+    non-finite value of ``trace`` and the first parameter with one."""
     where = next((name for name, v in trace.all_values() if not np.isfinite(v).all()), "none")
     param = next((name for name, p in model.named_parameters()
                   if not np.isfinite(p.data).all()), "none")
-    raise RuntimeError(f"non-finite {what}; first non-finite value {where}, "
-                       f"first non-finite parameter {param}")
+    return RuntimeError(f"non-finite {what}; first non-finite value {where}, "
+                        f"first non-finite parameter {param}")
 
 
 @dataclass
@@ -154,6 +164,7 @@ def train(cfg: ExperimentConfig, dataset: Dataset | None = None,
     if dataset is None:
         dataset = load_dataset(cfg.data_dir, cfg.num_classes or None)
     mask = cfg.mask()
+    check_samples(dataset.samples, mask)    # a pass finds it only once it holds the sample
     train_set, val_set, test_set = split(dataset.samples, cfg.split_policy())
     if not train_set:
         raise DataError("empty training split")
@@ -213,7 +224,9 @@ def dump_predictions(path, samples, predictions) -> None:
 
 def evaluate_checkpoint(checkpoint_path, cfg: ExperimentConfig, mask=None,
                         which: str = "test"):
-    """Load a checkpoint against ``cfg`` and score one split of ``cfg.data_dir``.
+    """Load a checkpoint against ``cfg`` and score one split of ``cfg.data_dir``
+    with the modality ``mask`` (``wavfusion eval --eval-modalities``; default
+    the config's), whose errors name that flag.
 
     Returns (acc, wf1, samples, predictions).
     """
@@ -228,6 +241,8 @@ def evaluate_checkpoint(checkpoint_path, cfg: ExperimentConfig, mask=None,
         raise ConfigError(f"unknown split {which!r}; pick train, val, test or all")
     if not chosen:
         raise DataError(f"split {which!r} is empty")
-    eval_mask = tuple(mask) if mask else cfg.mask()
-    acc, wf1, predictions, _ = evaluate(model, chosen, eval_mask)
+    try:    # cfg is valid and built the model, so only the mask can break its rules
+        acc, wf1, predictions, _ = evaluate(model, chosen, tuple(mask) if mask else cfg.mask())
+    except ConfigError as exc:
+        raise ConfigError(f"--eval-modalities: {exc}") from None
     return acc, wf1, chosen, predictions

@@ -1,16 +1,17 @@
 import shutil
 import warnings
 
+import numpy as np
 import pytest
 
 import wavfusion.cli as cli
 import wavfusion.gradcheck as gradcheck
 import wavfusion.train as train_module
 from wavfusion.ablate import run_suite
-from wavfusion.checkpoint import read_records
+from wavfusion.checkpoint import load_model, read_records, write_records
 from wavfusion.cli import _config_from_args, build_parser, main
 from wavfusion.config import load_config, parse_config_text
-from wavfusion.data import SynthSpec, generate_synthetic, load_dataset
+from wavfusion.data import SynthSpec, generate_synthetic, load_dataset, split
 
 
 @pytest.fixture(scope="module")
@@ -301,6 +302,71 @@ class TestAblateCli:
         assert rc == 2
         assert "ablation seeds must differ; [0] repeat" in capsys.readouterr().err
         assert not (tmp_path / "ab").exists()
+
+
+@pytest.fixture(scope="module")
+def runs(dataset_dir, tmp_path_factory):
+    """Trained run directories: the trimodal model with one deep layer, an
+    audio+text one, and the concat baseline."""
+    root = tmp_path_factory.mktemp("runs")
+    extra = {"avt": [], "at": ["--modalities", "at"], "concat": ["--n-deep", "0"]}
+    for name, flags in extra.items():
+        args = ["train", "--data-dir", str(dataset_dir), "--out-dir", str(root / name)]
+        assert main(args + FAST + flags) == 0
+    return root
+
+
+def eval_args(run, *flags):
+    return ["eval", "--config", str(run / "config.cfg"), "--checkpoint", str(run / "model.wvfn"),
+            *flags]
+
+
+class TestEvalCli:
+    def test_modality_subset_matches_in_process_evaluate(self, runs, capsys):
+        capsys.readouterr()
+        assert main(eval_args(runs / "avt", "--eval-modalities", "at")) == 0
+        cfg = load_config(runs / "avt" / "config.cfg")
+        dataset = load_dataset(cfg.data_dir)
+        model = train_module.build_model(cfg, dataset)
+        load_model(runs / "avt" / "model.wvfn", model)
+        test_set = split(dataset.samples, cfg.split_policy())[2]
+        acc, wf1, _, _ = train_module.evaluate(model, test_set, ("a", "t"))
+        assert f"test ACC = {acc:.4f}  WF1 = {wf1:.4f}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("run,mask,message", [
+        ("avt", "x", "modalities must be a non-empty subset"),
+        ("at", "av", "model has no branch for ['v']"),
+        ("concat", "at", "concat fusion needs all three modalities")])
+    def test_mask_errors_name_the_flag(self, runs, capsys, run, mask, message):
+        capsys.readouterr()
+        assert main(eval_args(runs / run, "--eval-modalities", mask)) == 2
+        assert f"error: --eval-modalities: {message}" in capsys.readouterr().err
+
+    def test_nan_checkpoint_payload_is_a_runtime_error(self, runs, tmp_path, capsys):
+        header, records = read_records(runs / "avt" / "model.wvfn")
+        records = [(name, np.full_like(arr, np.nan) if name == "classifier.bias" else arr)
+                   for name, arr in records]
+        write_records(tmp_path / "nan.wvfn", records, header)
+        capsys.readouterr()
+        rc = main(["eval", "--config", str(runs / "avt" / "config.cfg"),
+                   "--checkpoint", str(tmp_path / "nan.wvfn"), "--split", "all"])
+        assert rc == 1
+        assert ("non-finite logits in the evaluation of utterances 0..15; first non-finite value "
+                "logits, first non-finite parameter classifier.bias") in capsys.readouterr().err
+
+    def test_nan_feature_value_is_a_runtime_error(self, runs, dataset_dir, tmp_path, capsys):
+        # the pooling matrix takes one NaN to every utterance of its pass
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        feature = data / "features" / "utt00003.a.wftf"
+        blob = bytearray(feature.read_bytes())
+        blob[16:20] = np.array([np.nan], "<f4").tobytes()
+        feature.write_bytes(bytes(blob))
+        capsys.readouterr()
+        rc = main(eval_args(runs / "avt", "--data-dir", str(data), "--split", "all"))
+        assert rc == 1
+        assert ("first non-finite value branch.a, first non-finite parameter none"
+                in capsys.readouterr().err)
 
 
 @pytest.fixture

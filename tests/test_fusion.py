@@ -314,8 +314,9 @@ class TestForward:
         assert touched > 0
 
     def test_default_sized_audio_only_stack(self):
+        cfg = ExperimentConfig()    # default 9 + 3 layers
         model = WavFusionModel(num_classes=4, feature_dims=DIMS, d=8, heads=2,
-                               lvc_centers=2, seed=1)  # default 9 + 3 layers
+                               n_shallow=cfg.n_shallow, n_deep=cfg.n_deep, lvc_centers=2, seed=1)
         trace = model.forward(make_sample(56, DIMS), mask="a")
         assert len(trace.deep) == 3
         assert all(t.gate is None for t in trace.deep)
@@ -332,7 +333,10 @@ class TestForward:
         npt.assert_allclose(layer_trace.fused.data, layer_trace.text_stream.data, atol=1e-6)
 
     def test_default_layer_split_sums_to_twelve(self):
-        model = WavFusionModel(num_classes=4, feature_dims=DIMS, d=8, heads=2, seed=0)
+        cfg = ExperimentConfig()
+        model = WavFusionModel(num_classes=4, feature_dims=DIMS, d=8, heads=2,
+                               n_shallow=cfg.n_shallow, n_deep=cfg.n_deep,
+                               lvc_centers=cfg.lvc_centers, seed=0)
         assert model.n_shallow + model.n_deep == 12
         assert (model.n_shallow, model.n_deep) == (9, 3)
 

@@ -65,8 +65,9 @@ def assert_same_state(opt, ref):
     for (name, p), (_, q) in zip(opt.named_params, ref.named_params):
         assert p.data.dtype == q.data.dtype
         npt.assert_array_equal(p.data, q.data, err_msg=name)
-        npt.assert_array_equal(opt.m[name], ref.m[name], err_msg=name)
-        npt.assert_array_equal(opt.v[name], ref.v[name], err_msg=name)
+    for flat, moments in ((opt.flat_m, ref.m), (opt.flat_v, ref.v)):
+        npt.assert_array_equal(flat, np.concatenate([moments[name].ravel()
+                                                     for name, _ in ref.named_params]))
 
 
 class TestParity:

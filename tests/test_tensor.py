@@ -470,13 +470,13 @@ class TestLayerPrimitives:
         terms = [max(0.0, 0.3 - unit[a] @ unit[p] + unit[a] @ unit[n])
                  for a in range(5) for p in pos[a] if p >= 0 for n in neg[a] if n >= 0]
         leaf = Tensor(x, requires_grad=True)
-        value = T.cosine_margin(leaf, pos, neg, 0.3)
+        value = T.cosine_margin(leaf, pos, neg, 0.3)[0]
         assert abs(float(value.data) - sum(terms) / len(terms)) < 1e-15
         value.backward()
         npt.assert_array_equal(leaf.grad[3], 0.0)
         # a zero row's cosines jump once it moves: differences need nonzero rows
         leaf = Tensor(rand((5, 3), seed=19), requires_grad=True)
-        assert fd_max_rel_error(lambda: T.cosine_margin(leaf, pos, neg, 0.3), [leaf]) < 1e-6
+        assert fd_max_rel_error(lambda: T.cosine_margin(leaf, pos, neg, 0.3)[0], [leaf]) < 1e-6
 
     def test_shape_contracts(self):
         x = Tensor(np.zeros((3, 4)))
@@ -493,7 +493,7 @@ class TestLayerPrimitives:
         assert T.feed_forward(x, w, b, Tensor(np.zeros((2, 5))), Tensor(np.zeros(5))).shape == (3, 5)
         with pytest.raises(ShapeError, match="feed_forward"):
             T.feed_forward(x, w, b, Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
-        assert T.cosine_margin(x, [[1], [0], [-1]], [[2], [2], [0]], 0.5).shape == ()
+        assert T.cosine_margin(x, [[1], [0], [-1]], [[2], [2], [0]], 0.5)[0].shape == ()
         with pytest.raises(ShapeError, match="cosine_margin"):
             T.cosine_margin(x, [[1], [0], [3]], [[2], [2], [0]], 0.5)      # row 3 of 3
         with pytest.raises(ShapeError, match="cosine_margin"):
@@ -554,7 +554,7 @@ OPS = {
     "layer_norm": ([(3, 4), (3, 4), (4,), (4,)], lambda x, y, g, b: T.layer_norm(x, y, g, b, 1e-5)),
     # padded index rows; row 2 is an anchor with no triple
     "cosine_margin": ([(4, 3)], lambda x: T.cosine_margin(
-        x, [[1, 3], [0, -1], [-1, -1], [2, 1]], [[2, -1], [3, 2], [0, 1], [0, -1]], 1.0)),
+        x, [[1, 3], [0, -1], [-1, -1], [2, 1]], [[2, -1], [3, 2], [0, 1], [0, -1]], 1.0)[0]),
     "softmax_nll": ([(3, 4)], lambda x: T.softmax_nll(x, [1, 0, 3])),
     # attention with its projections, two heads: across contexts, where the
     # second sequence's context is padded, so its core masks keys; and self,

@@ -82,6 +82,17 @@ class TestTrainingLoop:
                                                r"deep.0.gate.weight"):
             train(cfg, write_artifacts=False)
 
+    def test_sample_lacking_a_modality_is_reported_before_training(self, small_dataset,
+                                                                    monkeypatch):
+        dataset = load_dataset(str(small_dataset))
+        del dataset.samples[4].features["t"]
+
+        def no_batch(*args, **kwargs):
+            raise AssertionError("batch_objective called")
+        monkeypatch.setattr(train_module, "batch_objective", no_batch)
+        with pytest.raises(DataError, match="^sample utt00004 lacks modality 't'$"):
+            train(fast_config(small_dataset, epochs=1), dataset=dataset, write_artifacts=False)
+
     def test_non_finite_validation_loss_stops_the_run(self, small_dataset):
         # rather than keep the initial parameters as the best and report them
         dataset = load_dataset(str(small_dataset))
@@ -464,6 +475,23 @@ class TestEvaluate:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0]
+
+    def test_non_finite_logits_stop_evaluation(self):
+        # one NaN feature value reaches every utterance of its pass through
+        # the pooling matrix; a NaN parameter, every utterance
+        model, samples = self.model_and_samples(EVAL_CHUNK + 5)
+        samples[EVAL_CHUNK + 2].features["a"][0, 0] = np.nan
+        with pytest.raises(RuntimeError, match=rf"^non-finite logits in the evaluation of "
+                                               rf"utterances {EVAL_CHUNK}..{EVAL_CHUNK + 4}; "
+                                               rf"first non-finite value branch.a, "
+                                               rf"first non-finite parameter none$"):
+            evaluate(model, samples, self.MASK)
+        samples[EVAL_CHUNK + 2].features["a"][0, 0] = 0.0
+        model.classifier.weight.data[0, 0] = np.nan
+        with pytest.raises(RuntimeError, match=rf"utterances 0..{EVAL_CHUNK - 1}; first non-finite "
+                                               rf"value logits, first non-finite parameter "
+                                               rf"classifier.weight$"):
+            evaluate(model, samples, self.MASK)
 
     def test_empty_sample_list_rejected(self):
         model, _ = self.model_and_samples(1)
