@@ -50,33 +50,41 @@ class ExperimentConfig:
     data_dir: str = ""
     out_dir: str = ""
 
+    def __post_init__(self):
+        # key -> where ``set_value`` took its value from: a flag or a config
+        # file line; a key absent here holds its default
+        self.sources = {}
+
     def validate(self) -> "ExperimentConfig":
-        check_architecture(self.modalities, self.d, self.heads, self.n_shallow, self.n_deep,
-                           self.lvc_centers)
-        if not 0.0 < self.alpha <= 2.0:
-            raise ConfigError(f"alpha must lie in (0, 2]; got {self.alpha}")
-        if not 0.0 <= self.balance < math.inf:
-            raise ConfigError(f"balance must be finite and non-negative; got {self.balance}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be at least 1; got {self.batch_size}")
-        if not 0.0 <= self.lr < math.inf:
-            raise ConfigError(f"lr must be finite and non-negative; got {self.lr}")
-        for key in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, key) < 1.0:
-                raise ConfigError(f"{key} must lie in [0, 1); got {getattr(self, key)}")
-        if not 0.0 < self.eps < math.inf:
-            raise ConfigError(f"eps must be finite and positive; got {self.eps}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be at least 1; got {self.epochs}")
-        if self.precision not in PRECISIONS:
-            raise ConfigError(f"precision must be one of {PRECISIONS}; got {self.precision!r}")
-        if self.num_classes < 0:
-            raise ConfigError("num_classes must be non-negative (0 = infer)")
-        for key, value in vars(self).items():   # the file holds one stripped value per line
-            if isinstance(value, str) and (value != value.strip() or len(value.splitlines()) > 1):
-                raise ConfigError(f"{key} must not hold a line break or start or end with a blank; "
-                                  f"got {value!r}")
-        self.split_policy().check()
+        """Check every rule. When a flag or a config file line set a key the
+        failed rule is about, the error starts with where each of its keys
+        came from, ``default <key>`` for one that no flag or line set."""
+        try:
+            check_architecture(self.modalities, self.d, self.heads, self.n_shallow, self.n_deep,
+                               self.lvc_centers)
+            for key, ok, rule in (
+                    ("alpha", 0.0 < self.alpha <= 2.0, "must lie in (0, 2]"),
+                    ("balance", 0.0 <= self.balance < math.inf, "must be finite and non-negative"),
+                    ("batch_size", self.batch_size >= 1, "must be at least 1"),
+                    ("lr", 0.0 <= self.lr < math.inf, "must be finite and non-negative"),
+                    ("beta1", 0.0 <= self.beta1 < 1.0, "must lie in [0, 1)"),
+                    ("beta2", 0.0 <= self.beta2 < 1.0, "must lie in [0, 1)"),
+                    ("eps", 0.0 < self.eps < math.inf, "must be finite and positive"),
+                    ("epochs", self.epochs >= 1, "must be at least 1"),
+                    ("precision", self.precision in PRECISIONS, f"must be one of {PRECISIONS}"),
+                    ("num_classes", self.num_classes >= 0, "must be non-negative (0 = infer)")):
+                if not ok:
+                    raise ConfigError(f"{key} {rule}; got {getattr(self, key)!r}", (key,))
+            for key, value in vars(self).items():   # the file holds one stripped value per line
+                if isinstance(value, str) and (value != value.strip() or len(value.splitlines()) > 1):
+                    raise ConfigError(f"{key} must not hold a line break or start or end with a "
+                                      f"blank; got {value!r}", (key,))
+            self.split_policy().check()
+        except ConfigError as exc:
+            if not set(exc.keys) & self.sources.keys():
+                raise
+            where = ", ".join(self.sources.get(key, f"default {key}") for key in exc.keys)
+            raise ConfigError(f"{where}: {exc}", exc.keys) from None
         return self
 
     def mask(self) -> tuple:
@@ -115,6 +123,7 @@ def set_value(cfg: ExperimentConfig, key: str, raw: str, where: str) -> None:
     except (KeyError, ValueError):
         raise ConfigError(f"{where}: cannot parse {raw!r} as {kind.__name__} for {key!r}") from None
     setattr(cfg, key, value)
+    cfg.sources[key] = where
 
 
 def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:

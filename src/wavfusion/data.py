@@ -340,7 +340,8 @@ class RatioSplit:
         if not all(0.0 <= f <= 1.0 for f in fracs) or abs(sum(fracs) - 1.0) > 1e-9:
             raise ConfigError(f"train_frac, val_frac and test_frac must lie in [0, 1] and sum to 1; "
                               f"got train_frac={self.train} + val_frac={self.val} + "
-                              f"test_frac={self.test} = {sum(fracs)}")
+                              f"test_frac={self.test} = {sum(fracs)}",
+                              ("train_frac", "val_frac", "test_frac"))
 
 
 def split(items: list, policy: RatioSplit):

@@ -10,7 +10,12 @@ class GraphError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """Invalid configuration value or combination of values."""
+    """Invalid configuration value or combination of values; ``keys`` names
+    the config keys at fault, if any."""
+
+    def __init__(self, message: str, keys: tuple = ()):
+        super().__init__(message)
+        self.keys = keys
 
 
 class DataError(ValueError):

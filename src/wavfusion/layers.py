@@ -233,7 +233,8 @@ class Attention(Module):
     @staticmethod
     def check(d: int, heads: int) -> None:
         if d < 1 or heads < 1 or d % heads != 0:
-            raise ConfigError(f"model width {d} must be a positive multiple of heads={heads}")
+            raise ConfigError(f"model width {d} must be a positive multiple of heads={heads}",
+                              ("d", "heads"))
 
     def __call__(self, x: Tensor, ctx: Tensor, seg: Segments, ctx_seg: Segments) -> Tensor:
         return T.attention(x, ctx, self.q, self.k, self.v, self.out, self.heads, seg, ctx_seg)[0]
@@ -278,7 +279,8 @@ class LvcBlock(Module):
     @staticmethod
     def check(n_centers: int) -> None:
         if n_centers < 1:
-            raise ConfigError(f"codebook needs at least one center; got {n_centers}")
+            raise ConfigError(f"codebook needs at least one center; got {n_centers}",
+                              ("lvc_centers",))
 
     def __call__(self, x: Tensor, seg: Segments) -> Tensor:
         """The gated stem output."""

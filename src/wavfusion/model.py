@@ -18,6 +18,11 @@ architecture rules live in ``check_architecture`` and ``check_modalities``;
 the config, the constructor and ``forward_batch`` all call them. Every
 sample's modalities are checked by ``check_samples``, which ``train`` calls
 before it trains and ``forward_batch`` before each pass.
+
+A model builds only what some pass of it can run, so its parameters are
+exactly those training updates. ``forward_batch`` refuses a mask whose pass
+needs a sub-layer the model lacks, such as mask ``a`` on an ``av`` model,
+whose deep layers have no self-attention path (``fusion_parts``).
 """
 
 from __future__ import annotations
@@ -41,9 +46,11 @@ def check_modalities(modalities) -> tuple:
     wanted = set(modalities)
     mask = tuple(m for m in MODALITIES if m in wanted)
     if not mask or len(mask) != len(wanted):
-        raise ConfigError(f"modalities must be a non-empty subset of {MODALITIES}; got {sorted(wanted)}")
+        raise ConfigError(f"modalities must be a non-empty subset of {MODALITIES}; got {sorted(wanted)}",
+                          ("modalities",))
     if len(mask) > 1 and "a" not in mask:
-        raise ConfigError(f"multimodal mode {''.join(mask)!r} requires the audio stream")
+        raise ConfigError(f"multimodal mode {''.join(mask)!r} requires the audio stream",
+                          ("modalities",))
     return mask
 
 
@@ -58,10 +65,12 @@ def check_samples(samples, mask) -> None:
 
 def check_architecture(modalities, d: int, heads: int, n_shallow: int, n_deep: int,
                        lvc_centers: int) -> None:
-    """Raise ``ConfigError`` unless these settings build a model."""
+    """Raise ``ConfigError``, naming the config keys at fault, unless these
+    settings build a model."""
     Attention.check(d, heads)
     if n_shallow < 0 or n_deep < 0 or n_shallow + n_deep < 1:
-        raise ConfigError(f"need layer counts >= 0 and at least one layer; got {n_shallow}+{n_deep}")
+        raise ConfigError(f"n_shallow and n_deep must be >= 0 with at least one layer; "
+                          f"got {n_shallow}+{n_deep}", ("n_shallow", "n_deep"))
     LvcBlock.check(lvc_centers)
     check_modalities(modalities)
 
@@ -105,6 +114,15 @@ class TransformerEncoderLayer(Module):
         return self.norm_ff(h, self.ff(h))
 
 
+def fusion_parts(aux) -> set:
+    """The deep-layer sub-layers a pass fusing the auxiliary streams ``aux``
+    runs besides the feed-forward: each auxiliary's attention and norm, the
+    gate for both, and for none the text pair as a plain self-attention."""
+    text = {"attn_text", "norm_text"} if "t" in aux or "v" not in aux else set()
+    vis = {"attn_vis", "norm_vis"} if "v" in aux else set()
+    return text | vis | ({"gate"} if text and vis else set())
+
+
 @dataclass
 class DeepLayerTrace:
     """Intermediates of one deep layer pass (None where a branch was absent)."""
@@ -120,14 +138,21 @@ class GatedCrossModalLayer(Module):
     cross-modal attentions (queries from the primary stream, keys/values from
     text and visual respectively) whose results are blended by a learned
     per-channel gate before the usual feed-forward. The packed layouts of
-    ``x`` and of the auxiliaries are required (None only for an absent one)."""
+    ``x`` and of the auxiliaries are required (None only for an absent one).
+    The layer builds the ``fusion_parts`` of ``aux``, its model's auxiliary
+    modalities.
+    """
 
-    def __init__(self, d: int, heads: int, rng: Prng):
-        self.attn_text = Attention(d, heads, rng.child(0))
-        self.norm_text = LayerNorm(d)
-        self.attn_vis = Attention(d, heads, rng.child(1))
-        self.norm_vis = LayerNorm(d)
-        self.gate = Linear(2 * d, d, rng.child(2))
+    def __init__(self, d: int, heads: int, rng: Prng, aux):
+        parts = fusion_parts(aux)
+        if "attn_text" in parts:
+            self.attn_text = Attention(d, heads, rng.child(0))
+            self.norm_text = LayerNorm(d)
+        if "attn_vis" in parts:
+            self.attn_vis = Attention(d, heads, rng.child(1))
+            self.norm_vis = LayerNorm(d)
+        if "gate" in parts:
+            self.gate = Linear(2 * d, d, rng.child(2))
         self.ff = FeedForward(d, rng.child(3))
         self.norm_ff = LayerNorm(d)
 
@@ -194,7 +219,9 @@ class WavFusionModel(Module):
     """Gated cross-modal fusion network over up to three modalities.
 
     ``feature_dims`` maps each available modality ("a", "t", "v") to its raw
-    feature width; branches are built only for those. ``dtype`` is the
+    feature width; branches are built only for those, the shallow and deep
+    layers only with audio, the LVC block only when ``lvc_enabled`` and the
+    shared encoder only with two or more modalities. ``dtype`` is the
     precision of every parameter and activation. A model instance is
     exclusively owned during a training step; concurrent evaluation requires
     deep-copied parameters. The text and visual branches are the ``Module``
@@ -229,12 +256,18 @@ class WavFusionModel(Module):
         if "v" in feature_dims:
             r = rng.child(2)
             self.visual = Module(gru=Gru(feature_dims["v"], d, r.child(0)),
-                                 attn=Attention(d, heads, r.child(1)),
-                                 lvc=LvcBlock(feature_dims["v"], d, lvc_centers, r.child(2)),
-                                 proj=Linear(2 * d if lvc_enabled else d, d, r.child(3)))
-        self.shallow = [TransformerEncoderLayer(d, heads, rng.child(10 + i)) for i in range(n_shallow)]
-        self.deep = [GatedCrossModalLayer(d, heads, rng.child(100 + i)) for i in range(n_deep)]
-        self.shared_encoder = Linear(d, d, rng.child(3))
+                                 attn=Attention(d, heads, r.child(1)))
+            if lvc_enabled:
+                self.visual.lvc = LvcBlock(feature_dims["v"], d, lvc_centers, r.child(2))
+            self.visual.proj = Linear(2 * d if lvc_enabled else d, d, r.child(3))
+        audio = "a" in feature_dims     # the layer stacks run on the audio stream only
+        aux = check_modalities(feature_dims)[1:]
+        self.shallow = [TransformerEncoderLayer(d, heads, rng.child(10 + i))
+                        for i in range(n_shallow) if audio]
+        self.deep = [GatedCrossModalLayer(d, heads, rng.child(100 + i), aux)
+                     for i in range(n_deep) if audio]
+        if len(feature_dims) > 1:   # the margin loss has triplets only across modalities
+            self.shared_encoder = Linear(d, d, rng.child(3))
         self.classifier = Linear(d, num_classes, rng.child(4))
         if self.fusion_mode == "concat":
             self.concat_head = Linear(3 * d, d, rng.child(5))
@@ -302,6 +335,13 @@ class WavFusionModel(Module):
         concat = primary == "a" and self.fusion_mode == "concat"
         if concat and mask != MODALITIES:
             raise ConfigError("concat fusion needs all three modalities")
+        if primary == "a" and self.deep:
+            built = check_modalities(self.feature_dims)
+            missing = fusion_parts(mask[1:]) - fusion_parts(built[1:])
+            if missing:
+                raise ConfigError(f"a pass over {''.join(mask)!r} runs each deep layer's "
+                                  f"{' and '.join(sorted(missing))}, which a model of "
+                                  f"{''.join(built)!r} does not build")
         check_samples(samples, mask)
 
         trace = FusionTrace()

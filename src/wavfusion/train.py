@@ -51,7 +51,7 @@ def batch_objective(model: WavFusionModel, samples, mask, alpha: float, balance:
     trace = model.forward_batch(samples, mask)
     labels = [sample.label for sample in samples]
     task = cross_entropy(trace.logits, labels)
-    if balance != 0.0:
+    if balance != 0.0 and len(mask) > 1:    # one modality forms no triplet: the margin is 0
         shared = model.shared_encode(trace)
         # one row per entry, sample-major, then in mask order
         entries = [(m, label) for label in labels for m in mask]
@@ -104,7 +104,8 @@ def _finite_loss(loss: Tensor, what: str, model: WavFusionModel, samples, mask) 
         return value
     with T.no_grad():
         trace = model.forward_batch(samples, mask)
-        model.shared_encode(trace)
+        if len(mask) > 1:
+            model.shared_encode(trace)
     raise _non_finite(what, model, trace)
 
 
@@ -187,6 +188,11 @@ def train(cfg: ExperimentConfig, dataset: Dataset | None = None,
                                             cfg.strict_cosine)
             value = _finite_loss(loss, f"loss in epoch {epoch} batch {bi}", model, chunk, mask)
             loss.backward()
+            bad = next((name for name, p in params
+                        if p.grad is not None and not np.isfinite(p.grad).all()), None)
+            if bad is not None:     # before Adam writes any parameter or moment
+                raise RuntimeError(f"non-finite gradient in epoch {epoch} batch {bi}; "
+                                   f"first non-finite gradient {bad}")
             opt.step()
             opt.zero_grad()
             epoch_losses.append(value)

@@ -237,6 +237,32 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert "sample utt00000" in err and "features/utt00000.a.wftf" in err
 
+    def test_invalid_flag_value_names_the_flag(self, dataset_dir, tmp_path, capsys):
+        rc = main(["train", "--data-dir", str(dataset_dir), "--out-dir", str(tmp_path / "run")]
+                  + FAST + ["--batch-size", "0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: --batch-size: batch_size must be at least 1; got 0\n"
+
+    def test_invalid_config_file_value_names_the_line(self, dataset_dir, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"data_dir = {dataset_dir}\nbatch_size = 0\n")
+        assert main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: config line 2: batch_size must be at least 1; got 0\n"
+
+    @pytest.mark.parametrize("flags,file,where", [
+        (["--n-shallow", "-1", "--n-deep", "0"], "", "--n-shallow, --n-deep"),
+        (["--n-shallow", "-1"], "", "--n-shallow, default n_deep"),
+        (["--n-deep", "0"], "n_shallow = 0\n", "config line 1, --n-deep")])
+    def test_cross_key_rule_names_both_keys_sources(self, dataset_dir, tmp_path, capsys, flags,
+                                                   file, where):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(file)
+        assert main(["train", "--config", str(cfg), "--data-dir", str(dataset_dir)] + flags) == 2
+        assert (f"error: {where}: n_shallow and n_deep must be >= 0 with at least one layer; "
+                in capsys.readouterr().err)
+
     def test_bool_flag_parses_like_the_config_file(self):
         args = build_parser().parse_args(["train", "--lvc-enabled", "yes", "--d", "32"])
         expect = parse_config_text("lvc_enabled = yes\nd = 32\n")
@@ -307,9 +333,10 @@ class TestAblateCli:
 @pytest.fixture(scope="module")
 def runs(dataset_dir, tmp_path_factory):
     """Trained run directories: the trimodal model with one deep layer, an
-    audio+text one, and the concat baseline."""
+    audio+text and an audio+visual one, and the concat baseline."""
     root = tmp_path_factory.mktemp("runs")
-    extra = {"avt": [], "at": ["--modalities", "at"], "concat": ["--n-deep", "0"]}
+    extra = {"avt": [], "at": ["--modalities", "at"], "av": ["--modalities", "av"],
+             "concat": ["--n-deep", "0"]}
     for name, flags in extra.items():
         args = ["train", "--data-dir", str(dataset_dir), "--out-dir", str(root / name)]
         assert main(args + FAST + flags) == 0
@@ -336,7 +363,10 @@ class TestEvalCli:
     @pytest.mark.parametrize("run,mask,message", [
         ("avt", "x", "modalities must be a non-empty subset"),
         ("at", "av", "model has no branch for ['v']"),
-        ("concat", "at", "concat fusion needs all three modalities")])
+        ("concat", "at", "concat fusion needs all three modalities"),
+        # the av model never builds, so never trains, a deep self-attention path
+        ("av", "a", "a pass over 'a' runs each deep layer's attn_text and norm_text, which a "
+                    "model of 'av' does not build")])
     def test_mask_errors_name_the_flag(self, runs, capsys, run, mask, message):
         capsys.readouterr()
         assert main(eval_args(runs / run, "--eval-modalities", mask)) == 2

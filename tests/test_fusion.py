@@ -1,3 +1,4 @@
+import hashlib
 import os
 import struct
 
@@ -12,13 +13,17 @@ from wavfusion.ablate import SUITES
 from wavfusion import tensor as T
 from wavfusion.checkpoint import architecture, load_model, read_records, save_model, write_records
 from wavfusion.config import ExperimentConfig
+from wavfusion.data import Dataset
 from wavfusion.errors import CheckpointError, ConfigError, DataError, FormatError, ShapeError
+from wavfusion.gradcheck import synthetic_batch, tiny_config
 from wavfusion.layers import Attention, Conv1d, Gru, LayerNorm, Linear, LvcBlock, Segments
 from wavfusion.losses import build_triplets, margin_loss
+from wavfusion.optim import Adam
 from wavfusion.model import (FusionTrace, GatedCrossModalLayer, TransformerEncoderLayer,
                              WavFusionModel, gated_fuse)
 from wavfusion.rng import Prng
 from wavfusion.tensor import Tensor
+from wavfusion.train import batch_objective, build_model
 
 DIMS = {"a": 6, "t": 5, "v": 4}
 
@@ -92,7 +97,7 @@ LAYOUT_CASES = {
     "lvc": (lambda bad: LvcBlock(3, 8, 2, Prng(0))(rows(6, 3), bad(6)), ("reshape", "take_rows")),
     "transformer": (lambda bad: TransformerEncoderLayer(8, 2, Prng(0))(rows(5, 8), bad(5)),
                     ("attention", "attention")),
-    "gated_cross_modal": (lambda bad: GatedCrossModalLayer(8, 2, Prng(0))(
+    "gated_cross_modal": (lambda bad: GatedCrossModalLayer(8, 2, Prng(0), "tv")(
         rows(5, 8), rows(3, 8), rows(4, 8), bad(5), Segments([1, 2]), Segments([2, 2])),
         ("attention", "attention")),
     "audio_stack": (lambda bad: tiny_model().audio_stack(rows(5, 6), bad(5)),
@@ -118,7 +123,7 @@ class TestCrossModalAttention:
     def test_uniform_context_rows(self):
         # all context rows identical: every pre-residual output row equals the
         # projection of that single value
-        layer = GatedCrossModalLayer(8, 2, Prng(1))
+        layer = GatedCrossModalLayer(8, 2, Prng(1), "tv")
         x = rand((4, 8), seed=5)
         ctx = np.tile(rand((1, 8), seed=6), (5, 1))
         raw = layer.attn_text(Tensor(x), Tensor(ctx), whole(x), whole(ctx)).data
@@ -128,7 +133,7 @@ class TestCrossModalAttention:
         npt.assert_allclose(raw[:1], values @ layer.attn_text.out.data, atol=1e-12)
 
     def test_single_context_position_weight_is_one(self):
-        layer = GatedCrossModalLayer(8, 2, Prng(2))
+        layer = GatedCrossModalLayer(8, 2, Prng(2), "tv")
         x = Tensor(rand((3, 8), seed=7))
         ctx = Tensor(rand((1, 8), seed=8))
         attn = layer.attn_text
@@ -137,7 +142,7 @@ class TestCrossModalAttention:
             npt.assert_array_equal(w, np.ones((3, 1)))
 
     def test_against_dense_oracle(self):
-        layer = GatedCrossModalLayer(8, 2, Prng(3))
+        layer = GatedCrossModalLayer(8, 2, Prng(3), "tv")
         x = rand((4, 8), seed=9)
         ctx = rand((6, 8), seed=10)
         attn = attention_oracle(x, ctx, layer.attn_text)
@@ -151,7 +156,7 @@ class TestCrossModalAttention:
         npt.assert_allclose(out.data, expect, atol=1e-10)
 
     def test_preserves_primary_length(self):
-        layer = GatedCrossModalLayer(8, 2, Prng(4))
+        layer = GatedCrossModalLayer(8, 2, Prng(4), "tv")
         x, text, vis = (Tensor(rand((t_len, 8), seed=11 + i)) for i, t_len in enumerate((5, 9, 2)))
         out, _ = layer(x, text, vis, whole(x), whole(text), whole(vis))
         assert out.shape == (5, 8)
@@ -413,29 +418,38 @@ def listed_parameters(model):
     def ff(prefix, f):
         return affine(f"{prefix}.inner", f.inner) + affine(f"{prefix}.outer", f.outer)
 
+    mods = model.feature_dims.keys()
     out = []
-    if "a" in model.feature_dims:
+    if "a" in mods:
         out += affine("audio_proj", model.audio_proj)
-    if "t" in model.feature_dims:
+    if "t" in mods:
         out += (gru("text.gru", model.text.gru) + attn("text.attn", model.text.attn)
                 + affine("text.proj", model.text.proj))
-    if "v" in model.feature_dims:
-        lvc = model.visual.lvc
-        out += (gru("visual.gru", model.visual.gru) + attn("visual.attn", model.visual.attn)
-                + affine("visual.lvc.stem", lvc.stem)
-                + [("visual.lvc.centers", lvc.centers), ("visual.lvc.scales", lvc.scales)]
-                + affine("visual.lvc.proj", lvc.proj) + affine("visual.proj", model.visual.proj))
-    for i, layer in enumerate(model.shallow):
-        p = f"shallow.{i}"
+    if "v" in mods:
+        out += gru("visual.gru", model.visual.gru) + attn("visual.attn", model.visual.attn)
+        if model.lvc_enabled:
+            lvc = model.visual.lvc
+            out += (affine("visual.lvc.stem", lvc.stem)
+                    + [("visual.lvc.centers", lvc.centers), ("visual.lvc.scales", lvc.scales)]
+                    + affine("visual.lvc.proj", lvc.proj))
+        out += affine("visual.proj", model.visual.proj)
+    # only audio runs the layer stacks; a deep layer holds what its passes run
+    for i in range(model.n_shallow if "a" in mods else 0):
+        p, layer = f"shallow.{i}", model.shallow[i]
         out += (attn(f"{p}.attn", layer.attn) + norm(f"{p}.norm_attn", layer.norm_attn)
                 + ff(f"{p}.ff", layer.ff) + norm(f"{p}.norm_ff", layer.norm_ff))
-    for i, layer in enumerate(model.deep):
-        p = f"deep.{i}"
-        out += (attn(f"{p}.attn_text", layer.attn_text) + norm(f"{p}.norm_text", layer.norm_text)
-                + attn(f"{p}.attn_vis", layer.attn_vis) + norm(f"{p}.norm_vis", layer.norm_vis)
-                + affine(f"{p}.gate", layer.gate) + ff(f"{p}.ff", layer.ff)
-                + norm(f"{p}.norm_ff", layer.norm_ff))
-    out += affine("shared_encoder", model.shared_encoder) + affine("classifier", model.classifier)
+    for i in range(model.n_deep if "a" in mods else 0):
+        p, layer = f"deep.{i}", model.deep[i]
+        if "t" in mods or "v" not in mods:      # with no auxiliary: self-attention
+            out += attn(f"{p}.attn_text", layer.attn_text) + norm(f"{p}.norm_text", layer.norm_text)
+        if "v" in mods:
+            out += attn(f"{p}.attn_vis", layer.attn_vis) + norm(f"{p}.norm_vis", layer.norm_vis)
+        if "t" in mods and "v" in mods:
+            out += affine(f"{p}.gate", layer.gate)
+        out += ff(f"{p}.ff", layer.ff) + norm(f"{p}.norm_ff", layer.norm_ff)
+    if len(mods) > 1:
+        out += affine("shared_encoder", model.shared_encoder)
+    out += affine("classifier", model.classifier)
     if model.fusion_mode == "concat":
         out += affine("concat_head", model.concat_head)
     return out
@@ -471,6 +485,82 @@ class TestParameterNames:
         assert shapes["deep.0.gate.weight"] == (16, 8)
         assert shapes["shallow.1.ff.inner.weight"] == (8, 32)
         assert shapes["text.gru.u_zr"] == (8, 16)
+
+
+# model settings of each modality set, LVC on and off
+MODEL_SETS = [(mods, lvc) for mods in ("a", "t", "v", "at", "av", "avt") for lvc in (True, False)]
+
+# sha256 over name and bytes of every parameter after three Adam steps of
+# ``train_three_steps``, pinned from the code that built every sub-layer for
+# every modality set, over the parameters each such model keeps now
+KEPT_FINGERPRINTS = {
+    ("a", False): "c79174f19121437c", ("t", False): "6087dee35e5581aa",
+    ("v", False): "9cf07a69782c892d", ("at", False): "3b6a50e489b6ec70",
+    ("av", False): "67d4ced53830d052", ("avt", False): "54e4dd988803861b",
+    ("avt", True): "3c0c884a0032c578",
+}
+
+
+def train_three_steps(mods, lvc):
+    """A d=8, 2+2 model of ``mods`` after three Adam steps (lr 1e-2,
+    balance 1) on batches with every modality."""
+    cfg = tiny_config(modalities=mods, lvc_enabled=lvc, n_deep=2)
+    model = build_model(cfg, Dataset(samples=[], num_classes=3, feature_dims=DIMS))
+    opt = Adam(model.named_parameters(), 1e-2)
+    for step in range(3):
+        loss, _, _, _ = batch_objective(model, synthetic_batch(step, DIMS, 3, 6), cfg.mask(),
+                                        cfg.alpha, cfg.balance)
+        loss.backward()
+        opt.step()
+        opt.zero_grad()
+    return model
+
+
+class TestBuildsWhatRuns:
+    """A model holds only the sub-layers some pass of it runs, so training
+    reaches every parameter; a pass that needs one the model lacks is refused."""
+
+    @pytest.mark.parametrize("mods,lvc", MODEL_SETS)
+    def test_every_parameter_gets_a_gradient(self, mods, lvc):
+        cfg = tiny_config(modalities=mods, lvc_enabled=lvc, balance=0.5)
+        model = build_model(cfg, Dataset(samples=[], num_classes=3, feature_dims=DIMS))
+        loss, _, _, _ = batch_objective(model, synthetic_batch(1, DIMS, 3, 6), cfg.mask(),
+                                        cfg.alpha, cfg.balance)
+        loss.backward()
+        assert [name for name, p in model.named_parameters() if p.grad is None] == []
+
+    @pytest.mark.parametrize("mods,lvc", KEPT_FINGERPRINTS)
+    def test_kept_parameters_train_bit_for_bit_as_before(self, mods, lvc):
+        digest = hashlib.sha256()
+        for name, p in train_three_steps(mods, lvc).named_parameters():
+            digest.update(name.encode())
+            digest.update(p.data.tobytes())
+        assert digest.hexdigest()[:16] == KEPT_FINGERPRINTS[mods, lvc]
+
+    @pytest.mark.parametrize("mods,count", [("a", 597_828), ("t", 35_204), ("v", 45_196),
+                                            ("at", 636_932), ("av", 646_924), ("avt", 756_172)])
+    def test_parameter_counts_at_default_sizes(self, mods, count):
+        cfg = ExperimentConfig(modalities=mods)
+        model = build_model(cfg, Dataset(samples=[], num_classes=4,
+                                         feature_dims={"a": 12, "t": 10, "v": 8}))
+        assert sum(p.data.size for _, p in model.named_parameters()) == count
+
+    def test_pass_needing_an_absent_sub_layer_is_refused(self):
+        # the av model's deep layers have no self-attention path for mask a
+        model = tiny_model(feature_dims={"a": 6, "v": 4})
+        sample = make_sample(3, DIMS)
+        with pytest.raises(ConfigError, match="^a pass over 'a' runs each deep layer's attn_text "
+                                              "and norm_text, which a model of 'av' does not "
+                                              "build$"):
+            model.forward(sample, mask="a")
+        for mask in ("av", "v"):
+            assert np.isfinite(model.forward(sample, mask=mask).logits.data).all()
+        # without deep layers there is nothing to lack
+        model = tiny_model(feature_dims={"a": 6, "v": 4}, n_deep=0)
+        assert model.forward(sample, mask="a").logits.shape == (1, 3)
+        for mods in ("a", "at"):
+            model = tiny_model(feature_dims={m: DIMS[m] for m in mods})
+            assert np.isfinite(model.forward(sample, mask="a").logits.data).all()
 
 
 class TestSharedEncoder:

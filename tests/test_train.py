@@ -16,6 +16,7 @@ from wavfusion.model import WavFusionModel
 from wavfusion.optim import Adam
 from wavfusion.oracles import margin_loss_reference
 from wavfusion.rng import Prng
+from wavfusion import tensor as T
 from wavfusion.tensor import Tensor, no_grad
 from wavfusion import train as train_module
 from wavfusion.train import (EVAL_CHUNK, batch_objective, build_model, evaluate,
@@ -81,6 +82,40 @@ class TestTrainingLoop:
                                                r"deep.0.gate, first non-finite parameter "
                                                r"deep.0.gate.weight"):
             train(cfg, write_artifacts=False)
+
+    def test_non_finite_gradient_stops_before_the_step(self, small_dataset, monkeypatch):
+        # the forward pass and the loss stay finite; in the second step the
+        # adjoint of each feed-forward block returns NaN for its outer weight
+        opts, after = [], []
+
+        class Recorded(Adam):
+            def __init__(self, *args):
+                super().__init__(*args)
+                opts.append(self)
+
+            def step(self):
+                super().step()
+                after.append((self.flat_p.copy(), self.flat_m.copy(), self.flat_v.copy()))
+        monkeypatch.setattr(train_module, "Adam", Recorded)
+        feed_forward = T.feed_forward
+
+        def poisoned(*args):
+            out = feed_forward(*args)
+            vjp = out._vjp
+            if vjp is not None and len(after) == 1:
+                def nan_outer_weight(g):
+                    grads = vjp(g)
+                    return grads[:3] + (np.full_like(grads[3], np.nan),) + grads[4:]
+                out._vjp = nan_outer_weight
+            return out
+        monkeypatch.setattr(T, "feed_forward", poisoned)
+        with pytest.raises(RuntimeError, match=r"^non-finite gradient in epoch 1 batch 1; first "
+                                               r"non-finite gradient shallow.0.ff.outer.weight$"):
+            train(fast_config(small_dataset, epochs=1), write_artifacts=False)
+        (opt,) = opts
+        assert opt.t == len(after) == 1
+        for state, first_step in zip((opt.flat_p, opt.flat_m, opt.flat_v), after[0]):
+            npt.assert_array_equal(state, first_step)    # nothing written since
 
     def test_sample_lacking_a_modality_is_reported_before_training(self, small_dataset,
                                                                     monkeypatch):
