@@ -63,6 +63,37 @@ def batch_objective(model: WavFusionModel, samples, mask, alpha: float, balance:
     return total, task, margin, trace.predictions()
 
 
+def batch_order(samples, batch_size: int, seed: int, epoch: int) -> list:
+    """One epoch's training batches: ``samples`` shuffled by the seed and the
+    epoch (counted from 1), then cut into batches of ``batch_size``, the last
+    one shorter when they do not divide."""
+    order = Prng(seed, stream=10_000 + epoch).permutation(len(samples))
+    return [[samples[i] for i in order[start:start + batch_size]]
+            for start in range(0, len(order), batch_size)]
+
+
+def train_step(model: WavFusionModel, opt: Adam, batch, mask, cfg: ExperimentConfig,
+               where: str) -> float:
+    """One training step on ``batch``; returns its loss.
+
+    In order: clear the gradients, forward ``batch_objective``, check that the
+    loss is finite, ``backward``, check that every gradient is finite, and
+    ``Adam.step``. A non-finite loss or gradient raises ``RuntimeError``
+    naming ``where`` before Adam writes any parameter or moment. The
+    gradients stay readable until the next call clears them."""
+    opt.zero_grad()
+    loss, _, _, _ = batch_objective(model, batch, mask, cfg.alpha, cfg.balance,
+                                    cfg.strict_cosine)
+    value = _finite_loss(loss, f"loss in {where}", model, batch, mask)
+    loss.backward()
+    bad = next((name for name, p in opt.named_params
+                if p.grad is not None and not np.isfinite(p.grad).all()), None)
+    if bad is not None:
+        raise RuntimeError(f"non-finite gradient in {where}; first non-finite gradient {bad}")
+    opt.step()
+    return value
+
+
 def evaluate(model: WavFusionModel, samples, mask):
     """Argmax predictions and (ACC, WF1) over ``samples``, in packed forward
     passes of at most ``EVAL_CHUNK`` utterances. A pass with a non-finite
@@ -180,24 +211,11 @@ def train(cfg: ExperimentConfig, dataset: Dataset | None = None,
     started = time.monotonic()
 
     for epoch in range(1, cfg.epochs + 1):
-        order = Prng(cfg.seed, stream=10_000 + epoch).permutation(len(train_set))
-        epoch_losses = []
-        for bi, start in enumerate(range(0, len(order), cfg.batch_size)):
-            chunk = [train_set[i] for i in order[start:start + cfg.batch_size]]
-            loss, _, _, _ = batch_objective(model, chunk, mask, cfg.alpha, cfg.balance,
-                                            cfg.strict_cosine)
-            value = _finite_loss(loss, f"loss in epoch {epoch} batch {bi}", model, chunk, mask)
-            loss.backward()
-            bad = next((name for name, p in params
-                        if p.grad is not None and not np.isfinite(p.grad).all()), None)
-            if bad is not None:     # before Adam writes any parameter or moment
-                raise RuntimeError(f"non-finite gradient in epoch {epoch} batch {bi}; "
-                                   f"first non-finite gradient {bad}")
-            opt.step()
-            opt.zero_grad()
-            epoch_losses.append(value)
-            if epoch == 1:
-                report.first_epoch_step_losses.append(value)
+        epoch_losses = [train_step(model, opt, batch, mask, cfg, f"epoch {epoch} batch {bi}")
+                        for bi, batch in enumerate(batch_order(train_set, cfg.batch_size,
+                                                               cfg.seed, epoch))]
+        if epoch == 1:
+            report.first_epoch_step_losses = epoch_losses
         report.epoch_train_loss.append(float(np.mean(epoch_losses)))
         val_loss = (_dataset_loss(model, val_set, mask, cfg, epoch) if val_set
                     else float(np.mean(epoch_losses)))
@@ -206,6 +224,7 @@ def train(cfg: ExperimentConfig, dataset: Dataset | None = None,
             best_val = val_loss
             best_state = {name: p.data.copy() for name, p in params}
 
+    opt.zero_grad()     # the returned model holds no gradient
     for name, p in params:
         p.data = best_state[name]
     if test_set:

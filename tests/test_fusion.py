@@ -23,7 +23,7 @@ from wavfusion.model import (FusionTrace, GatedCrossModalLayer, TransformerEncod
                              WavFusionModel, gated_fuse)
 from wavfusion.rng import Prng
 from wavfusion.tensor import Tensor
-from wavfusion.train import batch_objective, build_model
+from wavfusion.train import batch_objective, build_model, train_step
 
 DIMS = {"a": 6, "t": 5, "v": 4}
 
@@ -508,11 +508,7 @@ def train_three_steps(mods, lvc):
     model = build_model(cfg, Dataset(samples=[], num_classes=3, feature_dims=DIMS))
     opt = Adam(model.named_parameters(), 1e-2)
     for step in range(3):
-        loss, _, _, _ = batch_objective(model, synthetic_batch(step, DIMS, 3, 6), cfg.mask(),
-                                        cfg.alpha, cfg.balance)
-        loss.backward()
-        opt.step()
-        opt.zero_grad()
+        train_step(model, opt, synthetic_batch(step, DIMS, 3, 6), cfg.mask(), cfg, f"step {step}")
     return model
 
 

@@ -19,8 +19,8 @@ from wavfusion.rng import Prng
 from wavfusion import tensor as T
 from wavfusion.tensor import Tensor, no_grad
 from wavfusion import train as train_module
-from wavfusion.train import (EVAL_CHUNK, batch_objective, build_model, evaluate,
-                             evaluate_checkpoint, train)
+from wavfusion.train import (EVAL_CHUNK, batch_objective, batch_order, build_model, evaluate,
+                             evaluate_checkpoint, train, train_step)
 
 
 @pytest.fixture(scope="module")
@@ -463,15 +463,79 @@ class TestBatchObjective:
         gc.collect()
         gc.disable()
         try:
-            total, task, margin, _ = batch_objective(model, samples, ("a", "t", "v"),
-                                                     alpha=0.5, balance=1.0)
-            total.backward()
-            opt.step()
-            opt.zero_grad()
-            del total, task, margin
+            train_step(model, opt, samples, ("a", "t", "v"), ExperimentConfig(), "the step")
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestTrainStep:
+    """``train_step`` clears the gradients, forwards, checks the loss, runs
+    backward, checks the gradients and steps Adam, in that order; the batches
+    come from ``batch_order``."""
+
+    MASK = ("a", "t", "v")
+
+    def test_gradients_stay_readable_until_the_next_step_clears_them(self):
+        # at lr 0 the parameters stay put, so an uncleared second step would
+        # read twice the first step's gradients
+        model, samples = tiny_model_and_batch()
+        opt = Adam(model.named_parameters(), 0.0)
+        cfg = ExperimentConfig()
+        train_step(model, opt, samples, self.MASK, cfg, "step 1")
+        first = {name: p.grad.copy() for name, p in model.named_parameters()}
+        train_step(model, opt, samples, self.MASK, cfg, "step 2")
+        for name, p in model.named_parameters():
+            npt.assert_array_equal(p.grad, first[name], err_msg=name)
+
+    def test_non_finite_gradient_raises_before_adam_writes(self, monkeypatch):
+        model, samples = tiny_model_and_batch()
+        opt = Adam(model.named_parameters(), 1e-3)
+        cfg = ExperimentConfig()
+        train_step(model, opt, samples, self.MASK, cfg, "step 1")
+        before = (opt.flat_p.copy(), opt.flat_m.copy(), opt.flat_v.copy())
+        feed_forward = T.feed_forward
+
+        def poisoned(*args):     # the adjoint returns NaN for the outer weight
+            out = feed_forward(*args)
+            vjp = out._vjp
+
+            def nan_outer_weight(g):
+                grads = vjp(g)
+                return grads[:3] + (np.full_like(grads[3], np.nan),) + grads[4:]
+            out._vjp = nan_outer_weight
+            return out
+        monkeypatch.setattr(T, "feed_forward", poisoned)
+        with pytest.raises(RuntimeError, match=r"^non-finite gradient in step 2; first "
+                                               r"non-finite gradient shallow.0.ff.outer.weight$"):
+            train_step(model, opt, samples, self.MASK, cfg, "step 2")
+        assert opt.t == 1
+        for state, old in zip((opt.flat_p, opt.flat_m, opt.flat_v), before):
+            npt.assert_array_equal(state, old)
+
+    def test_non_finite_loss_names_where(self):
+        model, samples = tiny_model_and_batch()
+        samples[1].features["a"][0, 0] = np.nan
+        opt = Adam(model.named_parameters(), 1e-3)
+        with pytest.raises(RuntimeError, match=r"^non-finite loss in the third step; first "
+                                               r"non-finite value branch.a"):
+            train_step(model, opt, samples, self.MASK, ExperimentConfig(), "the third step")
+        assert opt.t == 0
+
+    def test_train_returns_a_model_without_gradients(self, small_dataset):
+        result = train(fast_config(small_dataset, epochs=1), write_artifacts=False)
+        assert [name for name, p in result.model.named_parameters() if p.grad is not None] == []
+
+    @pytest.mark.parametrize("size,lengths", [(1, [1] * 21), (5, [5, 5, 5, 5, 1]),
+                                              (8, [8, 8, 5])])
+    def test_batch_order_covers_each_sample_once_per_epoch(self, size, lengths):
+        samples = list(range(21))
+        for epoch in (1, 2):
+            batches = batch_order(samples, size, seed=4, epoch=epoch)
+            assert [len(b) for b in batches] == lengths
+            assert sorted(x for b in batches for x in b) == samples
+        assert batch_order(samples, 5, 4, 1) != batch_order(samples, 5, 4, 2)
+        assert batch_order(samples, 5, 4, 1) != batch_order(samples, 5, 5, 1)
 
 
 class TestEvaluate:

@@ -10,15 +10,23 @@ that goes first alternating too. Two trees whose models name or order
 their parameters differently, or write different checkpoint headers, are
 refused: checkpoints and Adam's flat state follow the parameter order.
 Before each step the parent's parameters are set to the change's, so the
-differences printed are one step's.
+differences printed are one step's. Batches come in the change's
+``train.batch_order``.
+
+Each side's step is composed from its own tree's ``batch_objective``,
+``backward`` and ``Adam``, not its ``train.train_step``, so that a parent
+older than ``train_step`` still runs; on one tree the two are the same step
+(``tests/test_ab.py``).
 
 Prints each side's median and quartiles of step time (forward, backward and
 Adam, as ``perfbench`` times a step), the steps the change won, and the
-largest difference in the loss and in any parameter gradient. After the
-steps, both sides take the same parameters and run one no-grad forward pass
-over the first 64 held-out utterances; the largest difference in their
-logits is printed too, and whether their ``save_model`` bytes are equal.
-``--exact`` exits 1 unless all three differences are 0 and the bytes equal.
+largest difference in the loss, in any parameter gradient and in any
+parameter after each side's own Adam step, with the parameter it belongs
+to. After the steps, both sides take the same parameters and run one
+no-grad forward pass over the first 64 held-out utterances; the largest
+difference in their logits is printed too, and whether their
+``save_model`` bytes are equal. ``--exact`` exits 1 unless all four
+differences are 0 and the bytes equal.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import io
+import itertools
 import statistics
 import subprocess
 import sys
@@ -55,7 +64,7 @@ def import_tree(src: Path, alias: str):
     for name in [n for n in sys.modules if n == alias or n.startswith(alias + ".")]:
         del sys.modules[name]
     pkg = load_module(alias, src / "wavfusion" / "__init__.py", src / "wavfusion")
-    for name in ("checkpoint", "optim", "rng", "train"):
+    for name in ("checkpoint", "optim", "train"):
         importlib.import_module(f"{alias}.{name}")
     return pkg
 
@@ -107,14 +116,19 @@ class Side:
             return self.model.forward_batch(samples, self.cfg.mask()).logits.data
 
 
-def batches(rng, train_set, size: int, seed: int):
-    """Training batches in the order ``train.train`` draws them, epoch after epoch."""
-    epoch = 0
-    while True:
-        epoch += 1
-        order = rng.Prng(seed, stream=10_000 + epoch).permutation(len(train_set))
-        for start in range(0, len(order), size):
-            yield [train_set[i] for i in order[start:start + size]]
+def largest_diff(ours: dict, theirs: dict, worst: tuple) -> tuple:
+    """``worst``, a (difference, name) pair, or the largest elementwise
+    |difference| between same-named arrays of the two sides and that name
+    where it is larger; an array only one side has counts as inf."""
+    for name, x in ours.items():
+        y = theirs[name]
+        if x is None and y is None:
+            continue
+        diff = (float("inf") if x is None or y is None
+                else float(np.max(np.abs(x.astype(np.float64) - y))))
+        if diff > worst[0]:
+            worst = (diff, name)
+    return worst
 
 
 def compare(parent_src: Path, change_src: Path, workload_name: str, steps: int, seed: int) -> dict:
@@ -133,22 +147,19 @@ def compare(parent_src: Path, change_src: Path, workload_name: str, steps: int, 
     if parent.checkpoint.architecture(a.model) != change.checkpoint.architecture(b.model):
         raise SystemExit("ab: the two trees write different checkpoint headers")
     train_set, val_set, test_set = change.data.split(dataset.samples, b.cfg.split_policy())
-    loss_diff, grad_diff, worst = 0.0, 0.0, ""
-    for i, chunk in zip(range(steps), batches(change.rng, train_set, b.cfg.batch_size, seed)):
+    order = (batch for epoch in itertools.count(1)
+             for batch in change.train.batch_order(train_set, b.cfg.batch_size, seed, epoch))
+    loss_diff, grad, param = 0.0, (0.0, ""), (0.0, "")
+    for i, chunk in zip(range(steps), order):
         for name, p in a.params.items():
             p.data[...] = b.params[name].data
         results = {side: side.step(chunk, b.cfg.mask())
                    for side in (sides if i % 2 == 0 else sides[::-1])}
         (loss_a, grads_a), (loss_b, grads_b) = results[a], results[b]
         loss_diff = max(loss_diff, abs(loss_a - loss_b))
-        for name, g in grads_b.items():
-            ref = grads_a[name]
-            if g is None and ref is None:
-                continue
-            diff = (float("inf") if g is None or ref is None
-                    else float(np.max(np.abs(g.astype(np.float64) - ref))))
-            if diff > grad_diff:
-                grad_diff, worst = diff, name
+        grad = largest_diff(grads_b, grads_a, grad)
+        param = largest_diff({n: p.data for n, p in b.params.items()},
+                             {n: p.data for n, p in a.params.items()}, param)
     for name, p in a.params.items():
         p.data[...] = b.params[name].data
     held_out = (val_set + test_set)[:64]
@@ -159,7 +170,8 @@ def compare(parent_src: Path, change_src: Path, workload_name: str, steps: int, 
     return {"parent": a.times, "change": b.times,
             "wins": sum(ta > tb for ta, tb in zip(a.times, b.times)),
             "ratio": statistics.median(b.times) / statistics.median(a.times),
-            "loss_diff": loss_diff, "grad_diff": grad_diff, "worst": worst,
+            "loss_diff": loss_diff, "grad_diff": grad[0], "worst": grad[1],
+            "param_diff": param[0], "param_worst": param[1],
             "logit_diff": logit_diff, "same_checkpoint": same_checkpoint}
 
 
@@ -172,8 +184,9 @@ def main(argv=None) -> int:
     parser.add_argument("--steps", type=int, default=100, help="training steps per side")
     parser.add_argument("--seed", type=int, default=1, help="seed of the data and the model")
     parser.add_argument("--exact", action="store_true",
-                        help="exit 1 unless the loss, every gradient, the no-grad "
-                             "logits and the checkpoint bytes are identical")
+                        help="exit 1 unless the loss, every gradient, every parameter "
+                             "after Adam, the no-grad logits and the checkpoint bytes "
+                             "are identical")
     args = parser.parse_args(argv)
     if args.steps < 2:
         parser.error("--steps must be at least 2")
@@ -192,10 +205,12 @@ def main(argv=None) -> int:
           f"{args.steps} steps")
     print(f"  max |loss diff| {r['loss_diff']:.3e}; max |gradient diff| {r['grad_diff']:.3e}"
           + (f" ({r['worst']})" if r["worst"] else ""))
+    print(f"  max |post-Adam parameter diff| {r['param_diff']:.3e}"
+          + (f" ({r['param_worst']})" if r["param_worst"] else ""))
     print(f"  max |no-grad logit diff| {r['logit_diff']:.3e}")
     print(f"  checkpoint bytes {'equal' if r['same_checkpoint'] else 'differ'}")
-    return 1 if args.exact and (r["loss_diff"] or r["grad_diff"] or r["logit_diff"]
-                                or not r["same_checkpoint"]) else 0
+    return 1 if args.exact and (r["loss_diff"] or r["grad_diff"] or r["param_diff"]
+                                or r["logit_diff"] or not r["same_checkpoint"]) else 0
 
 
 if __name__ == "__main__":
